@@ -37,7 +37,7 @@ from .minors import MinorModel, density_report, find_depth_r_minor, verify_minor
 from .orders import (EliminationForest, VertexOrder, coloring_number,
                      degeneracy_order, greedy_wreach_order, identity_order,
                      treedepth_exact, validate_elimination_forest, wcol_exact,
-                     wcol_heuristic, wcol_of_order)
+                     wcol_of_order)
 from .wideness import (Cover, PartitionCover, SeparatorCertificate,
                        UqwCertificate, balanced_separator, neighborhood_cover,
                        partition_cover, uqw_brute, uqw_extract, validate_cover,
@@ -115,7 +115,8 @@ def cmd_wcol(args):
     if args.mode == "exact":
         value, order = wcol_exact(g, args.r, cap=args.cap)
     else:
-        value, order = wcol_heuristic(g, args.r, args.order)
+        order = build_order(g, args.order, args.r)
+        value = wcol_of_order(g, order, args.r)
     cert = {"kind": "order_witness", "r": args.r, "value": value,
             "order": list(order.perm), "optimal": args.mode == "exact"}
     result = {"r": args.r, "mode": args.mode, "value": value}
@@ -414,8 +415,10 @@ def _verify_distance_set(g: Graph, doc: dict) -> list:
 def cmd_verify(args):
     g, meta = load_graph(args.graph)
     doc = _load_json(args.certificate)
-    if "certificate" in doc and "command" in doc:  # a full --out document
-        doc = doc["certificate"]
+    if isinstance(doc, dict) and "certificate" in doc and "command" in doc:
+        doc = doc["certificate"]  # a full --out document
+    if not isinstance(doc, dict):
+        raise PreconditionError(f"{args.certificate!r} holds no certificate object")
     meta["certificate"] = args.certificate
     violations = _verify_certificate(g, doc)
     result = {"kind": doc.get("kind"), "ok": not violations,
@@ -455,7 +458,7 @@ def cmd_sweep(args):
 
 def _sweep_value(g: Graph, r: int, op: str, order_name: str, cfg: dict):
     if op == "wcol":
-        return wcol_heuristic(g, r, order_name)[0]
+        return wcol_of_order(g, build_order(g, order_name, r), r)
     if op == "density":
         if "seed" not in cfg:
             raise PreconditionError("density rows need a top-level 'seed' in the config")

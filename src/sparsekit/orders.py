@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import CapabilityError, GraphInputError, PreconditionError
+from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
+                     PreconditionError)
 from .graph import Graph
 
 
@@ -196,6 +197,19 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     Placing u next fixes which vertices u is weakly reached by (everything
     still unplaced is ranked above u), so per-vertex wreach counts only grow
     along a branch and the running maximum prunes.
+
+    How a branch can still end depends only on its state: the unplaced set
+    and the wreach counts of the unplaced vertices (placed vertices' counts
+    are final and enter only through the running maximum).  A transposition
+    table, local to the call, keeps the smallest running maximum each state
+    was entered with; entering it again with a running maximum no smaller
+    prunes, since every completion is the same and cannot end lower.  The
+    search updates the best order only on a strict improvement, and a pruned
+    branch cannot strictly beat what the earlier visit already reached, so
+    the witness is the order the search returns without the table: the first
+    one, in search order, to strictly improve on the heuristic bound.  No
+    order beats the coloring number (wcol_r >= wcol_1 = col), so the search
+    runs only while the best heuristic order is above col.
     """
     if g.n > cap:
         raise CapabilityError(
@@ -208,8 +222,15 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
         val, order = wcol_heuristic(g, r, strategy)
         if val < best_val:
             best_val, best_order = val, order
+    col, _ = coloring_number(g)
+    n = g.n
     masks = g.adjacency_masks()
-    counts = [0] * g.n
+    counts = [0] * n
+    # a state key packs each unplaced vertex's count (at most n) into a field
+    # of n.bit_length() bits above the n bits of the unplaced mask
+    width = n.bit_length()
+    unit = [1 << (n + width * v) for v in range(n)]
+    table = {}
     prefix = []
 
     def cluster(u: int, rest: int) -> int:
@@ -231,7 +252,7 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
             out |= nxt
         return out
 
-    def dfs(unplaced: int, cur_max: int) -> None:
+    def dfs(unplaced: int, packed: int, cur_max: int) -> None:
         nonlocal best_val, best_order
         if cur_max >= best_val:
             return
@@ -239,26 +260,38 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
             best_val = cur_max
             best_order = VertexOrder(tuple(prefix))
             return
+        key = packed | unplaced
+        seen = table.get(key)
+        if seen is not None and seen <= cur_max:
+            return
+        table[key] = cur_max
         cands = sorted(_iter_bits(unplaced), key=lambda w: (-counts[w], w))
         if counts[cands[0]] + 1 >= best_val:
             return  # some unplaced vertex is already at the limit
         for u in cands:
             rest = unplaced ^ (1 << u)
             reached = cluster(u, rest)
+            child = packed - counts[u] * unit[u]
             counts[u] += 1
             touched = list(_iter_bits(reached))
             for w in touched:
                 counts[w] += 1
+                child += unit[w]
             prefix.append(u)
-            dfs(rest, max(cur_max, counts[u]))
+            dfs(rest, child, max(cur_max, counts[u]))
             prefix.pop()
             for w in touched:
                 counts[w] -= 1
             counts[u] -= 1
 
-    dfs((1 << g.n) - 1, 0)
+    if best_val > col:
+        dfs((1 << n) - 1, 0, 0)
     check = wcol_of_order(g, best_order, r)
-    assert check == best_val, f"witness order disagrees: {check} != {best_val}"
+    if check != best_val:
+        raise AlgorithmStallError(
+            f"witness order disagrees: {check} != {best_val}",
+            state={"r": r, "claimed": best_val, "rechecked": check},
+        )
     return best_val, best_order
 
 
@@ -410,7 +443,10 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
         build((1 << g.n) - 1, -1)
     forest = EliminationForest(tuple(parent))
     bad = validate_elimination_forest(g, forest, value)
-    assert not bad, f"witness forest invalid: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"witness forest invalid: {bad}", state={"claimed": value, "violations": bad}
+        )
     return value, forest
 
 

@@ -272,3 +272,44 @@ def test_dimacs_input(tmp_path):
     assert code == 0
     assert doc["input"]["n"] == 4 and doc["input"]["m"] == 3
     assert doc["result"]["value"] == 2
+
+
+@pytest.mark.parametrize("order,value", [
+    ("degeneracy", 7), ("greedy", 5), ("identity", 7),
+])
+def test_wcol_heuristic_every_order(tmp_path, order, value):
+    grid = '{"family":"grid","rows":3,"cols":4}'
+    out = tmp_path / "wcol.json"
+    code, doc, _ = run_cli("wcol", grid, "--r", "2", "--order", order,
+                           "--out", str(out))
+    assert code == 0 and doc["error"] is None
+    assert doc["result"]["value"] == value
+    if order == "identity":
+        assert doc["certificate"]["order"] == list(range(12))
+    code, vdoc, _ = run_cli("verify", str(out), "--graph", grid)
+    assert code == 0 and vdoc["result"]["ok"] is True
+
+
+def test_sweep_wcol_every_order(tmp_path):
+    path = tmp_path / "sweep.json"
+    for order, value in (("degeneracy", 7), ("greedy", 5), ("identity", 7)):
+        path.write_text(json.dumps({
+            "families": [{"name": "g34", "spec": {"family": "grid", "rows": 3,
+                                                  "cols": 4}}],
+            "r": [2], "operations": ["wcol"], "order": order}))
+        code, doc, _ = run_cli("sweep", str(path))
+        assert code == 0
+        assert doc["result"]["rows"] == [{"family": "g34", "n": 12, "m": 17,
+                                          "r": 2, "op": "wcol", "value": value}]
+
+
+@pytest.mark.parametrize("text", ["null", "[1, 2]", "7"])
+def test_verify_rejects_non_object_certificate(tmp_path, text):
+    doc = tmp_path / "doc.json"
+    # a failed command's --out document stores "certificate": null
+    doc.write_text('{"command": "wcol", "certificate": %s}' % text)
+    code, vdoc, _ = run_cli("verify", str(doc), "--graph", PATH5)
+    assert code == 2 and vdoc["error"]["code"] == "precondition"
+    doc.write_text(text)
+    code, vdoc, _ = run_cli("verify", str(doc), "--graph", PATH5)
+    assert code == 2 and vdoc["error"]["code"] == "precondition"

@@ -5,7 +5,7 @@ from oracles import (brute_treedepth, brute_wcol, dfs_preorder,
 from sparsekit.errors import CapabilityError, GraphInputError
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
-                               path_graph, star_graph, subdivide)
+                               path_graph, random_tree, star_graph, subdivide)
 from sparsekit.orders import (EliminationForest, VertexOrder, check_separation,
                               coloring_number, degeneracy_order,
                               greedy_wreach_order, identity_order,
@@ -181,3 +181,152 @@ def test_check_separation_holds_everywhere(atlas_graphs):
 def test_wreach_rejects_foreign_order():
     with pytest.raises(GraphInputError):
         wreach_sets(path_graph(3), identity_order(4), 1)
+
+
+def test_witness_checks_raise_without_assert(monkeypatch):
+    import sparsekit.orders as orders
+    from sparsekit.errors import AlgorithmStallError
+    real = orders.wcol_of_order
+    # off by one everywhere: the heuristic orders claim 7 and 6 against a claimed
+    # col of 4, so the search runs and finds the true optimum 4, which the
+    # recheck then reports as 5
+    monkeypatch.setattr(orders, "wcol_of_order",
+                        lambda g, order, r, active=None: real(g, order, r, active) + 1)
+    with pytest.raises(AlgorithmStallError) as e:
+        wcol_exact(grid_graph(3, 3), 2)
+    assert e.value.state == {"r": 2, "claimed": 4, "rechecked": 5}
+    monkeypatch.setattr(orders, "validate_elimination_forest",
+                        lambda g, forest, claimed=None: ["forged violation"])
+    with pytest.raises(AlgorithmStallError) as e:
+        treedepth_exact(path_graph(4))
+    assert e.value.state == {"claimed": 3, "violations": ["forged violation"]}
+
+
+# (graph, [(wcol_r, witness order) for r = 1..n]) as the search without a
+# transposition table returned them; the table must not change any of them.
+PINNED_WITNESSES = [
+    (cycle_graph(6), [
+        (3, (5, 4, 3, 2, 1, 0)),
+        (3, (5, 3, 1, 4, 2, 0)),
+        (4, (5, 3, 1, 4, 2, 0)),
+        (4, (5, 3, 1, 4, 2, 0)),
+        (4, (5, 3, 1, 4, 2, 0)),
+        (4, (5, 3, 1, 4, 2, 0)),
+    ]),
+    (cycle_graph(7), [
+        (3, (6, 5, 4, 3, 2, 1, 0)),
+        (4, (6, 5, 4, 3, 2, 1, 0)),
+        (4, (6, 3, 5, 1, 4, 2, 0)),
+        (4, (6, 3, 5, 1, 4, 2, 0)),
+        (4, (6, 3, 5, 1, 4, 2, 0)),
+        (4, (6, 3, 5, 1, 4, 2, 0)),
+        (4, (6, 3, 5, 1, 4, 2, 0)),
+    ]),
+    (cycle_graph(8), [
+        (3, (7, 6, 5, 4, 3, 2, 1, 0)),
+        (3, (7, 3, 5, 1, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 6, 4, 2, 0)),
+    ]),
+    (cycle_graph(9), [
+        (3, (8, 7, 6, 5, 4, 3, 2, 1, 0)),
+        (4, (8, 7, 6, 5, 4, 3, 2, 1, 0)),
+        (4, (0, 1, 3, 2, 4, 6, 5, 7, 8)),
+        (5, (8, 7, 3, 5, 1, 6, 4, 2, 0)),
+        (5, (8, 7, 3, 5, 1, 6, 4, 2, 0)),
+        (5, (8, 7, 3, 5, 1, 6, 4, 2, 0)),
+        (5, (8, 7, 3, 5, 1, 6, 4, 2, 0)),
+        (5, (8, 7, 3, 5, 1, 6, 4, 2, 0)),
+        (5, (8, 7, 3, 5, 1, 6, 4, 2, 0)),
+    ]),
+    (path_graph(9), [
+        (2, (8, 7, 6, 5, 4, 3, 2, 1, 0)),
+        (3, (8, 7, 6, 5, 4, 3, 2, 1, 0)),
+        (3, (4, 2, 1, 0, 3, 6, 5, 7, 8)),
+        (4, (7, 3, 5, 1, 8, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 8, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 8, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 8, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 8, 6, 4, 2, 0)),
+        (4, (7, 3, 5, 1, 8, 6, 4, 2, 0)),
+    ]),
+    (grid_graph(3, 3), [
+        (3, (8, 7, 5, 4, 6, 3, 2, 1, 0)),
+        (4, (0, 2, 4, 1, 6, 3, 8, 5, 7)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+        (5, (7, 5, 3, 1, 8, 6, 4, 2, 0)),
+    ]),
+    (star_graph(7), [
+        (2, (6, 0, 5, 4, 3, 2, 1)),
+        (2, (0, 1, 2, 3, 4, 5, 6)),
+        (2, (0, 1, 2, 3, 4, 5, 6)),
+        (2, (0, 1, 2, 3, 4, 5, 6)),
+        (2, (0, 1, 2, 3, 4, 5, 6)),
+        (2, (0, 1, 2, 3, 4, 5, 6)),
+        (2, (0, 1, 2, 3, 4, 5, 6)),
+    ]),
+    (complete_graph(5), [
+        (5, (4, 3, 2, 1, 0)),
+        (5, (4, 3, 2, 1, 0)),
+        (5, (4, 3, 2, 1, 0)),
+        (5, (4, 3, 2, 1, 0)),
+        (5, (4, 3, 2, 1, 0)),
+    ]),
+    (subdivide(complete_graph(4), 1), [
+        (3, (9, 3, 8, 2, 7, 1, 6, 5, 0, 4)),
+        (4, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+        (5, (0, 1, 2, 3, 6, 8, 9, 5, 7, 4)),
+    ]),
+    (random_tree(9, seed=3), [
+        (2, (8, 1, 5, 7, 0, 6, 4, 3, 2)),
+        (3, (8, 1, 5, 7, 0, 6, 4, 3, 2)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+        (3, (1, 2, 5, 4, 7, 6, 0, 3, 8)),
+    ]),
+    (Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6)]), [
+        (3, (6, 5, 4, 3, 2, 1, 0)),
+        (4, (0, 1, 4, 2, 3, 5, 6)),
+        (4, (1, 4, 0, 2, 5, 3, 6)),
+        (4, (1, 4, 0, 2, 5, 3, 6)),
+        (4, (1, 4, 0, 2, 5, 3, 6)),
+        (4, (1, 4, 0, 2, 5, 3, 6)),
+        (4, (1, 4, 0, 2, 5, 3, 6)),
+    ]),
+    (Graph(8, [(0, 4), (0, 5), (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 4), (0, 2)]), [
+        (3, (7, 3, 4, 2, 0, 6, 5, 1)),
+        (4, (0, 1, 2, 6, 3, 7, 4, 5)),
+        (4, (0, 2, 1, 5, 6, 3, 4, 7)),
+        (4, (0, 2, 1, 5, 6, 3, 4, 7)),
+        (4, (0, 2, 1, 5, 6, 3, 4, 7)),
+        (4, (0, 2, 1, 5, 6, 3, 4, 7)),
+        (4, (0, 2, 1, 5, 6, 3, 4, 7)),
+        (4, (0, 2, 1, 5, 6, 3, 4, 7)),
+    ]),
+]
+
+
+def test_wcol_exact_witness_orders_pinned():
+    for g, rows in PINNED_WITNESSES:
+        got = [(v, o.perm) for v, o in (wcol_exact(g, r) for r in range(1, g.n + 1))]
+        assert got == rows
