@@ -13,19 +13,17 @@ from .errors import (AlgorithmStallError, CapabilityError, EdgeListParseError,
                      FormulaParseError, FormulaScopeError, GraphInputError,
                      LocalityError, PreconditionError, SparsekitError,
                      StrategyBugError)
-from .graph import (Graph, ball, bfs_distances, components, delete_vertices,
-                    distance_profile, eccentricity, induced_subgraph,
-                    is_connected, multi_source_ball, power_graph, radius_of,
-                    set_radius)
+from .graph import (Graph, ball, bfs_distances, components, induced_subgraph,
+                    is_connected, set_radius)
 from .graphio import (apex_graph, complete_graph, cycle_graph, emit_json,
                       generate, gnd_graph, graph_from_json, grid_graph,
                       parse_edge_list, path_graph, random_tree, read_dimacs,
                       star_graph, subdivide, to_jsonable, write_edge_list)
-from .orders import (EliminationForest, VertexOrder, check_separation,
+from .orders import (ORDER_NAMES, EliminationForest, VertexOrder, build_order,
                      coloring_number, degeneracy_order, greedy_wreach_order,
                      identity_order, treedepth_exact,
-                     validate_elimination_forest, wcol_exact, wcol_heuristic,
-                     wcol_of_order, wreach_sets)
+                     validate_elimination_forest, wcol_exact, wcol_of_order,
+                     wreach_sets)
 from .minors import (DensityReport, MinorModel, density_report,
                      find_depth_r_minor, has_shallow_clique,
                      verify_minor_model)

@@ -27,24 +27,20 @@ from .games import (ExhaustiveConnector, ExhaustiveSplitter, GameConfig,
                     GameTranscript, GreedyBallConnector, RandomConnector,
                     play, uqw_splitter_strategy, validate_transcript,
                     wcol_splitter_strategy)
-from .graph import Graph, ball, bfs_distances
+from .graph import Graph, ball, bfs_distances, foreign_vertices
 from .graphio import (emit_json, generate, graph_from_json, parse_edge_list,
                       read_dimacs, to_jsonable, write_edge_list)
 from .logic import (BasicLocalSentence, distance_dominating_set,
                     distance_independent_set, eval_basic_local, eval_naive,
                     parse_formula, satisfying_set)
 from .minors import MinorModel, density_report, find_depth_r_minor, verify_minor_model
-from .orders import (EliminationForest, VertexOrder, coloring_number,
-                     degeneracy_order, greedy_wreach_order, identity_order,
-                     treedepth_exact, validate_elimination_forest, wcol_exact,
-                     wcol_of_order)
+from .orders import (ORDER_NAMES, EliminationForest, VertexOrder, build_order,
+                     coloring_number, treedepth_exact,
+                     validate_elimination_forest, wcol_exact, wcol_of_order)
 from .wideness import (Cover, PartitionCover, SeparatorCertificate,
                        UqwCertificate, balanced_separator, neighborhood_cover,
                        partition_cover, uqw_brute, uqw_extract, validate_cover,
                        validate_partition, validate_separator, validate_uqw)
-
-ORDER_CHOICES = ("degeneracy", "greedy", "identity")
-
 
 # ----------------------------------------------------------------- loading
 
@@ -82,16 +78,6 @@ def _load_json(path: str) -> dict:
         raise GraphInputError(f"cannot read {path!r}: {e}")
     except json.JSONDecodeError as e:
         raise GraphInputError(f"{path!r} is not valid JSON: {e}")
-
-
-def build_order(g: Graph, name: str, r: int) -> VertexOrder:
-    if name == "degeneracy":
-        return degeneracy_order(g)
-    if name == "greedy":
-        return greedy_wreach_order(g, r)
-    if name == "identity":
-        return identity_order(g.n)
-    raise PreconditionError(f"unknown order strategy {name!r}")
 
 
 def _vertex_list(text, g: Graph):
@@ -167,14 +153,11 @@ def cmd_density(args):
 def cmd_game(args):
     g, meta = load_graph(args.graph)
     if args.replay:
-        doc = _load_json(args.replay)
-        if "certificate" in doc and "command" in doc:  # a full --out document
-            doc = doc["certificate"]
-        try:
-            t = GameTranscript.from_json(doc)
-        except (KeyError, TypeError, ValueError) as e:
-            raise PreconditionError(f"not a game transcript: {e}")
-        violations = validate_transcript(g, t)
+        kind, doc = _read_certificate(args.replay, "transcript")
+        if kind != "transcript":
+            raise PreconditionError(f"not a game transcript: a {kind} certificate")
+        violations = _check_certificate(g, kind, doc)
+        t = GameTranscript.from_json(doc)
         result = {"replay": True, "winner": t.winner,
                   "rounds": len(t.rounds), "violations": violations}
         cert = {"kind": "transcript", **t.to_json()}
@@ -308,8 +291,7 @@ def cmd_solve(args):
         if args.k is None:
             raise PreconditionError("--problem independent requires --k")
         cands = _vertex_list(args.candidates, g)
-        pi = build_order(g, args.order, args.r) if args.order else None
-        sol = distance_independent_set(g, args.r, args.k, cands, pi=pi)
+        sol = distance_independent_set(g, args.r, args.k, cands)
         found = sol is not None
         result = {"problem": "independent", "r": args.r, "k": args.k, "found": found,
                   "vertices": sorted(sol) if found else None}
@@ -342,50 +324,28 @@ def cmd_gen(args):
     return meta, result, None, f"generated n={g.n} m={g.m}", 0
 
 
-def _verify_certificate(g: Graph, doc: dict) -> list:
-    kind = doc.get("kind")
-    if kind == "uqw":
-        return validate_uqw(g, UqwCertificate.from_json(doc))
-    if kind == "separator":
-        return validate_separator(g, SeparatorCertificate.from_json(doc))
-    if kind == "cover":
-        return validate_cover(g, Cover.from_json(doc))
-    if kind == "partition":
-        return validate_partition(g, PartitionCover.from_json(doc))
-    if kind == "transcript":
-        return validate_transcript(g, GameTranscript.from_json(doc))
-    if kind == "order_witness":
-        order = VertexOrder(doc["order"])
-        got = wcol_of_order(g, order, doc["r"])
-        return ([] if got == doc["value"]
-                else [f"order achieves wcol_{doc['r']} = {got}, claimed {doc['value']}"])
-    if kind == "elimination_forest":
-        forest = EliminationForest(tuple(doc["parent"]))
-        return validate_elimination_forest(g, forest, claimed=doc["value"])
-    if kind == "minor_model":
-        h = graph_from_json(doc["h"])
-        return verify_minor_model(g, h, MinorModel.from_json(doc))
-    if kind == "density":
-        h = graph_from_json(doc["h"])
-        model = MinorModel.from_json(doc["model"])
-        out = verify_minor_model(g, h, model)
-        if h.n != doc["minor_n"] or h.m != doc["minor_m"]:
-            out.append(f"model is on {h.n} vertices / {h.m} edges, "
-                       f"report says {doc['minor_n']} / {doc['minor_m']}")
-        if h.n and abs(doc["density"] - h.m / h.n) > 1e-12:
-            out.append(f"density {doc['density']} != {h.m}/{h.n}")
-        return out
-    if kind == "distance_set":
-        return _verify_distance_set(g, doc)
-    raise PreconditionError(f"unknown certificate kind {kind!r}")
+def _check_order_witness(g: Graph, doc: dict) -> list:
+    got = wcol_of_order(g, VertexOrder(doc["order"]), doc["r"])
+    return ([] if got == doc["value"]
+            else [f"order achieves wcol_{doc['r']} = {got}, claimed {doc['value']}"])
 
 
-def _verify_distance_set(g: Graph, doc: dict) -> list:
+def _check_density(g: Graph, doc: dict) -> list:
+    h = graph_from_json(doc["h"])
+    out = verify_minor_model(g, h, MinorModel.from_json(doc["model"]))
+    if h.n != doc["minor_n"] or h.m != doc["minor_m"]:
+        out.append(f"model is on {h.n} vertices / {h.m} edges, "
+                   f"report says {doc['minor_n']} / {doc['minor_m']}")
+    if h.n and abs(doc["density"] - h.m / h.n) > 1e-12:
+        out.append(f"density {doc['density']} != {h.m}/{h.n}")
+    return out
+
+
+def _check_distance_set(g: Graph, doc: dict) -> list:
     vs = doc["vertices"]
-    out = []
-    for v in vs:
-        if not 0 <= v < g.n:
-            return [f"vertex {v} not in the graph"]
+    out = foreign_vertices(g, vs)
+    if out:
+        return out
     if doc["problem"] == "independent":
         if len(set(vs)) != doc["k"]:
             out.append(f"{len(set(vs))} distinct vertices, claimed k = {doc['k']}")
@@ -412,19 +372,56 @@ def _verify_distance_set(g: Graph, doc: dict) -> list:
     return out
 
 
+# certificate kind -> validator(graph, certificate document) -> violations
+CERTIFICATES = {
+    "order_witness": _check_order_witness,
+    "elimination_forest": lambda g, d: validate_elimination_forest(
+        g, EliminationForest.from_json(d), claimed=d["value"]),
+    "minor_model": lambda g, d: verify_minor_model(
+        g, graph_from_json(d["h"]), MinorModel.from_json(d)),
+    "density": _check_density,
+    "transcript": lambda g, d: validate_transcript(g, GameTranscript.from_json(d)),
+    "uqw": lambda g, d: validate_uqw(g, UqwCertificate.from_json(d)),
+    "separator": lambda g, d: validate_separator(g, SeparatorCertificate.from_json(d)),
+    "cover": lambda g, d: validate_cover(g, Cover.from_json(d)),
+    "partition": lambda g, d: validate_partition(g, PartitionCover.from_json(d)),
+    "distance_set": _check_distance_set,
+}
+
+
+def _read_certificate(path: str, default_kind=None) -> tuple[str, dict]:
+    """(kind, certificate) from a certificate file or a full --out document;
+    `default_kind` stands in for a missing "kind" key."""
+    doc = _load_json(path)
+    if isinstance(doc, dict) and "certificate" in doc and "command" in doc:
+        doc = doc["certificate"]
+    if not isinstance(doc, dict):
+        raise PreconditionError(f"{path!r} holds no certificate object")
+    kind = doc.get("kind", default_kind)
+    if kind not in CERTIFICATES:
+        raise PreconditionError(f"unknown certificate kind {kind!r}")
+    return kind, doc
+
+
+def _check_certificate(g: Graph, kind: str, doc: dict) -> list:
+    """Violations found by the kind's validator; a certificate too malformed
+    to check is a usage error, not a failed verification."""
+    try:
+        return CERTIFICATES[kind](g, doc)
+    except SparsekitError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise PreconditionError(f"malformed {kind} certificate: {type(e).__name__}: {e}")
+
+
 def cmd_verify(args):
     g, meta = load_graph(args.graph)
-    doc = _load_json(args.certificate)
-    if isinstance(doc, dict) and "certificate" in doc and "command" in doc:
-        doc = doc["certificate"]  # a full --out document
-    if not isinstance(doc, dict):
-        raise PreconditionError(f"{args.certificate!r} holds no certificate object")
+    kind, doc = _read_certificate(args.certificate)
     meta["certificate"] = args.certificate
-    violations = _verify_certificate(g, doc)
-    result = {"kind": doc.get("kind"), "ok": not violations,
-              "violations": violations}
+    violations = _check_certificate(g, kind, doc)
+    result = {"kind": kind, "ok": not violations, "violations": violations}
     word = "ok" if not violations else f"{len(violations)} violations"
-    return meta, result, None, f"{doc.get('kind')}: {word}", 0 if not violations else 1
+    return meta, result, None, f"{kind}: {word}", 0 if not violations else 1
 
 
 def cmd_sweep(args):
@@ -489,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("wcol", cmd_wcol, "weak r-coloring number")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "heuristic"), default="heuristic")
-    p.add_argument("--order", choices=ORDER_CHOICES, default="degeneracy")
+    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
     p.add_argument("--cap", type=int, default=10)
 
     add("col", cmd_col, "coloring number (degeneracy + 1)")
@@ -517,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splitter", choices=("wcol", "uqw", "exhaustive"), default="wcol")
     p.add_argument("--connector", choices=("greedy", "random", "exhaustive"),
                    default="greedy")
-    p.add_argument("--order", choices=ORDER_CHOICES, default="degeneracy")
+    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
     p.add_argument("--rounds", type=int, default=64, help="round cap")
     p.add_argument("--batch", type=int, default=None,
                    help="splitter batch size limit (default 1, auto for uqw)")
@@ -530,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", help="target set as comma-separated ids (default: all)")
     p.add_argument("--mode", choices=("extract", "brute"), default="extract")
-    p.add_argument("--order", choices=ORDER_CHOICES, default="degeneracy")
+    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
     p.add_argument("--smax", type=int, default=3, help="brute mode: max |S|")
     p.add_argument("--expect", action="store_true")
 
@@ -538,15 +535,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--a", help="target set (default: all vertices)")
-    p.add_argument("--order", choices=ORDER_CHOICES, default="degeneracy")
+    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
 
     p = add("cover", cmd_cover, "sparse neighborhood cover")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--order", choices=ORDER_CHOICES, default="degeneracy")
+    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
 
     p = add("partition", cmd_partition, "partition into unions of far-apart clusters")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--order", choices=ORDER_CHOICES, default="degeneracy")
+    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
 
     p = add("eval", cmd_eval, "evaluate a formula or a basic-local sentence")
     p.add_argument("--formula", help="formula text; free variables come from --env")
@@ -560,8 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, help="independent: required size")
     p.add_argument("--candidates", help="independent: candidate ids (default: all)")
-    p.add_argument("--order", choices=ORDER_CHOICES, default=None,
-                   help="independent: enable the wideness-based fast path")
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--cap", type=int, default=25)
     p.add_argument("--expect", action="store_true")

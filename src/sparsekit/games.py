@@ -11,10 +11,11 @@ residual empties within round_cap rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import CapabilityError, GraphInputError, PreconditionError, StrategyBugError
+from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
+                     PreconditionError, StrategyBugError)
 from .graph import Graph, bfs_distances, components
 from .orders import VertexOrder
 from .rng import Rng
@@ -200,10 +201,6 @@ class SplitterStrategy:
         raise NotImplementedError
 
 
-def _component_move(g: Graph, residual: frozenset, comp: frozenset) -> ConnectorMove:
-    return ConnectorMove(min(comp), comp)
-
-
 class GreedyBallConnector(ConnectorStrategy):
     """Largest radius-r ball of the residual (largest component in the
     treedepth game); ties broken by smallest center."""
@@ -214,7 +211,7 @@ class GreedyBallConnector(ConnectorStrategy):
         if self.cfg.kind == "treedepth":
             comps = components(self.g, residual)
             comp = max(comps, key=lambda c: (len(c), -min(c)))
-            return _component_move(self.g, residual, comp)
+            return ConnectorMove(min(comp), comp)
         best = None
         for c in sorted(residual):
             b = frozenset(bfs_distances(self.g, (c,), self.cfg.radius, residual))
@@ -240,7 +237,7 @@ class RandomConnector(ConnectorStrategy):
         c = pool[self._rng.randint(len(pool))]
         if self.cfg.kind == "treedepth":
             comp = frozenset(bfs_distances(self.g, (c,), None, residual))
-            return _component_move(self.g, residual, comp)
+            return ConnectorMove(min(comp), comp)
         return ConnectorMove(c, frozenset(bfs_distances(self.g, (c,), self.cfg.radius, residual)))
 
 
@@ -289,9 +286,8 @@ class UqwBatchSplitter(SplitterStrategy):
 
     tag = "uqw_paths"
 
-    def __init__(self, r: int, uqw_params=None):
+    def __init__(self, r: int):
         self.r = r
-        self.uqw_params = dict(uqw_params) if uqw_params else {}
 
     def start(self, g, cfg):
         super().start(g, cfg)
@@ -323,7 +319,10 @@ class UqwBatchSplitter(SplitterStrategy):
                 path.append(x)
             batch |= set(path) & move.vertices
         limit = max(1, (round_no - 1) * (self.cfg.radius + 1))
-        assert len(batch) <= limit, f"batch {len(batch)} breaks the {limit} bound"
+        if len(batch) > limit:
+            raise StrategyBugError(
+                f"batch {sorted(batch)} of {len(batch)} breaks the {limit} bound",
+                round_no, "splitter")
         self._history.append((v_new, move.vertices))
         return frozenset(batch)
 
@@ -363,7 +362,7 @@ class _Engine:
     def moves(self, residual: frozenset) -> list:
         g, cfg = self.g, self.cfg
         if cfg.kind == "treedepth":
-            return [_component_move(g, residual, c) for c in components(g, residual)]
+            return [ConnectorMove(min(c), c) for c in components(g, residual)]
         balls = {}
         for c in sorted(residual):
             b = frozenset(bfs_distances(g, (c,), cfg.radius, residual))
@@ -446,7 +445,10 @@ def play(g: Graph, cfg: GameConfig, sp: SplitterStrategy,
     winner = "splitter" if not residual else "connector"
     transcript = GameTranscript(cfg, rounds, winner, co.tag, sp.tag)
     bad = validate_transcript(g, transcript)
-    assert not bad, f"engine produced an invalid transcript: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"engine produced an invalid transcript: {bad}",
+            state={"transcript": transcript.to_json(), "violations": bad})
     return transcript
 
 
@@ -456,5 +458,5 @@ def wcol_splitter_strategy(pi: VertexOrder, r: int) -> WcolSplitter:
     return WcolSplitter(pi, r)
 
 
-def uqw_splitter_strategy(r: int, uqw_params=None) -> UqwBatchSplitter:
-    return UqwBatchSplitter(r, uqw_params)
+def uqw_splitter_strategy(r: int) -> UqwBatchSplitter:
+    return UqwBatchSplitter(r)

@@ -1,14 +1,13 @@
 """Immutable simple graphs with dense integer ids, plus BFS-level primitives.
 
 Vertices are 0..n-1.  Adjacency is stored sorted, so any traversal that walks
-neighbors in storage order is deterministic.  Deletion returns a fresh graph
-with re-densified ids; the original ids survive in the label table.
+neighbors in storage order is deterministic.  An induced subgraph is a fresh
+graph with re-densified ids; the original ids survive in the label table.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import GraphInputError
 
@@ -83,13 +82,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    source: int
-    radius: int | None
-    dist: dict  # vertex -> hop distance, only vertices within radius
-
-
 def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     """Hop distances from a set of sources, optionally capped and restricted
     to an `active` vertex set (sources outside it are ignored)."""
@@ -113,25 +105,12 @@ def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     return dist
 
 
-def distance_profile(g: Graph, v: int, radius=None) -> DistanceProfile:
-    _check_vertex(g, v)
-    return DistanceProfile(v, radius, bfs_distances(g, (v,), radius))
-
-
 def ball(g: Graph, v: int, r: int, active=None) -> frozenset:
     """Closed r-neighborhood of v (always contains v)."""
     _check_vertex(g, v)
     if r < 0:
         raise GraphInputError(f"radius must be >= 0, got {r}")
     return frozenset(bfs_distances(g, (v,), r, active))
-
-
-def multi_source_ball(g: Graph, sources, r: int, active=None) -> frozenset:
-    for s in sources:
-        _check_vertex(g, s)
-    if r < 0:
-        raise GraphInputError(f"radius must be >= 0, got {r}")
-    return frozenset(bfs_distances(g, sources, r, active))
 
 
 def components(g: Graph, active=None) -> list[frozenset]:
@@ -168,35 +147,6 @@ def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:
     return Graph(len(old_ids), edges, labels), old_ids
 
 
-def delete_vertices(g: Graph, s) -> Graph:
-    """New graph without `s`; original ids preserved in the label table."""
-    s = set(s)
-    for v in s:
-        _check_vertex(g, v)
-    sub, _ = induced_subgraph(g, set(range(g.n)) - s)
-    return sub
-
-
-def power_graph(g: Graph, r: int) -> Graph:
-    """Same vertices; edge uv iff 1 <= dist_g(u, v) <= r."""
-    if r < 0:
-        raise GraphInputError(f"radius must be >= 0, got {r}")
-    edges = []
-    for u in range(g.n):
-        for v, d in bfs_distances(g, (u,), r).items():
-            if u < v and d >= 1:
-                edges.append((u, v))
-    return Graph(g.n, edges, g.labels)
-
-
-def eccentricity(g: Graph, v: int, active=None) -> int:
-    dist = bfs_distances(g, (v,), None, active)
-    want = len(active) if active is not None else g.n
-    if len(dist) != want:
-        raise GraphInputError("eccentricity undefined: graph is disconnected")
-    return max(dist.values())
-
-
 def set_radius(g: Graph, vs) -> int:
     """Radius of the subgraph induced on `vs` (distances measured inside the
     set); -1 if it is disconnected."""
@@ -211,18 +161,10 @@ def set_radius(g: Graph, vs) -> int:
     return best
 
 
-def radius_of(g: Graph) -> tuple[int, int]:
-    """(radius, center) of a connected nonempty graph; ties by smallest id."""
-    if g.n == 0:
-        raise GraphInputError("radius undefined for the empty graph")
-    if not is_connected(g):
-        raise GraphInputError("radius undefined: graph is disconnected")
-    best = (g.n, -1)
-    for v in range(g.n):
-        ecc = eccentricity(g, v)
-        if ecc < best[0]:
-            best = (ecc, v)
-    return best
+def foreign_vertices(g: Graph, vs) -> list:
+    """One violation per member of `vs` that is not a vertex id of g."""
+    bad = [v for v in vs if not (isinstance(v, int) and 0 <= v < g.n)]
+    return [f"vertex {v} not in the graph" for v in sorted(bad, key=str)]
 
 
 def _check_vertex(g: Graph, v: int) -> None:

@@ -16,7 +16,7 @@ import json
 
 from .errors import EdgeListParseError, GraphInputError
 from .graph import Graph
-from .rng import ALGORITHM_ID, Rng
+from .rng import Rng
 
 
 def parse_edge_list(text: str, strict: bool = True) -> Graph:
@@ -261,13 +261,6 @@ def generate(spec: dict) -> Graph:
     except KeyError as e:
         raise GraphInputError(f"generator spec missing parameter {e} for {family!r}")
     raise GraphInputError(f"unknown generator family {family!r}")
-
-
-def generator_metadata(spec: dict) -> dict:
-    meta = dict(spec)
-    if spec.get("family") in _RANDOM_FAMILIES or "seed" in spec:
-        meta["rng"] = ALGORITHM_ID
-    return meta
 
 
 # ------------------------------------------------------------- serialization

@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CapabilityError, FormulaParseError, FormulaScopeError,
-                     LocalityError, PreconditionError)
+from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
+                     FormulaScopeError, LocalityError, PreconditionError)
 from .graph import Graph, ball, bfs_distances, induced_subgraph
 
 
@@ -568,25 +568,15 @@ def _power_masks(g: Graph, r: int, cands: list) -> list:
     return masks
 
 
-def distance_independent_set(g: Graph, r: int, k: int, candidates,
-                             pi=None):
+def distance_independent_set(g: Graph, r: int, k: int, candidates):
     """The lexicographically least k candidates pairwise at distance > r, or
     None.  Exact search branches on the highest-degree candidate of the
-    r-th power graph (ties by id).  With an order supplied, a quasi-wideness
-    extraction may certify feasibility up front; it counts only when it
-    deletes nothing (far apart in G-S means nothing in G otherwise), and the
-    answer set is built by the same loop either way, so results never differ
-    between the two paths."""
+    r-th power graph (ties by id)."""
     cands = sorted(candidates)
     if k <= 0:
         return frozenset()
     if len(cands) < k:
         return None
-    feasible_known = False
-    if pi is not None and r >= 1:
-        from .wideness import uqw_extract
-        cert = uqw_extract(g, frozenset(cands), r, k, pi)
-        feasible_known = not cert.S and len(cert.B) >= k
     masks = _power_masks(g, r, cands)
 
     def feasible(cand_mask, need):
@@ -614,7 +604,7 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates,
         return feasible(cand_mask & ~(1 << best_i), need)
 
     all_mask = (1 << len(cands)) - 1
-    if not feasible_known and not feasible(all_mask, k):
+    if not feasible(all_mask, k):
         return None
     chosen = []
     cand_mask = all_mask
@@ -630,7 +620,10 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates,
             cand_mask = rest
         else:
             cand_mask &= ~bit
-    assert len(chosen) == k
+    if len(chosen) != k:
+        raise AlgorithmStallError(
+            f"answer loop chose {len(chosen)} of {k} after feasibility held",
+            state={"r": r, "k": k, "chosen": chosen})
     return frozenset(chosen)
 
 
@@ -653,7 +646,8 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
             v = max(range(g.n),
                     key=lambda x: (bin(balls[x] & ~covered).count("1"), -x))
             if not (balls[v] & ~covered):
-                raise AssertionError("uncoverable vertex")  # unreachable
+                raise AlgorithmStallError(
+                    "uncoverable vertex", state={"r": r, "chosen": out})
             out.append(v)
             covered |= balls[v]
         return out

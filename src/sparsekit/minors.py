@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CapabilityError, GraphInputError
+from .errors import AlgorithmStallError, CapabilityError, GraphInputError
 from .graph import Graph, bfs_distances, set_radius
 from .rng import Rng
 
@@ -184,7 +184,10 @@ def find_depth_r_minor(
     model = choose_roots(0)
     if model is not None:
         bad = verify_minor_model(g, h, model)
-        assert not bad, f"search produced an invalid model: {bad}"
+        if bad:
+            raise AlgorithmStallError(
+                f"search produced an invalid model: {bad}",
+                state={"model": model.to_json(), "violations": bad})
     return model
 
 
@@ -299,5 +302,8 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
     model = MinorModel(r, branch, witness)
     minor = Graph(len(branch), list(witness))
     bad = verify_minor_model(g, minor, model)
-    assert not bad, f"density search produced an invalid model: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"density search produced an invalid model: {bad}",
+            state={"model": model.to_json(), "violations": bad})
     return DensityReport(r, dens, minor.n, minor.m, model, attempts)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError)
-from .graph import Graph
+from .graph import Graph, foreign_vertices
 
 
 class VertexOrder:
@@ -168,18 +168,19 @@ def _reach_through(g: Graph, x: int, allowed: set, r: int) -> list:
     return out
 
 
-_STRATEGIES = ("degeneracy", "greedy_wreach")
+ORDER_NAMES = ("degeneracy", "greedy", "identity")
 
 
-def wcol_heuristic(g: Graph, r: int, strategy: str = "degeneracy") -> tuple[int, VertexOrder]:
-    """Heuristic order; the returned value is always recomputed exactly."""
-    if strategy == "degeneracy":
-        order = degeneracy_order(g)
-    elif strategy == "greedy_wreach":
-        order = greedy_wreach_order(g, r)
-    else:
-        raise GraphInputError(f"unknown strategy {strategy!r}, want one of {_STRATEGIES}")
-    return wcol_of_order(g, order, r), order
+def build_order(g: Graph, name: str, r: int) -> VertexOrder:
+    """The order named `name` (one of ORDER_NAMES); `r` is the radius the
+    greedy order is tuned for."""
+    if name == "degeneracy":
+        return degeneracy_order(g)
+    if name == "greedy":
+        return greedy_wreach_order(g, r)
+    if name == "identity":
+        return identity_order(g.n)
+    raise PreconditionError(f"unknown order strategy {name!r}")
 
 
 # ------------------------------------------------------------- exact search
@@ -218,8 +219,9 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     if g.n == 0:
         return 0, VertexOrder(())
     best_val, best_order = g.n + 1, None
-    for strategy in _STRATEGIES:
-        val, order = wcol_heuristic(g, r, strategy)
+    for name in ("degeneracy", "greedy"):
+        order = build_order(g, name, r)
+        val = wcol_of_order(g, order, r)
         if val < best_val:
             best_val, best_order = val, order
     col, _ = coloring_number(g)
@@ -325,9 +327,11 @@ class EliminationForest:
 def validate_elimination_forest(g: Graph, forest: EliminationForest, claimed=None) -> list:
     """Independent checks: acyclic parent map, every edge within an
     ancestor chain, and (optionally) the claimed depth.  Returns violations."""
-    out = []
     if len(forest.parent) != g.n:
         return [f"forest covers {len(forest.parent)} vertices, graph has {g.n}"]
+    out = foreign_vertices(g, set(forest.parent) - {-1})
+    if out:
+        return out
     ancestors = {}
     for v in range(g.n):
         chain = []
@@ -448,34 +452,3 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
             f"witness forest invalid: {bad}", state={"claimed": value, "violations": bad}
         )
     return value, forest
-
-
-# ------------------------------------------------------------- path lemma
-
-def check_separation(g: Graph, order: VertexOrder, r: int, u: int, v: int) -> bool:
-    """Every u-v path of length <= r must meet the intersection of the two
-    wreach_r sets (checked by enumerating all such paths).  Requires that the
-    earlier endpoint is not weakly r-reachable from the later one."""
-    if u == v:
-        raise PreconditionError("endpoints must be distinct")
-    if order.rank[u] > order.rank[v]:
-        u, v = v, u
-    sets = wreach_sets(g, order, r)
-    if u in sets[v]:
-        raise PreconditionError(
-            f"vertex {u} is weakly {r}-reachable from {v}; lemma does not apply"
-        )
-    common = sets[u] & sets[v]
-    stack = [(u, [u])]
-    while stack:
-        x, path = stack.pop()
-        if x == v:
-            if not common.intersection(path):
-                return False
-            continue
-        if len(path) > r:
-            continue
-        for w in g.adj[x]:
-            if w not in path:
-                stack.append((w, path + [w]))
-    return True

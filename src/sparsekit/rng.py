@@ -9,8 +9,6 @@ new state.
 
 from __future__ import annotations
 
-ALGORITHM_ID = "splitmix64"
-
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -44,9 +42,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randint(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def spawn(self, index: int) -> "Rng":
-        """Documented split rule: child i is seeded with mix of (seed, i)."""
-        child = Rng(self.seed ^ ((index + 1) * _GAMMA) & _MASK)
-        child.next_u64()
-        return child

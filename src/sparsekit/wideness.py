@@ -9,10 +9,11 @@ constructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import AlgorithmStallError, CapabilityError, PreconditionError
-from .graph import Graph, ball, bfs_distances, components, set_radius
+from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
+                    set_radius)
 from .orders import VertexOrder, wcol_of_order, wreach_sets
 
 
@@ -178,7 +179,10 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
         u = min(cands, key=lambda x: (-freq[x], x))
         S.append(u)
         current = {a for a in current if u in sets[a]} - {u}
-        assert len(S) <= c, "removal loop exceeded its structural bound"
+        if len(S) > c:
+            raise AlgorithmStallError(
+                "removal loop exceeded its structural bound",
+                state={"S": S, "wcol_bound": c, "A": sorted(A)})
 
     active = frozenset(range(g.n)) - set(S)
     sets = wreach_sets(g, pi, r, active)
@@ -191,7 +195,10 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
 
     cert = UqwCertificate(r, m, A, frozenset(S), frozenset(B), c, guarantee)
     bad = validate_uqw(g, cert)
-    assert not bad, f"construction produced an invalid certificate: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"construction produced an invalid certificate: {bad}",
+            state={"certificate": cert.to_json(), "violations": bad})
     return cert
 
 
@@ -264,7 +271,10 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
     S, B = best
     cert = UqwCertificate(r, m, A, S, frozenset(B), -1, False)
     bad = validate_uqw(g, cert)
-    assert not bad, f"oracle produced an invalid certificate: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"oracle produced an invalid certificate: {bad}",
+            state={"certificate": cert.to_json(), "violations": bad})
     return cert
 
 
@@ -297,8 +307,11 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         outside = frozenset(range(g.n)) - X
         for v in outside:
             hit = sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
-            assert hit <= budget, \
-                f"exchange loop broke its invariant at vertex {v}"
+            if hit > budget:
+                raise AlgorithmStallError(
+                    f"exchange loop broke its invariant at vertex {v}",
+                    state={"vertex": v, "hit": hit, "budget": budget,
+                           "X": sorted(X), "iterations": iterations})
         uqw = uqw_extract(g, X, 4 * r, m, pi)
         Y = set(uqw.S)
         keep = frozenset(range(g.n)) - Y
@@ -325,7 +338,10 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         worst = max(worst, hit)
     cert = SeparatorCertificate(r, eps, A, S, worst, iterations)
     bad = validate_separator(g, cert)
-    assert not bad, f"construction produced an invalid certificate: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"construction produced an invalid certificate: {bad}",
+            state={"certificate": cert.to_json(), "violations": bad})
     return cert
 
 
@@ -358,7 +374,10 @@ def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
             degree[v] += 1
     cover = Cover(r, clusters, 2 * r, max(degree) if degree else 0)
     bad = validate_cover(g, cover)
-    assert not bad, f"construction produced an invalid cover: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"construction produced an invalid cover: {bad}",
+            state={"r": r, "violations": bad})
     return cover
 
 
@@ -389,7 +408,10 @@ def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
         parts.append(frozenset(vs))
     pc = PartitionCover(r, parts)
     bad = validate_partition(g, pc)
-    assert not bad, f"construction produced an invalid partition cover: {bad}"
+    if bad:
+        raise AlgorithmStallError(
+            f"construction produced an invalid partition cover: {bad}",
+            state={"r": r, "violations": bad})
     return pc
 
 
@@ -397,7 +419,7 @@ def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
 
 def validate_uqw(g: Graph, cert: UqwCertificate) -> list:
     """Definition-level check by plain BFS; sets cert.verified."""
-    out = []
+    out = foreign_vertices(g, cert.A | cert.S | cert.B)
     if cert.S & cert.B:
         out.append(f"S and B overlap: {sorted(cert.S & cert.B)}")
     if not cert.B <= cert.A - cert.S:
@@ -419,7 +441,7 @@ def validate_uqw(g: Graph, cert: UqwCertificate) -> list:
 
 
 def validate_separator(g: Graph, cert: SeparatorCertificate) -> list:
-    out = []
+    out = foreign_vertices(g, cert.A | cert.S)
     keep = frozenset(range(g.n)) - cert.S
     worst = 0
     for v in keep:
@@ -434,7 +456,10 @@ def validate_separator(g: Graph, cert: SeparatorCertificate) -> list:
 
 
 def validate_cover(g: Graph, cover: Cover) -> list:
-    out = []
+    out = foreign_vertices(g, set(cover.clusters).union(*cover.clusters.values()))
+    if out:
+        cover.verified = False
+        return out
     for u, vs in cover.clusters.items():
         if u not in vs:
             out.append(f"center {u} outside its cluster")
@@ -460,7 +485,10 @@ def validate_cover(g: Graph, cover: Cover) -> list:
 
 
 def validate_partition(g: Graph, pc: PartitionCover) -> list:
-    out = []
+    out = foreign_vertices(g, frozenset().union(*pc.parts))
+    if out:
+        pc.verified = False
+        return out
     for v in range(g.n):
         b = ball(g, v, pc.r)
         if not any(b <= p for p in pc.parts):

@@ -28,6 +28,34 @@ def naive_wreach(g: Graph, order, r: int, v: int) -> frozenset:
     return frozenset(out)
 
 
+def check_separation(g: Graph, order, r: int, u: int, v: int) -> bool:
+    """Path lemma: when the earlier endpoint is not weakly r-reachable from
+    the later one, every u-v path of length <= r meets the intersection of
+    their wreach_r sets.  Checked by enumerating all such paths; raises
+    ValueError when the lemma does not apply."""
+    if u == v:
+        raise ValueError("endpoints must be distinct")
+    if order.rank[u] > order.rank[v]:
+        u, v = v, u
+    reach_v = naive_wreach(g, order, r, v)
+    if u in reach_v:
+        raise ValueError(f"vertex {u} is weakly {r}-reachable from {v}")
+    common = naive_wreach(g, order, r, u) & reach_v
+    stack = [(u, [u])]
+    while stack:
+        x, path = stack.pop()
+        if x == v:
+            if not common.intersection(path):
+                return False
+            continue
+        if len(path) > r:
+            continue
+        for w in g.adj[x]:
+            if w not in path:
+                stack.append((w, path + [w]))
+    return True
+
+
 def naive_wcol_of_order(g: Graph, order, r: int) -> int:
     return max((len(naive_wreach(g, order, r, v)) for v in range(g.n)), default=0)
 

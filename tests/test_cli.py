@@ -53,6 +53,14 @@ def test_game_on_k5():
     assert doc["certificate"]["kind"] == "transcript"
 
 
+# per certificate kind, one key its validator cannot do without
+REQUIRED_KEY = {
+    "order_witness": "order", "elimination_forest": "parent", "minor_model": "h",
+    "density": "h", "transcript": "rounds", "uqw": "B", "separator": "S",
+    "cover": "clusters", "partition": "parts", "distance_set": "vertices",
+}
+
+
 @pytest.mark.parametrize("argv,graph", [
     (("wcol", PATH8, "--r", "2", "--mode", "exact", "--cap", "10"), PATH8),
     (("col", CYCLE7), CYCLE7),
@@ -79,6 +87,29 @@ def test_certificates_survive_verify(tmp_path, argv, graph):
     code, vdoc, _ = run_cli("verify", str(cert), "--graph", graph)
     assert code == 0, vdoc["result"]["violations"]
     assert vdoc["result"]["ok"] is True
+    # a certificate missing a key its validator reads is a usage error
+    kind = doc["certificate"]["kind"]
+    del doc["certificate"][REQUIRED_KEY[kind]]
+    cert.write_text(json.dumps(doc["certificate"]))
+    code, vdoc, _ = run_cli("verify", str(cert), "--graph", graph)
+    assert code == 2 and vdoc["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("cert,violation", [
+    ({"kind": "uqw", "r": 1, "m": 1, "A": [0, 9], "S": [], "B": [9],
+      "wcol_bound": 2, "guarantee_applies": False}, "vertex 9 not in the graph"),
+    ({"kind": "cover", "r": 1, "clusters": {"0": [0, 9]}, "radius_bound": 2,
+      "max_degree": 1}, "vertex 9 not in the graph"),
+    ({"kind": "partition", "r": 1, "parts": [[0, 1, 2, 9]]},
+     "vertex 9 not in the graph"),
+    ({"kind": "elimination_forest", "value": 2, "parent": [5, -1, 0]},
+     "vertex 5 not in the graph"),
+])
+def test_verify_reports_vertices_outside_the_graph(tmp_path, cert, violation):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, vdoc, _ = run_cli("verify", str(path), "--graph", '{"family":"path","n":3}')
+    assert code == 1 and vdoc["result"]["violations"] == [violation]
 
 
 def test_verify_accepts_full_out_document(tmp_path):
@@ -232,6 +263,11 @@ def test_game_replay_accepts_full_out_document(tmp_path):
     bad.write_text(json.dumps({"not": "a transcript"}))
     code, doc, _ = run_cli("game", K5, "--replay", str(bad))
     assert code == 2 and doc["error"]["code"] == "precondition"
+    # so is JSON that is not an object at all
+    for text in ("7", "null", "[1]"):
+        bad.write_text(text)
+        code, doc, _ = run_cli("game", K5, "--replay", str(bad))
+        assert code == 2 and doc["error"]["code"] == "precondition"
 
 
 def test_sweep(tmp_path):

@@ -2,10 +2,8 @@ import pytest
 
 from sparsekit.errors import GraphInputError
 from sparsekit.graph import (Graph, ball, bfs_distances, components,
-                             delete_vertices, distance_profile, eccentricity,
-                             induced_subgraph, is_connected, multi_source_ball,
-                             power_graph, radius_of, set_radius)
-from sparsekit.graphio import cycle_graph, grid_graph, path_graph, star_graph
+                             induced_subgraph, is_connected, set_radius)
+from sparsekit.graphio import cycle_graph, grid_graph, path_graph
 
 
 def test_construction_and_accessors():
@@ -49,7 +47,6 @@ def test_balls():
     assert ball(c, 0, 0) == {0}
     assert ball(c, 0, 1) == {7, 0, 1}
     assert ball(c, 0, 4) == frozenset(range(8))
-    assert multi_source_ball(c, (0, 4), 1) == {7, 0, 1, 3, 4, 5}
     with pytest.raises(GraphInputError):
         ball(c, 0, -1)
     with pytest.raises(GraphInputError):
@@ -70,27 +67,12 @@ def test_induced_subgraph_and_deletion():
     sub, old = induced_subgraph(c, {1, 2, 3})
     assert old == (1, 2, 3)
     assert sorted(sub.edges()) == [(0, 1), (1, 2)]
-    h = delete_vertices(c, {0})
-    assert h.n == 5 and h.m == 4
+    h, old = induced_subgraph(c, range(1, 6))
+    assert h.n == 5 and h.m == 4 and old == (1, 2, 3, 4, 5)
     # labels carry through
     g = Graph(3, [(0, 1)], labels=["a", "b", "c"])
     sub, old = induced_subgraph(g, {0, 2})
     assert sub.labels == ("a", "c")
-
-
-def test_power_graph():
-    p = path_graph(5)
-    p2 = power_graph(p, 2)
-    assert sorted(p2.edges()) == [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4)]
-    assert power_graph(p, 1).m == p.m
-
-
-def test_eccentricity_radius():
-    p = path_graph(5)
-    assert eccentricity(p, 0) == 4
-    assert eccentricity(p, 2) == 2
-    assert radius_of(p) == (2, 2)
-    assert radius_of(star_graph(7)) == (1, 0)
 
 
 def test_set_radius():
@@ -101,8 +83,3 @@ def test_set_radius():
     assert set_radius(p, {3}) == 0
     g = grid_graph(3, 3)
     assert set_radius(g, range(9)) == 2
-
-
-def test_distance_profile():
-    prof = distance_profile(path_graph(4), 1)
-    assert prof.dist == {1: 0, 0: 1, 2: 1, 3: 2}

@@ -1,17 +1,16 @@
 import pytest
 
-from oracles import (brute_treedepth, brute_wcol, dfs_preorder,
-                     naive_wcol_of_order, naive_wreach)
-from sparsekit.errors import CapabilityError, GraphInputError
+from oracles import (brute_treedepth, brute_wcol, check_separation,
+                     dfs_preorder, naive_wcol_of_order, naive_wreach)
+from sparsekit.errors import CapabilityError, GraphInputError, PreconditionError
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
                                path_graph, random_tree, star_graph, subdivide)
-from sparsekit.orders import (EliminationForest, VertexOrder, check_separation,
-                              coloring_number, degeneracy_order,
+from sparsekit.orders import (ORDER_NAMES, EliminationForest, VertexOrder,
+                              build_order, coloring_number, degeneracy_order,
                               greedy_wreach_order, identity_order,
                               treedepth_exact, validate_elimination_forest,
-                              wcol_exact, wcol_heuristic, wcol_of_order,
-                              wreach_sets)
+                              wcol_exact, wcol_of_order, wreach_sets)
 
 
 def test_vertex_order_validation():
@@ -105,11 +104,12 @@ def test_greedy_wreach_order_is_valid_and_competitive():
 
 def test_wcol_heuristic_strategies():
     g = cycle_graph(12)
-    for strategy in ("degeneracy", "greedy_wreach"):
-        value, order = wcol_heuristic(g, 2, strategy)
-        assert value == wcol_of_order(g, order, 2)
-    with pytest.raises(GraphInputError):
-        wcol_heuristic(g, 2, "nope")
+    assert build_order(g, "degeneracy", 2) == degeneracy_order(g)
+    assert build_order(g, "greedy", 2) == greedy_wreach_order(g, 2)
+    assert build_order(g, "identity", 2) == identity_order(12)
+    assert ORDER_NAMES == ("degeneracy", "greedy", "identity")
+    with pytest.raises(PreconditionError):
+        build_order(g, "greedy_wreach", 2)
 
 
 def test_trees_have_wcol_r_plus_one():
@@ -157,16 +157,14 @@ def test_check_separation():
     # non-vacuous: the only 0-4 path passes the common weakly-reachable vertex 2
     assert check_separation(path_graph(5), VertexOrder((2, 0, 1, 3, 4)), 4, 0, 4)
     # the lemma needs the earlier endpoint out of the later one's reach set
-    from sparsekit.errors import PreconditionError
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError):
         check_separation(path_graph(6), identity_order(6), 5, 0, 5)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValueError):
         check_separation(path_graph(6), identity_order(6), 2, 3, 3)
 
 
 def test_check_separation_holds_everywhere(atlas_graphs):
     # it verifies a theorem, so it never returns False on qualifying inputs
-    from sparsekit.errors import PreconditionError
     for g in [g for g in atlas_graphs if g.n == 6][::7]:
         for order in (identity_order(g.n), degeneracy_order(g)):
             for r in (1, 2, 3):
@@ -174,7 +172,7 @@ def test_check_separation_holds_everywhere(atlas_graphs):
                     for v in range(u + 1, g.n):
                         try:
                             assert check_separation(g, order, r, u, v)
-                        except PreconditionError:
+                        except ValueError:
                             pass
 
 
@@ -200,6 +198,20 @@ def test_witness_checks_raise_without_assert(monkeypatch):
     with pytest.raises(AlgorithmStallError) as e:
         treedepth_exact(path_graph(4))
     assert e.value.state == {"claimed": 3, "violations": ["forged violation"]}
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so invariant checks must raise
+    import ast
+    from pathlib import Path
+
+    import sparsekit
+    found = []
+    for path in sorted(Path(sparsekit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 # (graph, [(wcol_r, witness order) for r = 1..n]) as the search without a

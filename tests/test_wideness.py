@@ -237,6 +237,15 @@ def test_validate_cover_rejects():
     assert any("degree" in v for v in validate_cover(g2, wrong_deg))
 
 
+def test_construction_raises_on_a_forged_violation(monkeypatch):
+    # the self-check is a raise, not an assert, so it survives python -O
+    import sparsekit.wideness as wideness
+    monkeypatch.setattr(wideness, "validate_cover", lambda g, cover: ["forged"])
+    with pytest.raises(AlgorithmStallError) as e:
+        neighborhood_cover(path_graph(5), 1, identity_order(5))
+    assert e.value.state == {"r": 1, "violations": ["forged"]}
+
+
 def test_cover_json_round_trip():
     g = cycle_graph(8)
     cover = neighborhood_cover(g, 2, degeneracy_order(g))
