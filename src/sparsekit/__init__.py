@@ -14,7 +14,7 @@ from .errors import (AlgorithmStallError, CapabilityError, EdgeListParseError,
                      LocalityError, PreconditionError, SparsekitError,
                      StrategyBugError)
 from .graph import (Graph, ball, bfs_distances, components, induced_subgraph,
-                    is_connected, set_radius)
+                    set_radius)
 from .graphio import (apex_graph, complete_graph, cycle_graph, emit_json,
                       generate, gnd_graph, graph_from_json, grid_graph,
                       parse_edge_list, path_graph, random_tree, read_dimacs,

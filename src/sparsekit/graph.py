@@ -82,6 +82,35 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+def iter_bits(mask: int):
+    """Indices of the set bits of a nonnegative mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def mask_ball(masks, seed: int, within: int, radius=None) -> tuple[int, int]:
+    """Breadth-first search over bitmasks: the vertices of `within` reachable
+    from the `seed` mask through `within` in at most `radius` steps (no cap
+    when None), seed included, and the number of steps to the farthest."""
+    ball = frontier = seed
+    depth = 0
+    while depth != radius:
+        nxt = 0
+        f = frontier
+        while f:  # iter_bits inlined: this loop is the exact searches' hot path
+            low = f & -f
+            nxt |= masks[low.bit_length() - 1]
+            f ^= low
+        frontier = nxt & within & ~ball
+        if not frontier:
+            break
+        ball |= frontier
+        depth += 1
+    return ball, depth
+
+
 def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     """Hop distances from a set of sources, optionally capped and restricted
     to an `active` vertex set (sources outside it are ignored)."""
@@ -124,10 +153,6 @@ def components(g: Graph, active=None) -> list[frozenset]:
             seen |= comp
             out.append(comp)
     return out
-
-
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(bfs_distances(g, (0,))) == g.n
 
 
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, tuple[int, ...]]:

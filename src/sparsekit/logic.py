@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
-                     FormulaScopeError, LocalityError, PreconditionError)
-from .graph import Graph, ball, bfs_distances, induced_subgraph
+                     FormulaScopeError, GraphInputError, LocalityError,
+                     PreconditionError)
+from .graph import (Graph, ball, bfs_distances, induced_subgraph, iter_bits,
+                    mask_ball)
 
 
 # ----------------------------------------------------------------- AST
@@ -556,67 +558,55 @@ def expand_basic_local(s: BasicLocalSentence):
 
 # ---------------------------------------------------------- exact solvers
 
-def _power_masks(g: Graph, r: int, cands: list) -> list:
-    """masks[i] = candidates within distance r of cands[i], excluding i."""
-    idx = {c: i for i, c in enumerate(cands)}
-    masks = [0] * len(cands)
-    for i, c in enumerate(cands):
-        for w, d in bfs_distances(g, (c,), r).items():
-            j = idx.get(w)
-            if j is not None and j != i:
-                masks[i] |= 1 << j
-    return masks
-
-
 def distance_independent_set(g: Graph, r: int, k: int, candidates):
     """The lexicographically least k candidates pairwise at distance > r, or
     None.  Exact search branches on the highest-degree candidate of the
     r-th power graph (ties by id)."""
+    if k < 0:
+        raise PreconditionError(f"k must be >= 0, got {k}")
     cands = sorted(candidates)
-    if k <= 0:
+    if k == 0:
         return frozenset()
     if len(cands) < k:
         return None
-    masks = _power_masks(g, r, cands)
+    # masks[c] = the vertices within distance r of candidate c, c excluded;
+    # candidate bits are vertex ids, so bit order is id order
+    adj = g.adjacency_masks()
+    full = (1 << g.n) - 1
+    masks = {c: mask_ball(adj, 1 << c, full, r)[0] ^ (1 << c) for c in cands}
 
     def feasible(cand_mask, need):
         if need <= 0:
             return True
-        pool = cand_mask
-        count = bin(cand_mask).count("1")
-        if count < need:
+        if cand_mask.bit_count() < need:
             return False
         best_i, best_deg = -1, -1
-        m = pool
-        while m:
-            low = m & -m
-            i = low.bit_length() - 1
-            deg = bin(masks[i] & cand_mask).count("1")
+        for i in iter_bits(cand_mask):
+            deg = (masks[i] & cand_mask).bit_count()
             if deg == 0:
                 # isolated candidates are free picks
-                return feasible(cand_mask & ~low, need - 1)
+                return feasible(cand_mask & ~(1 << i), need - 1)
             if deg > best_deg:
                 best_i, best_deg = i, deg
-            m &= ~low
         take = feasible(cand_mask & ~masks[best_i] & ~(1 << best_i), need - 1)
         if take:
             return True
         return feasible(cand_mask & ~(1 << best_i), need)
 
-    all_mask = (1 << len(cands)) - 1
+    all_mask = sum(1 << c for c in cands)
     if not feasible(all_mask, k):
         return None
     chosen = []
     cand_mask = all_mask
-    for i in range(len(cands)):
+    for c in cands:
         if len(chosen) == k:
             break
-        bit = 1 << i
+        bit = 1 << c
         if not (cand_mask & bit):
             continue
-        rest = cand_mask & ~masks[i] & ~bit
+        rest = cand_mask & ~masks[c] & ~bit
         if feasible(rest, k - len(chosen) - 1):
-            chosen.append(cands[i])
+            chosen.append(c)
             cand_mask = rest
         else:
             cand_mask &= ~bit
@@ -634,17 +624,17 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
         raise PreconditionError(f"unknown mode {mode!r}")
     if g.n == 0:
         return frozenset()
-    balls = [0] * g.n
-    for v in range(g.n):
-        for w in ball(g, v, r):
-            balls[v] |= 1 << w
+    if r < 0:
+        raise GraphInputError(f"radius must be >= 0, got {r}")
+    adj = g.adjacency_masks()
     full = (1 << g.n) - 1
+    balls = [mask_ball(adj, 1 << v, full, r)[0] for v in range(g.n)]
 
     def greedy():
         covered, out = 0, []
         while covered != full:
             v = max(range(g.n),
-                    key=lambda x: (bin(balls[x] & ~covered).count("1"), -x))
+                    key=lambda x: ((balls[x] & ~covered).bit_count(), -x))
             if not (balls[v] & ~covered):
                 raise AlgorithmStallError(
                     "uncoverable vertex", state={"r": r, "chosen": out})
@@ -668,22 +658,18 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
                 best = list(chosen)
             return
         uncovered = full & ~covered
-        max_gain = max(bin(balls[v] & ~covered).count("1") for v in range(g.n))
-        need = -(-bin(uncovered).count("1") // max_gain)
+        max_gain = max((balls[v] & ~covered).bit_count() for v in range(g.n))
+        need = -(-uncovered.bit_count() // max_gain)
         if len(chosen) + need >= len(best):
             return
         # first-fail: branch on the vertex with the fewest coverers
         u, u_opts = -1, None
-        m = uncovered
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            opts = [w for w in range(g.n) if balls[w] & low]
+        for v in iter_bits(uncovered):
+            opts = [w for w in range(g.n) if balls[w] >> v & 1]
             if u_opts is None or len(opts) < len(u_opts):
                 u, u_opts = v, opts
-            m &= ~low
         for w in sorted(u_opts,
-                        key=lambda x: (-bin(balls[x] & ~covered).count("1"), x)):
+                        key=lambda x: (-(balls[x] & ~covered).bit_count(), x)):
             search(chosen + [w], covered | balls[w])
 
     search([], 0)

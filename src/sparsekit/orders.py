@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError)
-from .graph import Graph, foreign_vertices
+from .graph import Graph, foreign_vertices, iter_bits, mask_ball
 
 
 class VertexOrder:
@@ -185,13 +185,6 @@ def build_order(g: Graph, name: str, r: int) -> VertexOrder:
 
 # ------------------------------------------------------------- exact search
 
-def _iter_bits(mask: int):
-    while mask:
-        b = mask & -mask
-        yield b.bit_length() - 1
-        mask ^= b
-
-
 def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     """Minimum wcol_r over all orders, by branch and bound over prefixes.
 
@@ -235,25 +228,6 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     table = {}
     prefix = []
 
-    def cluster(u: int, rest: int) -> int:
-        seen = 1 << u
-        frontier = 1 << u
-        out = 0
-        for _ in range(r):
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                f ^= b
-                nxt |= masks[b.bit_length() - 1]
-            nxt &= rest & ~seen
-            if not nxt:
-                break
-            seen |= nxt
-            frontier = nxt
-            out |= nxt
-        return out
-
     def dfs(unplaced: int, packed: int, cur_max: int) -> None:
         nonlocal best_val, best_order
         if cur_max >= best_val:
@@ -267,15 +241,16 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
         if seen is not None and seen <= cur_max:
             return
         table[key] = cur_max
-        cands = sorted(_iter_bits(unplaced), key=lambda w: (-counts[w], w))
+        cands = sorted(iter_bits(unplaced), key=lambda w: (-counts[w], w))
         if counts[cands[0]] + 1 >= best_val:
             return  # some unplaced vertex is already at the limit
         for u in cands:
-            rest = unplaced ^ (1 << u)
-            reached = cluster(u, rest)
+            bit = 1 << u
+            rest = unplaced ^ bit
+            reached = mask_ball(masks, bit, rest, r)[0] ^ bit
             child = packed - counts[u] * unit[u]
             counts[u] += 1
-            touched = list(_iter_bits(reached))
+            touched = list(iter_bits(reached))
             for w in touched:
                 counts[w] += 1
                 child += unit[w]
@@ -366,41 +341,15 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
     def comps_of(mask: int) -> list:
         out = []
         rest = mask
-        while rest:
-            seed = rest & -rest
-            comp = seed
-            frontier = seed
-            while frontier:
-                nxt = 0
-                f = frontier
-                while f:
-                    b = f & -f
-                    f ^= b
-                    nxt |= masks[b.bit_length() - 1]
-                nxt &= mask & ~comp
-                comp |= nxt
-                frontier = nxt
-            out.append(comp)
-            rest &= ~comp
+        for v in iter_bits(mask):
+            if rest >> v & 1:
+                comp = mask_ball(masks, 1 << v, mask)[0]
+                out.append(comp)
+                rest ^= comp
         return out
 
     def is_clique(vs: list) -> bool:
         return all(masks[u] & (1 << v) for i, u in enumerate(vs) for v in vs[i + 1:])
-
-    def ecc_lower_bound(mask: int, vs: list) -> int:
-        # any shortest path is a path subgraph: td >= ceil(log2(len+2))
-        start = vs[0]
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for w in _iter_bits(masks[x] & mask):
-                    if w not in dist:
-                        dist[w] = dist[x] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return math.ceil(math.log2(max(dist.values()) + 2))
 
     def td(mask: int) -> int:
         if mask == 0:
@@ -413,7 +362,7 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
             d = max(td(c) for c in cs)
             memo[mask] = (d, None)
             return d
-        vs = list(_iter_bits(mask))
+        vs = list(iter_bits(mask))
         k = len(vs)
         if k == 1:
             memo[mask] = (1, vs[0])
@@ -421,7 +370,8 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
         if is_clique(vs):
             memo[mask] = (k, vs[0])
             return k
-        lb = ecc_lower_bound(mask, vs)
+        # a shortest path is a path subgraph: td >= ceil(log2(length + 2))
+        lb = math.ceil(math.log2(mask_ball(masks, 1 << vs[0], mask)[1] + 2))
         by_degree = sorted(vs, key=lambda v: (-(masks[v] & mask).bit_count(), v))
         best, best_root = k + 1, vs[0]
         for v in by_degree:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AlgorithmStallError, CapabilityError, PreconditionError
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
-                    set_radius)
+                    iter_bits, mask_ball, set_radius)
 from .orders import VertexOrder, wcol_of_order, wreach_sets
 
 
@@ -160,6 +160,8 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
         raise PreconditionError("A must be nonempty")
     if r < 1:
         raise PreconditionError("r must be >= 1")
+    if m < 1:
+        raise PreconditionError("m must be >= 1")
     c = wcol_of_order(g, pi, r)
     guarantee = len(A) >= 4 * (2 * c * m) ** c
 
@@ -202,7 +204,7 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
     return cert
 
 
-def _max_independent_lex(masks, cand: int, lowbits) -> list:
+def _max_independent_lex(masks, cand: int) -> list:
     """Lexicographically least maximum independent set in the graph given by
     bit masks, restricted to the candidate mask."""
 
@@ -214,7 +216,7 @@ def _max_independent_lex(masks, cand: int, lowbits) -> list:
         got = memo.get(cand)
         if got is not None:
             return got
-        v = lowbits[cand & -cand]
+        v = next(iter_bits(cand))
         take = 1 + best(cand & ~masks[v] & ~(1 << v))
         skip = best(cand & ~(1 << v))
         memo[cand] = out = max(take, skip)
@@ -223,7 +225,7 @@ def _max_independent_lex(masks, cand: int, lowbits) -> list:
     out = []
     want = best(cand)
     while want:
-        v = lowbits[cand & -cand]
+        v = next(iter_bits(cand))
         if 1 + best(cand & ~masks[v] & ~(1 << v)) == want:
             out.append(v)
             cand &= ~masks[v] & ~(1 << v)
@@ -248,22 +250,19 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
     if s_max > s_cap:
         raise CapabilityError(f"uqw_brute capped at deletion sets of {s_cap}",
                               "uqw_brute_s", s_cap)
-    lowbits = {1 << v: v for v in range(g.n)}
+    adj = g.adjacency_masks()
+    reach = max(r, 0)  # a negative r reaches no other member of A
     best = None
     for size in range(s_max + 1):
         for S in combinations(range(g.n), size):
             active = frozenset(range(g.n)) - set(S)
-            pool = sorted(A & active)
-            masks = [0] * g.n
-            for a in pool:
-                dist = bfs_distances(g, (a,), r, active)
-                for w, d in dist.items():
-                    if w != a and w in A and d <= r:
-                        masks[a] |= 1 << w
-            cand = 0
-            for a in pool:
-                cand |= 1 << a
-            B = _max_independent_lex(masks, cand, lowbits)
+            keep = sum(1 << v for v in active)
+            pool = A & active
+            cand = sum(1 << a for a in pool)
+            # masks[a] = the members of A within distance r of a in G-S
+            masks = {a: (mask_ball(adj, 1 << a, keep, reach)[0] & cand) ^ (1 << a)
+                     for a in pool}
+            B = _max_independent_lex(masks, cand)
             if best is None or len(B) > len(best[1]):
                 best = (frozenset(S), B)
     if best is None or len(best[1]) < m:
@@ -303,8 +302,9 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
 
     X = frozenset(range(g.n))
     iterations = 0
-    while X:
+    while True:
         outside = frozenset(range(g.n)) - X
+        worst = 0
         for v in outside:
             hit = sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
             if hit > budget:
@@ -312,6 +312,9 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
                     f"exchange loop broke its invariant at vertex {v}",
                     state={"vertex": v, "hit": hit, "budget": budget,
                            "X": sorted(X), "iterations": iterations})
+            worst = max(worst, hit)
+        if not X:
+            break
         uqw = uqw_extract(g, X, 4 * r, m, pi)
         Y = set(uqw.S)
         keep = frozenset(range(g.n)) - Y
@@ -330,13 +333,7 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         X = (X - X2) | Y
         iterations += 1
 
-    S = X
-    worst = 0
-    keep = frozenset(range(g.n)) - S
-    for v in keep:
-        hit = sum(1 for w in bfs_distances(g, (v,), r, keep) if w in A)
-        worst = max(worst, hit)
-    cert = SeparatorCertificate(r, eps, A, S, worst, iterations)
+    cert = SeparatorCertificate(r, eps, A, X, worst, iterations)
     bad = validate_separator(g, cert)
     if bad:
         raise AlgorithmStallError(

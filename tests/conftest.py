@@ -15,8 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
-                               gnd_graph, path_graph, random_tree, star_graph,
-                               subdivide)
+                               path_graph, random_tree, star_graph, subdivide)
 from sparsekit.rng import Rng
 
 

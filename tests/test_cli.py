@@ -7,6 +7,7 @@ import pytest
 import sparsekit.cli as cli
 from sparsekit.errors import AlgorithmStallError
 
+PATH3 = '{"family":"path","n":3}'
 PATH5 = '{"family":"path","n":5}'
 PATH8 = '{"family":"path","n":8}'
 CYCLE7 = '{"family":"cycle","n":7}'
@@ -163,6 +164,22 @@ def test_usage_errors_exit_2():
                            "density", K5, "--r", "1"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_uqw_rejects_a_target_below_one(m):
+    code, doc, _ = run_cli("uqw", PATH3, "--r", "1", "--m", m)
+    assert code == 2 and doc["error"]["code"] == "precondition"
+    assert doc["error"]["message"] == "m must be >= 1"
+
+
+def test_solve_rejects_a_negative_k():
+    code, doc, _ = run_cli("solve", PATH3, "--problem", "independent",
+                           "--r", "1", "--k", "-1")
+    assert code == 2 and doc["error"]["code"] == "precondition"
+    code, doc, _ = run_cli("solve", PATH3, "--problem", "independent",
+                           "--r", "1", "--k", "0")
+    assert code == 0 and doc["result"]["vertices"] == []
 
 
 def test_cap_exit_3():

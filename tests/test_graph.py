@@ -2,7 +2,8 @@ import pytest
 
 from sparsekit.errors import GraphInputError
 from sparsekit.graph import (Graph, ball, bfs_distances, components,
-                             induced_subgraph, is_connected, set_radius)
+                             induced_subgraph, iter_bits, mask_ball,
+                             set_radius)
 from sparsekit.graphio import cycle_graph, grid_graph, path_graph
 
 
@@ -13,6 +14,8 @@ def test_construction_and_accessors():
     assert g.has_edge(2, 0) and not g.has_edge(0, 3)
     assert g.degree(3) == 0
     assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+    same = Graph(4, [(2, 1), (0, 2), (1, 0)])
+    assert g == same and hash(g) == hash(same) and repr(g) == "Graph(n=4, m=3)"
 
 
 def test_construction_rejects_bad_input():
@@ -57,9 +60,44 @@ def test_components_and_connectivity():
     g = Graph(6, [(0, 1), (2, 3), (3, 4)])
     comps = components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1], [2, 3, 4], [5]]
-    assert not is_connected(g)
-    assert is_connected(path_graph(4))
+    assert components(path_graph(4)) == [frozenset(range(4))]
+    assert components(Graph(0, [])) == []
     assert components(g, active=frozenset({2, 4})) == [frozenset({2}), frozenset({4})]
+
+
+def test_iter_bits():
+    assert list(iter_bits(0)) == []
+    assert list(iter_bits(1)) == [0]
+    assert list(iter_bits(0b101100)) == [2, 3, 5]
+    assert list(iter_bits(1 << 70 | 1 << 3)) == [3, 70]
+
+
+def _mask(vs):
+    return sum(1 << v for v in vs)
+
+
+def test_mask_ball_matches_bfs_distances(corpus_small):
+    # on the whole graph and on a proper subset (every third vertex removed,
+    # the seed kept): the ball is the key set, the depth the largest distance
+    for g in corpus_small:
+        masks = g.adjacency_masks()
+        for v in range(g.n):
+            for active in (set(range(g.n)),
+                           {w for w in range(g.n) if w % 3 != 2 or w == v}):
+                for radius in (None, 0, 1, 2):
+                    dist = bfs_distances(g, (v,), radius, active)
+                    got = mask_ball(masks, 1 << v, _mask(active), radius)
+                    assert got == (_mask(dist), max(dist.values())), (g, v, radius)
+
+
+def test_mask_ball_from_a_seed_set():
+    p = path_graph(7)
+    masks = p.adjacency_masks()
+    full = _mask(range(7))
+    assert mask_ball(masks, _mask({0, 6}), full, 1) == (_mask({0, 1, 5, 6}), 1)
+    assert mask_ball(masks, _mask({0, 6}), full) == (full, 3)
+    # the seed is in the ball even when it lies outside `within`
+    assert mask_ball(masks, 1 << 3, _mask({2, 1}), None) == (_mask({1, 2, 3}), 2)
 
 
 def test_induced_subgraph_and_deletion():

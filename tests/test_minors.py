@@ -1,13 +1,12 @@
 import pytest
 
 from oracles import naive_has_minor
-from sparsekit.errors import CapabilityError, PreconditionError
+from sparsekit.errors import CapabilityError
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
                                path_graph, star_graph, subdivide)
-from sparsekit.minors import (DensityReport, MinorModel, density_report,
-                              find_depth_r_minor, has_shallow_clique,
-                              verify_minor_model)
+from sparsekit.minors import (MinorModel, density_report, find_depth_r_minor,
+                              has_shallow_clique, verify_minor_model)
 
 K3 = complete_graph(3)
 

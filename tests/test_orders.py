@@ -1,7 +1,10 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from oracles import (brute_treedepth, brute_wcol, check_separation,
-                     dfs_preorder, naive_wcol_of_order, naive_wreach)
+                     dfs_preorder, naive_wreach)
 from sparsekit.errors import CapabilityError, GraphInputError, PreconditionError
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
@@ -200,17 +203,26 @@ def test_witness_checks_raise_without_assert(monkeypatch):
     assert e.value.state == {"claimed": 3, "violations": ["forged violation"]}
 
 
-def test_library_has_no_assert_statements():
-    # python -O strips assert statements, so invariant checks must raise
-    import ast
-    from pathlib import Path
-
+def _library_nodes():
+    """(file name, node) for every syntax node of the library's modules."""
     import sparsekit
-    found = []
     for path in sorted(Path(sparsekit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}")
+            yield path.name, node
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert statements, so invariant checks must raise
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_has_no_bin_calls():
+    # popcounts use int.bit_count, not bin(x).count("1")
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "bin"]
     assert found == []
 
 
