@@ -81,13 +81,19 @@ def read_dimacs(text: str, strict: bool = True) -> Graph:
                 raise EdgeListParseError("second 'p' header", line_no)
             if len(tokens) != 4 or tokens[1] != "edge":
                 raise EdgeListParseError(f"bad header {line!r}", line_no)
-            n, declared_m = int(tokens[2]), int(tokens[3])
+            try:
+                n, declared_m = int(tokens[2]), int(tokens[3])
+            except ValueError:
+                raise EdgeListParseError(f"non-integer field in {line!r}", line_no) from None
         elif tokens[0] == "e":
             if n is None:
                 raise EdgeListParseError("edge before 'p' header", line_no)
             if len(tokens) != 3:
                 raise EdgeListParseError(f"bad edge line {line!r}", line_no)
-            u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+            try:
+                u, v = int(tokens[1]) - 1, int(tokens[2]) - 1
+            except ValueError:
+                raise EdgeListParseError(f"non-integer field in {line!r}", line_no) from None
             if not (0 <= u < n and 0 <= v < n):
                 raise EdgeListParseError(f"vertex out of range in {line!r}", line_no)
             if u == v:

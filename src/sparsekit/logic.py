@@ -564,6 +564,8 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates):
     r-th power graph (ties by id)."""
     if k < 0:
         raise PreconditionError(f"k must be >= 0, got {k}")
+    if r < 0:
+        raise PreconditionError(f"r must be >= 0, got {r}")
     cands = sorted(candidates)
     if k == 0:
         return frozenset()

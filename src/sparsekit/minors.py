@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AlgorithmStallError, CapabilityError, GraphInputError
+from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
+                     PreconditionError)
 from .graph import Graph, bfs_distances, set_radius
 from .rng import Rng
 
@@ -264,6 +265,8 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
     density.  Deterministic for a fixed seed."""
     if g.n == 0:
         raise GraphInputError("density undefined for the empty graph")
+    if r < 0:
+        raise PreconditionError(f"r must be >= 0, got {r}")
     rng = Rng(seed)
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     attempts = 0

@@ -65,37 +65,100 @@ def wreach_sets(g: Graph, order: VertexOrder, r: int, active=None) -> dict:
     Computed backwards: a BFS from u that only moves through vertices ranked
     strictly above u finds exactly the vertices whose wreach set contains u.
     """
-    _check_order(g, order)
-    if r < 0:
-        raise GraphInputError(f"radius must be >= 0, got {r}")
-    rank = order.rank
-    verts = range(g.n) if active is None else sorted(active)
-    allowed = None if active is None else set(active)
-    sets = {v: {v} for v in verts}
-    for u in verts:
-        ru = rank[u]
-        seen = {u}
-        frontier = [u]
-        for _ in range(r):
-            nxt = []
-            for x in frontier:
-                for w in g.adj[x]:
-                    if w in seen or rank[w] <= ru:
-                        continue
-                    if allowed is not None and w not in allowed:
-                        continue
-                    seen.add(w)
-                    sets[w].add(u)
-                    nxt.append(w)
-            if not nxt:
-                break
-            frontier = nxt
-    return {v: frozenset(s) for v, s in sets.items()}
+    return {v: frozenset(s) for v, s in _wreach(g, order, r, active).items()}
 
 
 def wcol_of_order(g: Graph, order: VertexOrder, r: int, active=None) -> int:
-    sets = wreach_sets(g, order, r, active)
-    return max((len(s) for s in sets.values()), default=0)
+    return max(map(len, _wreach(g, order, r, active).values()), default=0)
+
+
+def _wreach(g: Graph, order: VertexOrder, r: int, active, clusters=None) -> dict:
+    """The weak-r-reach sets of the active vertices, as mutable sets; the
+    backward search from each u is also kept as `clusters[u]` when a dict is
+    passed."""
+    _check_order(g, order)
+    if r < 0:
+        raise GraphInputError(f"radius must be >= 0, got {r}")
+    if active is None:
+        rank = order.rank
+        sets = {v: set() for v in range(g.n)}
+    else:  # rank -1 outside active: no search moves up into those vertices
+        rank = [-1] * g.n
+        for v in active:
+            rank[v] = order.rank[v]
+        sets = {v: set() for v in sorted(active)}
+    for u in sets:
+        reach = _reach_above(g, rank, u, r)
+        if clusters is not None:
+            clusters[u] = reach
+        for w in reach:
+            sets[w].add(u)
+    return sets
+
+
+def _reach_above(g: Graph, rank, u: int, r: int) -> set:
+    """The backward search from u: the vertices whose weak-r-reach set
+    contains u (u included), found by a BFS of depth r that only moves
+    through vertices ranked strictly above u."""
+    ru = rank[u]
+    seen = {u}
+    frontier = [u]
+    for _ in range(r):
+        nxt = []
+        for x in frontier:
+            for w in g.adj[x]:
+                if w in seen or rank[w] <= ru:
+                    continue
+                seen.add(w)
+                nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return seen
+
+
+class WReachTable:
+    """The weak-r-reach sets of G minus the deleted vertices, kept up to date
+    as vertices are deleted instead of recomputed.
+
+    `sets[v]` is WReach_r[v] (v included) for every alive v, as
+    `wreach_sets(g, order, r, set(sets))` returns it; `clusters[u]` is its
+    inversion, the vertices whose set contains u, which is what the backward
+    search from u reaches.  Deleting u changes only the backward searches
+    that reached u, the ones from the sources in WReach_r[u] minus u: a
+    search that never met u takes the same steps without it.  `delete`
+    re-runs just those, at most wcol_r of them, and patches both maps.
+    A deleted vertex gets rank -1, so no search enters it again.
+    """
+    __slots__ = ("g", "rank", "r", "sets", "clusters")
+
+    def __init__(self, g: Graph, order: VertexOrder, r: int):
+        self.g, self.rank, self.r = g, list(order.rank), r
+        self.clusters = {}
+        self.sets = _wreach(g, order, r, None, self.clusters)
+
+    def wcol(self) -> int:
+        """The largest set: wcol_r of the order on the alive vertices."""
+        return max(map(len, self.sets.values()), default=0)
+
+    def delete(self, u: int) -> None:
+        self.rank[u] = -1
+        for w in self.clusters.pop(u):
+            self.sets[w].discard(u)
+        for x in self.sets.pop(u):  # WReach_r[u] minus u, dropped just above
+            old = self.clusters[x]
+            self.clusters[x] = new = _reach_above(self.g, self.rank, x, self.r)
+            for w in old - new:
+                if w != u:
+                    self.sets[w].discard(x)
+
+    def copy(self) -> "WReachTable":
+        # cluster sets are replaced on update, never changed, so copies share them
+        out = WReachTable.__new__(WReachTable)
+        out.g, out.rank, out.r = self.g, list(self.rank), self.r
+        out.sets = {v: set(s) for v, s in self.sets.items()}
+        out.clusters = dict(self.clusters)
+        return out
 
 
 # ------------------------------------------------------------ greedy orders

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import AlgorithmStallError, CapabilityError, PreconditionError
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     iter_bits, mask_ball, set_radius)
-from .orders import VertexOrder, wcol_of_order, wreach_sets
+from .orders import VertexOrder, WReachTable, wreach_sets
 
 
 # ------------------------------------------------------------ certificates
@@ -154,6 +154,11 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
     |B| >= 2m/c whenever |A_final| >= 2m; under the input guarantee
     |A| >= 4*(2cm)^c that is |B| >= m for c <= 2.  The rest of A-S can only
     add to B.
+
+    The weak-reach sets are built once, as a `WReachTable` of G, and c is
+    its largest set.  Deleting u is then an update, not a recomputation:
+    only the backward searches from the sources in WReach_r[u] minus u
+    passed through u, so only those (at most c of them) are re-run.
     """
     A = frozenset(A)
     if not A:
@@ -162,14 +167,19 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
         raise PreconditionError("r must be >= 1")
     if m < 1:
         raise PreconditionError("m must be >= 1")
-    c = wcol_of_order(g, pi, r)
-    guarantee = len(A) >= 4 * (2 * c * m) ** c
+    return _extract(g, A, m, WReachTable(g, pi, r))
 
+
+def _extract(g: Graph, A: frozenset, m: int,
+             table: WReachTable) -> UqwCertificate:
+    """`uqw_extract` on a weak-reach table of all of G, changed in place;
+    c is its largest set."""
+    c = table.wcol()
+    guarantee = len(A) >= 4 * (2 * c * m) ** c
+    sets = table.sets
     S = []
     current = set(A)
     while True:
-        active = frozenset(range(g.n)) - set(S)
-        sets = wreach_sets(g, pi, r, active)
         freq = {}
         for a in current:
             for u in sets[a]:
@@ -185,9 +195,8 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
             raise AlgorithmStallError(
                 "removal loop exceeded its structural bound",
                 state={"S": S, "wcol_bound": c, "A": sorted(A)})
+        table.delete(u)
 
-    active = frozenset(range(g.n)) - set(S)
-    sets = wreach_sets(g, pi, r, active)
     B = set()
     used = set()
     for a in sorted(current) + sorted(A - set(S) - current):
@@ -195,7 +204,7 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
             B.add(a)
             used |= sets[a]
 
-    cert = UqwCertificate(r, m, A, frozenset(S), frozenset(B), c, guarantee)
+    cert = UqwCertificate(table.r, m, A, frozenset(S), frozenset(B), c, guarantee)
     bad = validate_uqw(g, cert)
     if bad:
         raise AlgorithmStallError(
@@ -244,6 +253,8 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
     from itertools import combinations
 
     A = frozenset(A)
+    if r < 1:
+        raise PreconditionError("r must be >= 1")
     if g.n > n_cap:
         raise CapabilityError(f"uqw_brute capped at {n_cap} vertices, got {g.n}",
                               "uqw_brute_n", n_cap)
@@ -251,7 +262,6 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
         raise CapabilityError(f"uqw_brute capped at deletion sets of {s_cap}",
                               "uqw_brute_s", s_cap)
     adj = g.adjacency_masks()
-    reach = max(r, 0)  # a negative r reaches no other member of A
     best = None
     for size in range(s_max + 1):
         for S in combinations(range(g.n), size):
@@ -260,7 +270,7 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
             pool = A & active
             cand = sum(1 << a for a in pool)
             # masks[a] = the members of A within distance r of a in G-S
-            masks = {a: (mask_ball(adj, 1 << a, keep, reach)[0] & cand) ^ (1 << a)
+            masks = {a: (mask_ball(adj, 1 << a, keep, r)[0] & cand) ^ (1 << a)
                      for a in pool}
             B = _max_independent_lex(masks, cand)
             if best is None or len(B) > len(best[1]):
@@ -286,7 +296,12 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     a far-apart subset X' of X at radius 4r, keeps the part X'' whose
     2r-balls are already sparse in G-Y, and trades X'' for the deletion set
     Y.  Stops when a step no longer shrinks X; theory says that cannot
-    happen while |X| exceeds 4*(2cm)^c, so a stall up there is an error."""
+    happen while |X| exceeds 4*(2cm)^c, so a stall up there is an error.
+
+    Every extraction runs on G at radius 4r, so the weak-reach table of G at
+    that radius is built once: its largest set is c, and each extraction
+    deletes from its own copy (see `uqw_extract` for why a deletion only
+    re-runs the searches from the sources in WReach_4r[u])."""
     A = frozenset(A)
     if not A:
         raise PreconditionError("A must be nonempty")
@@ -295,7 +310,8 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     if r < 1:
         raise PreconditionError("r must be >= 1")
 
-    c = wcol_of_order(g, pi, 4 * r)
+    table = WReachTable(g, pi, 4 * r)
+    c = table.wcol()
     m = int(1 / eps) + c + 1
     n_theory = 4 * (2 * c * m) ** c
     budget = eps * len(A)
@@ -315,7 +331,7 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
             worst = max(worst, hit)
         if not X:
             break
-        uqw = uqw_extract(g, X, 4 * r, m, pi)
+        uqw = _extract(g, X, m, table.copy())
         Y = set(uqw.S)
         keep = frozenset(range(g.n)) - Y
         X2 = set()
@@ -348,12 +364,7 @@ def wreach_clusters(g: Graph, pi: VertexOrder, r: int) -> dict:
     """cluster(u) = the vertices u is weakly r-reachable from (u included).
     Each cluster is connected with radius <= r around u, since weak-reach
     paths stay inside the cluster."""
-    out = {v: set() for v in range(g.n)}
-    sets = wreach_sets(g, pi, r)
-    for w in range(g.n):
-        for u in sets[w]:
-            out[u].add(w)
-    return {u: frozenset(vs) for u, vs in out.items()}
+    return {u: frozenset(vs) for u, vs in WReachTable(g, pi, r).clusters.items()}
 
 
 def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:

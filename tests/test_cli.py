@@ -182,6 +182,19 @@ def test_solve_rejects_a_negative_k():
     assert code == 0 and doc["result"]["vertices"] == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("density", PATH3, "--r=-1", "--seed", "1"), "r must be >= 0, got -1"),
+    (("solve", PATH3, "--problem", "independent", "--r=-1", "--k", "1"),
+     "r must be >= 0, got -1"),
+    (("uqw", PATH3, "--mode", "brute", "--r=-1", "--m", "1"), "r must be >= 1"),
+    (("uqw", PATH3, "--mode", "brute", "--r=0", "--m", "1"), "r must be >= 1"),
+], ids=["density", "solve-independent", "uqw-brute-r-1", "uqw-brute-r0"])
+def test_radius_below_the_minimum_is_a_precondition_error(argv, message):
+    code, doc, _ = run_cli(*argv)
+    assert code == 2 and doc["error"]["code"] == "precondition"
+    assert doc["error"]["message"] == message
+
+
 def test_cap_exit_3():
     code, doc, _ = run_cli("treedepth", '{"family":"grid","rows":5,"cols":5}')
     assert code == 3
@@ -325,6 +338,18 @@ def test_dimacs_input(tmp_path):
     assert code == 0
     assert doc["input"]["n"] == 4 and doc["input"]["m"] == 3
     assert doc["result"]["value"] == 2
+
+
+@pytest.mark.parametrize("text,line", [
+    ("p edge x 1\n", "line 1: non-integer field in 'p edge x 1'"),
+    ("p edge 3 1\ne 1 q\n", "line 2: non-integer field in 'e 1 q'"),
+], ids=["header", "edge"])
+def test_dimacs_non_integer_field_is_a_parse_error(tmp_path, text, line):
+    path = tmp_path / "g.col"
+    path.write_text(text)
+    code, doc, _ = run_cli("col", str(path))
+    assert code == 2 and doc["error"]["code"] == "graph_input"
+    assert doc["error"]["message"] == line
 
 
 @pytest.mark.parametrize("order,value", [

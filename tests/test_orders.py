@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -10,10 +11,11 @@ from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
                                path_graph, random_tree, star_graph, subdivide)
 from sparsekit.orders import (ORDER_NAMES, EliminationForest, VertexOrder,
-                              build_order, coloring_number, degeneracy_order,
-                              greedy_wreach_order, identity_order,
-                              treedepth_exact, validate_elimination_forest,
-                              wcol_exact, wcol_of_order, wreach_sets)
+                              WReachTable, build_order, coloring_number,
+                              degeneracy_order, greedy_wreach_order,
+                              identity_order, treedepth_exact,
+                              validate_elimination_forest, wcol_exact,
+                              wcol_of_order, wreach_sets)
 
 
 def test_vertex_order_validation():
@@ -44,6 +46,41 @@ def test_wreach_respects_active_set():
     sets = wreach_sets(g, o, 3, active)
     assert set(sets) == set(active)
     assert sets[5] == {5}  # 3,4 inactive, so nothing reachable below
+
+
+def _assert_table_is_fresh(table, g, order, r):
+    """The table equals a fresh wreach_sets on its alive vertices, and its
+    cluster map is the inversion of its sets."""
+    alive = set(table.sets)
+    assert table.sets == wreach_sets(g, order, r, alive)
+    inverted = {u: set() for u in alive}
+    for w, s in table.sets.items():
+        for u in s:
+            inverted[u].add(w)
+    assert table.clusters == inverted
+
+
+def test_wreach_table_deletions_match_a_fresh_table(corpus_small):
+    graphs = corpus_small[::25] + [grid_graph(6, 6), random_tree(40, seed=3)]
+    rng = random.Random(20191)
+    for g in graphs:
+        for order in (degeneracy_order(g), identity_order(g.n)):
+            for r in range(1, 5):
+                table = WReachTable(g, order, r)
+                whole = table.copy()
+                sequence = list(range(g.n))
+                rng.shuffle(sequence)
+                for u in sequence:
+                    table.delete(u)
+                    _assert_table_is_fresh(table, g, order, r)
+                assert table.sets == {} and table.clusters == {}
+                # the copy taken before the deletions did not change with them,
+                # and it updates on its own
+                assert set(whole.sets) == set(range(g.n))
+                _assert_table_is_fresh(whole, g, order, r)
+                for u in sequence[:-4:-1]:
+                    whole.delete(u)
+                    _assert_table_is_fresh(whole, g, order, r)
 
 
 def test_wcol_of_order_frozen_values():

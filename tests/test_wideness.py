@@ -1,9 +1,12 @@
+import hashlib
+
 import pytest
 
 from sparsekit.errors import (AlgorithmStallError, CapabilityError,
                               PreconditionError)
-from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
-                               path_graph, star_graph)
+from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
+                               gnd_graph, grid_graph, path_graph, random_tree,
+                               star_graph)
 from sparsekit.orders import (degeneracy_order, identity_order, wcol_of_order,
                               wreach_sets)
 from sparsekit.wideness import (Cover, PartitionCover, SeparatorCertificate,
@@ -177,6 +180,71 @@ def test_separator_json_round_trip():
     back = SeparatorCertificate.from_json(cert.to_json())
     assert back.to_json() == cert.to_json()
     assert validate_separator(g, back) == []
+
+
+# ------------------------------------------------- pinned certificate bytes
+
+PIN_GRAPHS = {
+    "grid12": lambda: grid_graph(12, 12),
+    "tree300": lambda: random_tree(300, seed=1),
+    "gnd300": lambda: gnd_graph(300, 3.0, seed=1),
+}
+
+# sha256 of emit_json(cert.to_json()), degeneracy order, A = all vertices.
+# A "uqw" case is the first extraction of the separator with the same r and
+# eps (radius 4r, m = int(1/eps) + wcol_4r + 1); unlike a plain small-m
+# extraction on these graphs, it deletes vertices.
+PINNED_CERTIFICATES = {
+    ("grid12", "uqw", 1, 0.1): "7d67575b4e7eb274d8ffa8c1e89e9e262e01cdd45ff49929b701afc36fe593c7",
+    ("grid12", "uqw", 1, 0.2): "c8542be5a8ade162c415cbfdcbdfce1d514f30edd3575cc91513fd600fdf7315",
+    ("grid12", "uqw", 2, 0.1): "df22fd7f1509980ae69ec00401f485039c0725f565df9208bdac4456ab00cfad",
+    ("grid12", "uqw", 2, 0.2): "ffcaca03e2a70517aed0aea497d9993fce4e3e96387743aa2434172d02e28e92",
+    ("tree300", "uqw", 1, 0.1): "e34690d02c0bca6d87a81cfea7d8563eece76b1810225f055ca261a0b390a8b5",
+    ("tree300", "uqw", 1, 0.2): "635d17e7bb09f78231fbd9e0fb233c64287ef8c354000587c8f9c36e5f9629df",
+    ("tree300", "uqw", 2, 0.1): "2626d03ee2d0189b603f45deaece4d3c9545bd3827203edd954554ca752777a7",
+    ("tree300", "uqw", 2, 0.2): "f4f305c1456869efff860effaf67eb8e5fe946290e91429823bdc91bd882a5e5",
+    ("gnd300", "uqw", 1, 0.1): "8da9026d69b2a5f521d1b3218694896b354a4305e84a117482c86c573c74af6f",
+    ("gnd300", "uqw", 1, 0.2): "fbf1726d5b19f4f7f2d10d5475bcb59bc304b5bb076d1efaa077fe070aa9af5f",
+    ("gnd300", "uqw", 2, 0.1): "082208e1483bebfdea6481677c0fee1984ff505f9efbb3e2a0f4e10a639e2367",
+    ("gnd300", "uqw", 2, 0.2): "165319e69336dbfa2336cfda02d251ee73bdf346999cfd7aa39147a77e8bb13e",
+    ("grid12", "separator", 1, 0.1): "cde9ef462a62c25adecb2a85432ea6992110b52a8849d80e1896192172e3046a",
+    ("grid12", "separator", 1, 0.2): "9947ab9a055d12b9f1be48f3fcd3b417b30faa8d95c03ced7e5ca7112e2994f1",
+    ("grid12", "separator", 2, 0.1): "cf1da1c8438d1ea9629bb390a1189e1e360067192e5e3ee1ed1e1982b37f16f9",
+    ("grid12", "separator", 2, 0.2): "58bb968790c8efa9bf7d232552d254482d5892a3ea1b1fffa53ce8071f41e5d7",
+    ("tree300", "separator", 1, 0.1): "c31b8d080790160c67b3672fd535e892874462bcd6dd7c46ee5f06cc5b312240",
+    ("tree300", "separator", 1, 0.2): "544407781ba417bad21e04cbe861b843974b3bd429a7b0fe54ce15dbb660ec27",
+    ("tree300", "separator", 2, 0.1): "abc537f45afe4d6950435ba5417456784a12fcc21391a3863b1f667e092fb71f",
+    ("tree300", "separator", 2, 0.2): "5c03ed28651516216d2bc88cf0a4ac1e03fc5be635625da3d50200d85c5296b0",
+    ("gnd300", "separator", 1, 0.1): "4d076e3f5d70e57c2811de69a642c2dc78fd501a8f6584f953f20f55a1243b45",
+    ("gnd300", "separator", 1, 0.2): "39fe8f769e3c119418e93a778c3518dd44a73f71af0e1ed9eb96b562e5b3960c",
+    ("gnd300", "separator", 2, 0.1): "abaa3c46d47bdc9e8d17d63730075ca957a9e8fa42d422aa6311a5698eb76ab8",
+    ("gnd300", "separator", 2, 0.2): "fc2ffe980e595bba140838e91e8ca245a79566b2a97d289634e0f65592e24006",
+}
+
+
+def _digest(cert) -> str:
+    return hashlib.sha256(emit_json(cert.to_json()).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GRAPHS))
+def test_certificates_pinned(name):
+    g = PIN_GRAPHS[name]()
+    pi = degeneracy_order(g)
+    for (graph, kind, r, eps), want in PINNED_CERTIFICATES.items():
+        if graph != name:
+            continue
+        if kind == "uqw":
+            m = int(1 / eps) + wcol_of_order(g, pi, 4 * r) + 1
+            cert = uqw_extract(g, range(g.n), 4 * r, m, pi)
+        else:
+            cert = balanced_separator(g, range(g.n), r, eps, pi)
+        assert _digest(cert) == want, (graph, kind, r, eps)
+
+
+def test_separator_on_the_40_grid_pinned():
+    g = grid_graph(40, 40)
+    cert = balanced_separator(g, range(g.n), 1, 0.1, degeneracy_order(g))
+    assert _digest(cert) == "adc11303479470ef580f931ffff7540a533d860ddccb75e139594847e8bec72b"
 
 
 # ------------------------------------------------------------------- covers
