@@ -25,22 +25,20 @@ from .orders import (ORDER_NAMES, EliminationForest, VertexOrder, build_order,
                      validate_elimination_forest, wcol_exact, wcol_of_order,
                      wreach_sets)
 from .minors import (DensityReport, MinorModel, density_report,
-                     find_depth_r_minor, has_shallow_clique,
-                     verify_minor_model)
+                     find_depth_r_minor, verify_minor_model)
 from .games import (ConnectorMove, ExhaustiveConnector, ExhaustiveSplitter,
                     GameConfig, GameRound, GameTranscript, GreedyBallConnector,
                     RandomConnector, UqwBatchSplitter, WcolSplitter,
                     connector_move_violations, game_value, play,
-                    splitter_move_violations, uqw_splitter_strategy,
-                    validate_transcript, wcol_splitter_strategy)
+                    splitter_move_violations, validate_transcript,
+                    wcol_splitter_strategy)
 from .wideness import (Cover, PartitionCover, SeparatorCertificate,
                        UqwCertificate, balanced_separator, neighborhood_cover,
                        partition_cover, uqw_brute, uqw_extract, validate_cover,
                        validate_partition, validate_separator, validate_uqw,
                        wreach_clusters)
 from .logic import (BasicLocalSentence, distance_dominating_set,
-                    distance_independent_set, dominating_formula,
-                    eval_basic_local, eval_naive, expand_basic_local,
-                    free_vars, locality_violations, parse_formula,
-                    satisfying_set, to_text)
+                    distance_independent_set, eval_basic_local, eval_naive,
+                    expand_basic_local, free_vars, locality_violations,
+                    parse_formula, satisfying_set, to_text)
 from .rng import Rng

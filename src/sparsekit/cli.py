@@ -25,7 +25,7 @@ from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
                      PreconditionError, SparsekitError, StrategyBugError)
 from .games import (ExhaustiveConnector, ExhaustiveSplitter, GameConfig,
                     GameTranscript, GreedyBallConnector, RandomConnector,
-                    play, uqw_splitter_strategy, validate_transcript,
+                    UqwBatchSplitter, play, validate_transcript,
                     wcol_splitter_strategy)
 from .graph import Graph, ball, bfs_distances, foreign_vertices
 from .graphio import (emit_json, generate, graph_from_json, parse_edge_list,
@@ -174,7 +174,7 @@ def cmd_game(args):
         pi = build_order(g, args.order, 2 * max(radius, 1))
         sp = wcol_splitter_strategy(pi, radius)
     elif args.splitter == "uqw":
-        sp = uqw_splitter_strategy(radius)
+        sp = UqwBatchSplitter(radius)
     else:
         sp = ExhaustiveSplitter()
     if args.connector == "greedy":

@@ -20,6 +20,10 @@ from .graph import Graph, bfs_distances, components
 from .orders import VertexOrder
 from .rng import Rng
 
+# Vertex cap of the exhaustive game search (game_value and the exhaustive
+# strategies).
+GAME_CAP = 10
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -246,12 +250,9 @@ class ExhaustiveConnector(ConnectorStrategy):
 
     tag = "exhaustive"
 
-    def __init__(self, cap: int = 10):
-        self.cap = cap
-
     def start(self, g, cfg):
         super().start(g, cfg)
-        self._engine = _Engine(g, cfg, self.cap)
+        self._engine = _Engine(g, cfg)
 
     def pick(self, residual):
         move, _ = self._engine.best_connector_move(residual)
@@ -332,12 +333,9 @@ class ExhaustiveSplitter(SplitterStrategy):
 
     tag = "exhaustive"
 
-    def __init__(self, cap: int = 10):
-        self.cap = cap
-
     def start(self, g, cfg):
         super().start(g, cfg)
-        self._engine = _Engine(g, cfg, self.cap)
+        self._engine = _Engine(g, cfg)
 
     def pick(self, residual, move, round_no):
         batch, _ = self._engine.best_splitter_batch(move)
@@ -351,11 +349,11 @@ class _Engine:
     needs inclusion-maximal legal moves (a bigger subgraph never hurts it),
     which are exactly the residual balls / components."""
 
-    def __init__(self, g: Graph, cfg: GameConfig, cap: int):
-        if g.n > cap:
+    def __init__(self, g: Graph, cfg: GameConfig):
+        if g.n > GAME_CAP:
             raise CapabilityError(
-                f"game search capped at {cap} vertices, graph has {g.n}",
-                "game_cap", cap)
+                f"game search capped at {GAME_CAP} vertices, graph has {g.n}",
+                "game_cap", GAME_CAP)
         self.g, self.cfg = g, cfg
         self._memo = {}
 
@@ -413,10 +411,10 @@ class _Engine:
         return best
 
 
-def game_value(g: Graph, cfg: GameConfig, cap: int = 10) -> int:
+def game_value(g: Graph, cfg: GameConfig) -> int:
     """Optimal number of rounds, ignoring the round cap.  Equals treedepth
     for the treedepth game."""
-    return _Engine(g, cfg, cap).value(frozenset(range(g.n)))
+    return _Engine(g, cfg).value(frozenset(range(g.n)))
 
 
 # -------------------------------------------------------------------- play
@@ -456,7 +454,3 @@ def wcol_splitter_strategy(pi: VertexOrder, r: int) -> WcolSplitter:
     """Strategy winning the radius-r game within wcol_of_order(g, pi, 2r)
     rounds (and the treedepth game within the order's induced forest depth)."""
     return WcolSplitter(pi, r)
-
-
-def uqw_splitter_strategy(r: int) -> UqwBatchSplitter:
-    return UqwBatchSplitter(r)

@@ -42,9 +42,6 @@ class Graph:
     def m(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self):
         for u in range(self.n):
             for v in self.adj[u]:

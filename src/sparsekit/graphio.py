@@ -19,7 +19,7 @@ from .graph import Graph
 from .rng import Rng
 
 
-def parse_edge_list(text: str, strict: bool = True) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     rows = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -33,7 +33,7 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
         rows.append((line_no, tokens[0], tokens[1]))
     # all-numeric tokens are vertex ids and survive a write/read round trip;
     # anything else is a label, numbered by first appearance
-    numeric = all(a.isdigit() and b.isdigit() for _, a, b in rows)
+    numeric = all(a.isdecimal() and b.isdecimal() for _, a, b in rows)
     ids: dict[str, int] = {}
     top = -1
 
@@ -48,14 +48,10 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
     for line_no, a, b in rows:
         u, v = vid(a), vid(b)
         if u == v:
-            if strict:
-                raise EdgeListParseError(f"self-loop at {a!r}", line_no)
-            continue
+            raise EdgeListParseError(f"self-loop at {a!r}", line_no)
         key = (min(u, v), max(u, v))
         if key in seen:
-            if strict:
-                raise EdgeListParseError(f"duplicate edge {a!r} {b!r}", line_no)
-            continue
+            raise EdgeListParseError(f"duplicate edge {a!r} {b!r}", line_no)
         seen.add(key)
         edges.append(key)
     if numeric:
@@ -66,7 +62,7 @@ def parse_edge_list(text: str, strict: bool = True) -> Graph:
     return Graph(len(ids), edges, labels)
 
 
-def read_dimacs(text: str, strict: bool = True) -> Graph:
+def read_dimacs(text: str) -> Graph:
     n = None
     declared_m = None
     edges = []
@@ -97,21 +93,17 @@ def read_dimacs(text: str, strict: bool = True) -> Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise EdgeListParseError(f"vertex out of range in {line!r}", line_no)
             if u == v:
-                if strict:
-                    raise EdgeListParseError(f"self-loop in {line!r}", line_no)
-                continue
+                raise EdgeListParseError(f"self-loop in {line!r}", line_no)
             key = (min(u, v), max(u, v))
             if key in seen:
-                if strict:
-                    raise EdgeListParseError(f"duplicate edge in {line!r}", line_no)
-                continue
+                raise EdgeListParseError(f"duplicate edge in {line!r}", line_no)
             seen.add(key)
             edges.append(key)
         else:
             raise EdgeListParseError(f"unknown line type {line!r}", line_no)
     if n is None:
         raise EdgeListParseError("missing 'p edge n m' header", 1)
-    if strict and declared_m != len(edges):
+    if declared_m != len(edges):
         raise EdgeListParseError(
             f"header declares {declared_m} edges, found {len(edges)}", 1
         )

@@ -676,22 +676,3 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
 
     search([], 0)
     return frozenset(best)
-
-
-def dominating_formula(k: int, r: int = 1):
-    """Sentence: some k vertices r-dominate the graph."""
-    if k < 1 or r < 1:
-        raise PreconditionError("need k >= 1 and r >= 1")
-    xs = [f"x{i + 1}" for i in range(k)]
-    parts = [Eq("y", x) for x in xs]
-    if r == 1:
-        parts += [Edge("y", x) for x in xs]
-    else:
-        parts += [DistLe("y", x, r) for x in xs]
-    body = parts[0]
-    for p in parts[1:]:
-        body = Or(body, p)
-    out = Quant("forall", "y", None, None, body)
-    for x in reversed(xs):
-        out = Quant("exists", x, None, None, out)
-    return out

@@ -192,12 +192,6 @@ def find_depth_r_minor(
     return model
 
 
-def has_shallow_clique(g: Graph, r: int, k: int, max_g: int = 20) -> bool:
-    from .graphio import complete_graph
-
-    return find_depth_r_minor(g, complete_graph(k), r, max_h=k, max_g=max_g) is not None
-
-
 # ------------------------------------------------------------ density report
 
 @dataclass(frozen=True)

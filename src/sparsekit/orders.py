@@ -59,34 +59,27 @@ def _check_order(g: Graph, order: VertexOrder) -> None:
         raise GraphInputError(f"order on {len(order)} vertices, graph has {g.n}")
 
 
-def wreach_sets(g: Graph, order: VertexOrder, r: int, active=None) -> dict:
-    """Weak-r-reachability sets for every (active) vertex.
+def wreach_sets(g: Graph, order: VertexOrder, r: int) -> dict:
+    """Weak-r-reachability sets for every vertex.
 
     Computed backwards: a BFS from u that only moves through vertices ranked
     strictly above u finds exactly the vertices whose wreach set contains u.
     """
-    return {v: frozenset(s) for v, s in _wreach(g, order, r, active).items()}
+    return {v: frozenset(s) for v, s in _wreach(g, order, r).items()}
 
 
-def wcol_of_order(g: Graph, order: VertexOrder, r: int, active=None) -> int:
-    return max(map(len, _wreach(g, order, r, active).values()), default=0)
+def wcol_of_order(g: Graph, order: VertexOrder, r: int) -> int:
+    return max(map(len, _wreach(g, order, r).values()), default=0)
 
 
-def _wreach(g: Graph, order: VertexOrder, r: int, active, clusters=None) -> dict:
-    """The weak-r-reach sets of the active vertices, as mutable sets; the
-    backward search from each u is also kept as `clusters[u]` when a dict is
-    passed."""
+def _wreach(g: Graph, order: VertexOrder, r: int, clusters=None) -> dict:
+    """The weak-r-reach sets, as mutable sets; the backward search from each
+    u is also kept as `clusters[u]` when a dict is passed."""
     _check_order(g, order)
     if r < 0:
         raise GraphInputError(f"radius must be >= 0, got {r}")
-    if active is None:
-        rank = order.rank
-        sets = {v: set() for v in range(g.n)}
-    else:  # rank -1 outside active: no search moves up into those vertices
-        rank = [-1] * g.n
-        for v in active:
-            rank[v] = order.rank[v]
-        sets = {v: set() for v in sorted(active)}
+    rank = order.rank
+    sets = {v: set() for v in range(g.n)}
     for u in sets:
         reach = _reach_above(g, rank, u, r)
         if clusters is not None:
@@ -121,21 +114,22 @@ class WReachTable:
     """The weak-r-reach sets of G minus the deleted vertices, kept up to date
     as vertices are deleted instead of recomputed.
 
-    `sets[v]` is WReach_r[v] (v included) for every alive v, as
-    `wreach_sets(g, order, r, set(sets))` returns it; `clusters[u]` is its
-    inversion, the vertices whose set contains u, which is what the backward
-    search from u reaches.  Deleting u changes only the backward searches
-    that reached u, the ones from the sources in WReach_r[u] minus u: a
-    search that never met u takes the same steps without it.  `delete`
-    re-runs just those, at most wcol_r of them, and patches both maps.
-    A deleted vertex gets rank -1, so no search enters it again.
+    `sets[v]` is WReach_r[v] (v included) for every alive v, taken in the
+    subgraph induced on the alive vertices under the order restricted to
+    them; `clusters[u]` is its inversion, the vertices whose set contains u,
+    which is what the backward search from u reaches.  Deleting u changes
+    only the backward searches that reached u, the ones from the sources in
+    WReach_r[u] minus u: a search that never met u takes the same steps
+    without it.  `delete` re-runs just those, at most wcol_r of them, and
+    patches both maps.  A deleted vertex gets rank -1, so no search enters
+    it again.
     """
     __slots__ = ("g", "rank", "r", "sets", "clusters")
 
     def __init__(self, g: Graph, order: VertexOrder, r: int):
         self.g, self.rank, self.r = g, list(order.rank), r
         self.clusters = {}
-        self.sets = _wreach(g, order, r, None, self.clusters)
+        self.sets = _wreach(g, order, r, self.clusters)
 
     def wcol(self) -> int:
         """The largest set: wcol_r of the order on the alive vertices."""
@@ -190,45 +184,28 @@ def greedy_wreach_order(g: Graph, r: int) -> VertexOrder:
 
     Placing x below the current suffix finalizes exactly the pairs where x is
     weakly reached through suffix vertices, so the partial maximum is exact.
+    Placed vertices have rank 1 and the others rank 0, so the backward search
+    from an unplaced x moves only through the suffix.
     """
-    placed = set()
-    counts = {}
+    rank = [0] * g.n
+    counts = [0] * g.n
     suffix = []  # placement sequence, last position first
     cur_max = 0
     remaining = set(range(g.n))
     while remaining:
         best = None
         for x in sorted(remaining):
-            reached = _reach_through(g, x, placed, r)
-            new_max = max(cur_max, 1, max((counts[w] + 1 for w in reached), default=0))
+            reached = _reach_above(g, rank, x, r)  # x itself, at count 0
+            new_max = max(cur_max, max(counts[w] for w in reached) + 1)
             if best is None or new_max < best[0]:
                 best = (new_max, x, reached)
         cur_max, x, reached = best
         for w in reached:
             counts[w] += 1
-        counts[x] = 1
-        placed.add(x)
+        rank[x] = 1
         remaining.discard(x)
         suffix.append(x)
     return VertexOrder(reversed(suffix))
-
-
-def _reach_through(g: Graph, x: int, allowed: set, r: int) -> list:
-    seen = {x}
-    frontier = [x]
-    out = []
-    for _ in range(r):
-        nxt = []
-        for y in frontier:
-            for w in g.adj[y]:
-                if w in allowed and w not in seen:
-                    seen.add(w)
-                    out.append(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return out
 
 
 ORDER_NAMES = ("degeneracy", "greedy", "identity")

@@ -16,6 +16,10 @@ from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     iter_bits, mask_ball, set_radius)
 from .orders import VertexOrder, WReachTable, wreach_sets
 
+# Caps of the exhaustive uqw_brute: graph size, and size of the deletion sets.
+UQW_BRUTE_N_CAP = 18
+UQW_BRUTE_S_CAP = 3
+
 
 # ------------------------------------------------------------ certificates
 
@@ -244,8 +248,7 @@ def _max_independent_lex(masks, cand: int) -> list:
     return out
 
 
-def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
-              n_cap: int = 18, s_cap: int = 3):
+def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
     """Exhaustive ground truth: try every deletion set of size <= s_max and
     take a maximum distance-r independent subset of A (exact, via maximum
     independent set in the r-th power restricted to A).  Returns the best
@@ -255,12 +258,12 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int,
     A = frozenset(A)
     if r < 1:
         raise PreconditionError("r must be >= 1")
-    if g.n > n_cap:
-        raise CapabilityError(f"uqw_brute capped at {n_cap} vertices, got {g.n}",
-                              "uqw_brute_n", n_cap)
-    if s_max > s_cap:
-        raise CapabilityError(f"uqw_brute capped at deletion sets of {s_cap}",
-                              "uqw_brute_s", s_cap)
+    if g.n > UQW_BRUTE_N_CAP:
+        raise CapabilityError(f"uqw_brute capped at {UQW_BRUTE_N_CAP} vertices, got {g.n}",
+                              "uqw_brute_n", UQW_BRUTE_N_CAP)
+    if s_max > UQW_BRUTE_S_CAP:
+        raise CapabilityError(f"uqw_brute capped at deletion sets of {UQW_BRUTE_S_CAP}",
+                              "uqw_brute_s", UQW_BRUTE_S_CAP)
     adj = g.adjacency_masks()
     best = None
     for size in range(s_max + 1):

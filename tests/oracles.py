@@ -8,7 +8,9 @@ against code that shares none of its machinery.
 import itertools
 from functools import lru_cache
 
+from sparsekit.errors import PreconditionError
 from sparsekit.graph import Graph, bfs_distances
+from sparsekit.logic import DistLe, Edge, Eq, Or, Quant
 
 
 def naive_wreach(g: Graph, order, r: int, v: int) -> frozenset:
@@ -219,3 +221,22 @@ def brute_dominating_number(g: Graph, r: int) -> int:
             if len(covered) == g.n:
                 return size
     return g.n
+
+
+def dominating_formula(k: int, r: int = 1):
+    """Sentence: some k vertices r-dominate the graph."""
+    if k < 1 or r < 1:
+        raise PreconditionError("need k >= 1 and r >= 1")
+    xs = [f"x{i + 1}" for i in range(k)]
+    parts = [Eq("y", x) for x in xs]
+    if r == 1:
+        parts += [Edge("y", x) for x in xs]
+    else:
+        parts += [DistLe("y", x, r) for x in xs]
+    body = parts[0]
+    for p in parts[1:]:
+        body = Or(body, p)
+    out = Quant("forall", "y", None, None, body)
+    for x in reversed(xs):
+        out = Quant("exists", x, None, None, out)
+    return out

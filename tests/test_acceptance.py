@@ -8,7 +8,8 @@ import random
 import time
 
 from conftest import gnp_graph
-from oracles import brute_dominating_number, naive_has_minor
+from oracles import (brute_dominating_number, dominating_formula,
+                     naive_has_minor)
 from test_logic import _random_local_property
 
 from sparsekit.games import (ExhaustiveConnector, GameConfig,
@@ -18,9 +19,8 @@ from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
                                grid_graph, path_graph, random_tree,
                                star_graph, subdivide)
-from sparsekit.logic import (BasicLocalSentence, dominating_formula,
-                             eval_basic_local, eval_naive, expand_basic_local,
-                             to_text)
+from sparsekit.logic import (BasicLocalSentence, eval_basic_local, eval_naive,
+                             expand_basic_local, to_text)
 from sparsekit.minors import (density_report, find_depth_r_minor,
                               verify_minor_model)
 from sparsekit.orders import (coloring_number, degeneracy_order,

@@ -340,6 +340,15 @@ def test_dimacs_input(tmp_path):
     assert doc["result"]["value"] == 2
 
 
+def test_superscript_digits_are_labels(tmp_path):
+    # "\u00b2".isdigit() holds but int() rejects it, so it is a name, not an id
+    path = tmp_path / "g.el"
+    path.write_text("\u00b2 1\n", encoding="utf-8")
+    code, doc, _ = run_cli("col", str(path))
+    assert code == 0
+    assert doc["input"]["n"] == 2 and doc["input"]["m"] == 1
+
+
 @pytest.mark.parametrize("text,line", [
     ("p edge x 1\n", "line 1: non-integer field in 'p edge x 1'"),
     ("p edge 3 1\ne 1 q\n", "line 2: non-integer field in 'e 1 q'"),

@@ -6,9 +6,9 @@ from sparsekit.errors import (CapabilityError, GraphInputError,
 from sparsekit.games import (ConnectorMove, ExhaustiveConnector,
                              ExhaustiveSplitter, GameConfig, GameTranscript,
                              GreedyBallConnector, RandomConnector,
-                             SplitterStrategy, connector_move_violations,
-                             game_value, play, splitter_move_violations,
-                             uqw_splitter_strategy, validate_transcript,
+                             SplitterStrategy, UqwBatchSplitter,
+                             connector_move_violations, game_value, play,
+                             splitter_move_violations, validate_transcript,
                              wcol_splitter_strategy)
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
                                path_graph, star_graph)
@@ -100,7 +100,7 @@ def test_wcol_splitter_frozen_round_counts():
 def test_uqw_splitter_round_one_is_singleton_then_grows():
     g = path_graph(30)
     cfg = GameConfig(kind="splitter", radius=1, round_cap=12, batch_limit=24)
-    t = play(g, cfg, uqw_splitter_strategy(1), GreedyBallConnector())
+    t = play(g, cfg, UqwBatchSplitter(1), GreedyBallConnector())
     assert t.winner == "splitter"
     assert len(t.rounds[0].splitter) == 1
     for i, rd in enumerate(t.rounds[1:], start=2):
@@ -112,7 +112,7 @@ def test_uqw_splitter_requires_batch_room():
     g = path_graph(10)
     cfg = GameConfig(kind="splitter", radius=1, round_cap=10, batch_limit=1)
     with pytest.raises(PreconditionError):
-        play(g, cfg, uqw_splitter_strategy(1), GreedyBallConnector())
+        play(g, cfg, UqwBatchSplitter(1), GreedyBallConnector())
 
 
 def test_random_connector_is_seeded():

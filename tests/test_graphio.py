@@ -38,9 +38,6 @@ def test_edge_list_errors():
         parse_edge_list("3 3\n")
     with pytest.raises(EdgeListParseError):
         parse_edge_list("0 1\n1 0\n")
-    # lenient mode drops bad rows but keeps the vertices
-    g = parse_edge_list("3 3\n0 1\n1 0\n", strict=False)
-    assert g.n == 4 and g.m == 1
 
 
 def test_dimacs():

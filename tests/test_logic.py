@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from oracles import dominating_formula
 from sparsekit.errors import (CapabilityError, FormulaParseError,
                               FormulaScopeError, LocalityError,
                               PreconditionError)
@@ -11,9 +12,9 @@ from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
                                path_graph, star_graph)
 from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit,
                              Not, Or, Pred, Quant, distance_dominating_set,
-                             distance_independent_set, dominating_formula,
-                             eval_basic_local, eval_naive, expand_basic_local,
-                             free_vars, locality_violations, parse_formula,
+                             distance_independent_set, eval_basic_local,
+                             eval_naive, expand_basic_local, free_vars,
+                             locality_violations, parse_formula,
                              satisfying_set, to_text)
 
 

@@ -6,7 +6,7 @@ from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
                                path_graph, star_graph, subdivide)
 from sparsekit.minors import (MinorModel, density_report, find_depth_r_minor,
-                              has_shallow_clique, verify_minor_model)
+                              verify_minor_model)
 
 K3 = complete_graph(3)
 
@@ -109,8 +109,9 @@ def test_caps():
 
 
 def test_has_shallow_clique():
-    assert has_shallow_clique(subdivide(complete_graph(4), 1), 1, 4)
-    assert not has_shallow_clique(path_graph(8), 1, 3)
+    k4 = complete_graph(4)
+    assert find_depth_r_minor(subdivide(k4, 1), k4, 1) is not None
+    assert find_depth_r_minor(path_graph(8), K3, 1) is None
 
 
 def test_density_report_is_deterministic_and_verified():
