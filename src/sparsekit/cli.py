@@ -59,9 +59,9 @@ def load_graph(src: str):
         g = generate(spec)
     else:
         try:
-            with open(src) as fh:
+            with open(src, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise GraphInputError(f"cannot read graph {src!r}: {e}")
         if any(line.split() and line.split()[0] == "p" for line in text.splitlines()):
             g = read_dimacs(text)
@@ -72,9 +72,9 @@ def load_graph(src: str):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise GraphInputError(f"cannot read {path!r}: {e}")
     except json.JSONDecodeError as e:
         raise GraphInputError(f"{path!r} is not valid JSON: {e}")

@@ -227,7 +227,19 @@ def apex_graph(g: Graph) -> Graph:
     return Graph(g.n + 1, edges, labels)
 
 
-_RANDOM_FAMILIES = {"random_tree", "gnd"}
+# Each family's builder and its parameters in call order.  "base" is a nested
+# spec, "d" a number, and every other parameter an integer.
+_FAMILIES = {
+    "path": (path_graph, ("n",)),
+    "cycle": (cycle_graph, ("n",)),
+    "grid": (grid_graph, ("rows", "cols")),
+    "complete": (complete_graph, ("n",)),
+    "star": (star_graph, ("n",)),
+    "random_tree": (random_tree, ("n", "seed")),
+    "gnd": (gnd_graph, ("n", "d", "seed")),
+    "subdivision": (subdivide, ("base", "r")),
+    "apex": (apex_graph, ("base",)),
+}
 
 
 def generate(spec: dict) -> Graph:
@@ -235,30 +247,25 @@ def generate(spec: dict) -> Graph:
     if not isinstance(spec, dict) or "family" not in spec:
         raise GraphInputError(f"generator spec needs a 'family' key: {spec!r}")
     family = spec["family"]
-    if family in _RANDOM_FAMILIES and "seed" not in spec:
+    if family in ("random_tree", "gnd") and "seed" not in spec:
         raise GraphInputError(f"family {family!r} requires an explicit seed")
-    try:
-        if family == "path":
-            return path_graph(spec["n"])
-        if family == "cycle":
-            return cycle_graph(spec["n"])
-        if family == "grid":
-            return grid_graph(spec["rows"], spec["cols"])
-        if family == "complete":
-            return complete_graph(spec["n"])
-        if family == "star":
-            return star_graph(spec["n"])
-        if family == "random_tree":
-            return random_tree(spec["n"], spec["seed"])
-        if family == "gnd":
-            return gnd_graph(spec["n"], spec["d"], spec["seed"])
-        if family == "subdivision":
-            return subdivide(generate(spec["base"]), spec["r"])
-        if family == "apex":
-            return apex_graph(generate(spec["base"]))
-    except KeyError as e:
-        raise GraphInputError(f"generator spec missing parameter {e} for {family!r}")
-    raise GraphInputError(f"unknown generator family {family!r}")
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise GraphInputError(f"unknown generator family {family!r}")
+    build, names = _FAMILIES[family]
+    args = []
+    for name in names:
+        if name not in spec:
+            raise GraphInputError(f"generator spec missing parameter {name!r} for {family!r}")
+        value = spec[name]
+        if name == "base":
+            value = generate(value)
+        else:
+            kinds, what = ((int, float), "a number") if name == "d" else (int, "an integer")
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise GraphInputError(f"generator parameter {name!r} for {family!r} "
+                                      f"must be {what}, got {value!r}")
+        args.append(value)
+    return build(*args)
 
 
 # ------------------------------------------------------------- serialization

@@ -19,6 +19,7 @@ cumulative radii stay within r of the free variable.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
@@ -633,11 +634,20 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
     balls = [mask_ball(adj, 1 << v, full, r)[0] for v in range(g.n)]
 
     def greedy():
+        # Each pick is the vertex of largest gain, ties by least id.  Lazy
+        # gains: a heap of (-gain, v) whose keys are upper bounds, since a
+        # vertex's gain only shrinks as `covered` grows, so a popped entry
+        # whose recomputed gain equals its key is that pick.
         covered, out = 0, []
+        heap = [(-balls[v].bit_count(), v) for v in range(g.n)]
+        heapq.heapify(heap)
         while covered != full:
-            v = max(range(g.n),
-                    key=lambda x: ((balls[x] & ~covered).bit_count(), -x))
-            if not (balls[v] & ~covered):
+            key, v = heapq.heappop(heap)
+            gain = (balls[v] & ~covered).bit_count()
+            if gain != -key:
+                heapq.heappush(heap, (-gain, v))
+                continue
+            if not gain:
                 raise AlgorithmStallError(
                     "uncoverable vertex", state={"r": r, "chosen": out})
             out.append(v)

@@ -8,6 +8,7 @@ the empty path, so wreach sets are never empty.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -159,17 +160,26 @@ class WReachTable:
 
 def degeneracy_order(g: Graph) -> VertexOrder:
     """Repeatedly remove a minimum-degree vertex (ties by id); the removal
-    sequence reversed is the order.  Its wcol_1 equals the coloring number."""
+    sequence reversed is the order.  Its wcol_1 equals the coloring number.
+
+    A heap of (degree, id) with lazy deletion: a lowered degree pushes a new
+    entry.  Degrees only fall, so a vertex's current entry pops before its
+    outdated ones, which are skipped once the vertex is removed."""
     deg = [g.degree(v) for v in range(g.n)]
-    alive = set(range(g.n))
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    alive = [True] * g.n
     removed = []
-    for _ in range(g.n):
-        v = min(alive, key=lambda x: (deg[x], x))
-        alive.discard(v)
+    while heap:
+        _, v = heapq.heappop(heap)
+        if not alive[v]:
+            continue
+        alive[v] = False
         removed.append(v)
         for w in g.adj[v]:
-            if w in alive:
+            if alive[w]:
                 deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
     return VertexOrder(reversed(removed))
 
 

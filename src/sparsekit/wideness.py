@@ -467,28 +467,39 @@ def validate_separator(g: Graph, cert: SeparatorCertificate) -> list:
 
 
 def validate_cover(g: Graph, cover: Cover) -> list:
+    """Definition-level check of a cover; sets cover.verified.
+
+    Each cluster gets one BFS from its named center, inside the cluster.
+    That BFS decides connectivity on its own, and the center's eccentricity
+    bounds the cluster's radius from above, so an eccentricity within
+    `radius_bound` passes the cluster with the verdict the exact radius
+    would give.  Only a larger one falls back to `set_radius`, which
+    measures the radius the violation reports.  A ball b around v fits in
+    a cluster only if v is a member, so each ball is tested against v's
+    own clusters alone."""
     out = foreign_vertices(g, set(cover.clusters).union(*cover.clusters.values()))
     if out:
         cover.verified = False
         return out
+    clusters_of = [[] for _ in range(g.n)]
     for u, vs in cover.clusters.items():
+        for v in vs:
+            clusters_of[v].append(vs)
         if u not in vs:
             out.append(f"center {u} outside its cluster")
             continue
-        rad = set_radius(g, vs)
-        if rad < 0:
+        dist = bfs_distances(g, (u,), None, vs)
+        if len(dist) != len(vs):
             out.append(f"cluster of {u} is disconnected")
-        elif rad > cover.radius_bound:
-            out.append(f"cluster of {u} has radius {rad} > {cover.radius_bound}")
+        elif max(dist.values()) > cover.radius_bound:
+            rad = set_radius(g, vs)
+            if rad > cover.radius_bound:
+                out.append(f"cluster of {u} has radius {rad} > {cover.radius_bound}")
     for v in range(g.n):
         b = ball(g, v, cover.r)
-        if not any(b <= vs for vs in cover.clusters.values()):
+        if not any(b <= vs for vs in clusters_of[v]):
             out.append(f"ball of {v} fits in no cluster")
-    degree = [0] * g.n
-    for vs in cover.clusters.values():
-        for v in vs:
-            degree[v] += 1
-    measured = max(degree) if degree else 0
+    measured = max(map(len, clusters_of)) if clusters_of else 0
     if measured != cover.max_degree:
         out.append(f"recorded degree {cover.max_degree}, measured {measured}")
     cover.verified = not out

@@ -400,3 +400,38 @@ def test_verify_rejects_non_object_certificate(tmp_path, text):
     doc.write_text(text)
     code, vdoc, _ = run_cli("verify", str(doc), "--graph", PATH5)
     assert code == 2 and vdoc["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("col", '{"family":"path","n":"5"}'),
+     "generator parameter 'n' for 'path' must be an integer, got '5'"),
+    (("cover", '{"family":"gnd","n":200,"d":3,"seed":"a"}', "--r", "1"),
+     "generator parameter 'seed' for 'gnd' must be an integer, got 'a'"),
+    (("col", '{"family":"grid","rows":2.5,"cols":2}'),
+     "generator parameter 'rows' for 'grid' must be an integer, got 2.5"),
+], ids=["path-n-string", "gnd-seed-string", "grid-rows-float"])
+def test_mistyped_spec_parameters_are_input_errors(argv, message):
+    code, doc, err = run_cli(*argv)
+    assert code == 2 and doc["error"]["code"] == "graph_input"
+    assert doc["error"]["message"] == message
+    assert "Traceback" not in err
+
+
+def test_non_utf8_graph_file_is_an_input_error(tmp_path):
+    path = tmp_path / "g.el"
+    path.write_bytes(b"\xff 1\n")
+    code, doc, err = run_cli("col", str(path))
+    assert code == 2 and doc["error"]["code"] == "graph_input"
+    assert doc["error"]["message"].startswith(f"cannot read graph {str(path)!r}: ")
+    assert "Traceback" not in err
+
+
+def test_non_utf8_certificate_is_an_input_error(tmp_path):
+    out = tmp_path / "col.json"
+    code, _, _ = run_cli("col", PATH5, "--out", str(out))
+    assert code == 0
+    out.write_bytes(out.read_bytes() + b"\xff")
+    code, doc, err = run_cli("verify", str(out), "--graph", PATH5)
+    assert code == 2 and doc["error"]["code"] == "graph_input"
+    assert doc["error"]["message"].startswith(f"cannot read {str(out)!r}: ")
+    assert "Traceback" not in err

@@ -93,6 +93,27 @@ def test_generate_specs():
         generate({"family": "path"})  # parameter missing
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "path", "n": "5"},
+    {"family": "path", "n": True},
+    {"family": "grid", "rows": 2.5, "cols": 2},
+    {"family": "gnd", "n": 20, "d": True, "seed": 1},
+    {"family": "gnd", "n": 20, "d": "3", "seed": 1},
+    {"family": "random_tree", "n": 5, "seed": None},
+    {"family": "subdivision", "base": {"family": "path", "n": 3}, "r": 1.0},
+    {"family": "apex", "base": {"family": "star", "n": [4]}},
+    {"family": ["path"], "n": 3},
+])
+def test_generate_rejects_mistyped_parameters(spec):
+    with pytest.raises(GraphInputError):
+        generate(spec)
+
+
+def test_generate_takes_an_int_density():
+    spec = {"family": "gnd", "n": 40, "d": 3, "seed": 2}
+    assert generate(spec) == generate(dict(spec, d=3.0)) == gnd_graph(40, 3.0, seed=2)
+
+
 def test_json_canonicalization():
     g = path_graph(3)
     doc = to_jsonable({"g": g, "s": frozenset({3, 1, 2}), "t": (1, 2)})

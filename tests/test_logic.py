@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -8,8 +9,9 @@ from sparsekit.errors import (CapabilityError, FormulaParseError,
                               FormulaScopeError, LocalityError,
                               PreconditionError)
 from sparsekit.graph import Graph
-from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
-                               path_graph, star_graph)
+from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
+                               grid_graph, path_graph, random_tree,
+                               star_graph)
 from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit,
                              Not, Or, Pred, Quant, distance_dominating_set,
                              distance_independent_set, eval_basic_local,
@@ -317,6 +319,26 @@ def test_distance_dominating_set_modes_and_caps():
     assert e.value.cap_name == "dominating_cap"
     # greedy has no cap
     assert len(distance_dominating_set(path_graph(40), 1, mode="greedy")) >= 14
+
+
+# sha256 of the comma-joined sorted greedy distance-r dominating set, as the
+# full max over all vertices per pick returned it.
+PINNED_GREEDY_DOMINATION = {
+    ("gnd300", 1): "aa057c630fae74c5fcee1860a9707b8f283fd7386b39a0f5d79ec1b4009013e1",
+    ("gnd300", 2): "b22af61504201c1819c2da5e258ff702dc2cf19683549e95efb54edc79363959",
+    ("tree300", 1): "911f378e4d27dc4f3a62707f553b10f44a1270500a400728636ef466920ef933",
+    ("tree300", 2): "ab920b7d05b1f101fc9ac60de1d97494272b53e5ec8268ae7dd238ac16dcf96d",
+    ("grid12", 1): "1752781627ec8320c840eabf1387de46ed1e50eef53f3e8e35cb5b3282775e46",
+    ("grid12", 2): "4b66d827be2e128943da820d051a5345ea716f58004d1c18c3487b8ddd6a86a2",
+}
+
+
+def test_greedy_domination_pinned():
+    graphs = {"gnd300": gnd_graph(300, 3.0, seed=1), "tree300": random_tree(300, seed=1),
+              "grid12": grid_graph(12, 12)}
+    for (name, r), want in PINNED_GREEDY_DOMINATION.items():
+        dom = sorted(distance_dominating_set(graphs[name], r, mode="greedy"))
+        assert hashlib.sha256(",".join(map(str, dom)).encode()).hexdigest() == want, (name, r)
 
 
 def test_greedy_dominating_quality():

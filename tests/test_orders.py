@@ -163,6 +163,23 @@ def test_greedy_orders_pinned():
         assert hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest() == want, (name, r)
 
 
+# sha256 of the comma-joined perm of degeneracy_order(g), as the min-over-a-set
+# removal loop returned it.
+PINNED_DEGENERACY_ORDERS = {
+    "gnd300": "8551ef43206168a4557ed0950b5db33d209871dde4fdcb342dcaa2234a13037e",
+    "tree300": "83eb52b84c2d24d537cdafc5491499b462b70a712c72ab9bd9c232dc22a92b18",
+    "grid12": "ae98039055cd36323ec4899de3c255fa01175852765ff8ecd2fb82b48101b47e",
+}
+
+
+def test_degeneracy_orders_pinned():
+    graphs = {"gnd300": gnd_graph(300, 3.0, seed=1), "tree300": random_tree(300, seed=1),
+              "grid12": grid_graph(12, 12)}
+    for name, want in PINNED_DEGENERACY_ORDERS.items():
+        perm = degeneracy_order(graphs[name]).perm
+        assert hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest() == want, name
+
+
 def test_wcol_heuristic_strategies():
     g = cycle_graph(12)
     assert build_order(g, "degeneracy", 2) == degeneracy_order(g)

@@ -305,6 +305,53 @@ def test_validate_cover_rejects():
     assert any("degree" in v for v in validate_cover(g2, wrong_deg))
 
 
+def test_validate_cover_messages_pinned():
+    g = path_graph(5)
+    strays = [f"ball of {v} fits in no cluster" for v in range(5)]
+    assert validate_cover(g, Cover(1, {0: frozenset({1, 2})}, 2, 1)) == \
+        ["center 0 outside its cluster"] + strays
+    assert validate_cover(g, Cover(1, {0: frozenset({0, 2})}, 2, 1)) == \
+        ["cluster of 0 is disconnected"] + strays
+    # the message carries the cluster's radius (3), not its center's
+    # eccentricity (6)
+    wide = Cover(1, {0: frozenset(range(7))}, 2, 1)
+    assert validate_cover(path_graph(7), wide) == ["cluster of 0 has radius 3 > 2"]
+    wide = Cover(1, {0: frozenset(range(5)), 4: frozenset({3, 4})}, 1, 2)
+    assert validate_cover(g, wide) == ["cluster of 0 has radius 2 > 1"]
+    ok = neighborhood_cover(g, 1, identity_order(5))
+    assert validate_cover(g, Cover(1, {0: ok.clusters[0]}, 2, 1)) == \
+        [f"ball of {v} fits in no cluster" for v in (2, 3, 4)]
+    assert validate_cover(g, Cover(1, dict(ok.clusters), 2, 4)) == \
+        ["recorded degree 4, measured 3"]
+
+
+def test_validate_cover_accepts_a_peripheral_center():
+    # center 0 has eccentricity 4 in P5, but the cluster's radius is 2
+    cover = Cover(1, {0: frozenset(range(5))}, 2, 1)
+    assert validate_cover(path_graph(5), cover) == []
+    assert cover.verified
+
+
+def test_validate_cover_bfs_count(monkeypatch):
+    # one BFS per cluster plus one ball per vertex, not one BFS per member
+    import sparsekit.graph as graph
+    import sparsekit.wideness as wideness
+    g = grid_graph(12, 12)
+    cover = neighborhood_cover(g, 2, degeneracy_order(g))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return graph_bfs(*args, **kwargs)
+
+    graph_bfs = graph.bfs_distances
+    monkeypatch.setattr(graph, "bfs_distances", counting)
+    monkeypatch.setattr(wideness, "bfs_distances", counting)
+    assert validate_cover(g, cover) == []
+    assert sum(map(len, cover.clusters.values())) > len(cover.clusters) + g.n
+    assert 0 < len(calls) <= len(cover.clusters) + g.n
+
+
 def test_construction_raises_on_a_forged_violation(monkeypatch):
     # the self-check is a raise, not an assert, so it survives python -O
     import sparsekit.wideness as wideness
