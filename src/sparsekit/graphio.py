@@ -14,9 +14,19 @@ from __future__ import annotations
 
 import json
 
-from .errors import EdgeListParseError, GraphInputError
+from .errors import CapabilityError, EdgeListParseError, GraphInputError
 from .graph import Graph
 from .rng import Rng
+
+# Largest graph any reader or generator builds, checked before any
+# per-vertex allocation.
+MAX_VERTICES = 1_000_000
+
+
+def _check_vertex_count(n: int) -> None:
+    if n > MAX_VERTICES:
+        raise CapabilityError(f"graphs are capped at {MAX_VERTICES} vertices, input has {n}",
+                              "max_vertices", MAX_VERTICES)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -46,7 +56,10 @@ def parse_edge_list(text: str) -> Graph:
     edges = []
     seen = set()
     for line_no, a, b in rows:
-        u, v = vid(a), vid(b)
+        try:
+            u, v = vid(a), vid(b)
+        except ValueError:  # int() refuses more than 4300 digits
+            raise EdgeListParseError("vertex id too long to read", line_no) from None
         if u == v:
             raise EdgeListParseError(f"self-loop at {a!r}", line_no)
         key = (min(u, v), max(u, v))
@@ -54,6 +67,7 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"duplicate edge {a!r} {b!r}", line_no)
         seen.add(key)
         edges.append(key)
+    _check_vertex_count(top + 1 if numeric else len(ids))
     if numeric:
         return Graph(top + 1, edges)
     labels = [None] * len(ids)
@@ -81,6 +95,7 @@ def read_dimacs(text: str) -> Graph:
                 n, declared_m = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise EdgeListParseError(f"non-integer field in {line!r}", line_no) from None
+            _check_vertex_count(n)
         elif tokens[0] == "e":
             if n is None:
                 raise EdgeListParseError("edge before 'p' header", line_no)
@@ -227,18 +242,19 @@ def apex_graph(g: Graph) -> Graph:
     return Graph(g.n + 1, edges, labels)
 
 
-# Each family's builder and its parameters in call order.  "base" is a nested
-# spec, "d" a number, and every other parameter an integer.
+# Each family's builder, its parameters in call order, and the vertex count
+# of the graph it builds from them.  "base" is a nested spec, "d" a number,
+# and every other parameter an integer.
 _FAMILIES = {
-    "path": (path_graph, ("n",)),
-    "cycle": (cycle_graph, ("n",)),
-    "grid": (grid_graph, ("rows", "cols")),
-    "complete": (complete_graph, ("n",)),
-    "star": (star_graph, ("n",)),
-    "random_tree": (random_tree, ("n", "seed")),
-    "gnd": (gnd_graph, ("n", "d", "seed")),
-    "subdivision": (subdivide, ("base", "r")),
-    "apex": (apex_graph, ("base",)),
+    "path": (path_graph, ("n",), None),
+    "cycle": (cycle_graph, ("n",), None),
+    "grid": (grid_graph, ("rows", "cols"), lambda a, b: max(a, 0) * max(b, 0)),
+    "complete": (complete_graph, ("n",), None),
+    "star": (star_graph, ("n",), None),
+    "random_tree": (random_tree, ("n", "seed"), None),
+    "gnd": (gnd_graph, ("n", "d", "seed"), None),
+    "subdivision": (subdivide, ("base", "r"), lambda base, r: base.n + r * base.m),
+    "apex": (apex_graph, ("base",), lambda base: base.n + 1),
 }
 
 
@@ -251,7 +267,7 @@ def generate(spec: dict) -> Graph:
         raise GraphInputError(f"family {family!r} requires an explicit seed")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise GraphInputError(f"unknown generator family {family!r}")
-    build, names = _FAMILIES[family]
+    build, names, size = _FAMILIES[family]
     args = []
     for name in names:
         if name not in spec:
@@ -265,6 +281,7 @@ def generate(spec: dict) -> Graph:
                 raise GraphInputError(f"generator parameter {name!r} for {family!r} "
                                       f"must be {what}, got {value!r}")
         args.append(value)
+    _check_vertex_count(size(*args) if size else args[0])
     return build(*args)
 
 

@@ -219,44 +219,62 @@ class DensityReport:
         }
 
 
-def _voronoi_quotient(g: Graph, centers: list, r: int):
+def _claim(g: Graph, centers: list, r: int):
     """Claim each vertex for its nearest center within distance r (ties to
-    the earliest center); BFS-tree paths stay inside a cell, so every cell
-    has radius <= r around its center."""
-    from collections import deque
-
-    owner = {}
-    dist = {}
-    q = deque()
+    the earliest center), level by level.  Returns each vertex's cell index
+    (-1 when unclaimed) and the claimed vertices in claim order."""
+    owner = [-1] * g.n
     for i, c in enumerate(centers):
-        if c not in owner:
-            owner[c] = i
-            dist[c] = 0
-            q.append(c)
-    while q:
-        u = q.popleft()
-        if dist[u] == r:
-            continue
-        for w in g.adj[u]:
-            if w not in owner:
-                owner[w] = owner[u]
-                dist[w] = dist[u] + 1
-                q.append(w)
+        owner[c] = i
+    claimed, frontier = list(centers), centers
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            i = owner[u]
+            for w in g.adj[u]:
+                if owner[w] < 0:
+                    owner[w] = i
+                    nxt.append(w)
+        if not nxt:
+            break
+        claimed += nxt
+        frontier = nxt
+    return owner, claimed
+
+
+def _voronoi_quotient(g: Graph, centers: list, r: int):
+    """The cells of `_claim` and one witness edge per pair of adjacent cells;
+    BFS-tree paths stay inside a cell, so every cell has radius <= r around
+    its center."""
+    owner, claimed = _claim(g, centers, r)
     cells = {}
-    for v, i in owner.items():
-        cells.setdefault(i, set()).add(v)
+    for v in claimed:
+        cells.setdefault(owner[v], set()).add(v)
     quotient_edges = {}
     for u, v in g.edges():
-        if u in owner and v in owner and owner[u] != owner[v]:
-            key = (min(owner[u], owner[v]), max(owner[u], owner[v]))
-            quotient_edges.setdefault(key, (u, v) if owner[u] < owner[v] else (v, u))
+        ou, ov = owner[u], owner[v]
+        if ou >= 0 and ov >= 0 and ou != ov:
+            quotient_edges.setdefault((min(ou, ov), max(ou, ov)), (u, v) if ou < ov else (v, u))
     return cells, quotient_edges
+
+
+def _quotient_edge_count(g: Graph, centers: list, r: int) -> int:
+    """The number of quotient edges `_voronoi_quotient` finds, without
+    building its cells or witnesses: each pair of adjacent cells i < j is
+    counted once, as the int i*k + j."""
+    owner, claimed = _claim(g, centers, r)
+    k, adj = len(centers), g.adj
+    return len({owner[u] * k + owner[w]
+                for u in claimed for w in adj[u] if owner[w] > owner[u]})
 
 
 def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> DensityReport:
     """Randomized greedy search over center sets: contract the radius-r
     Voronoi cells of a candidate center set and keep whatever maximizes edge
-    density.  Deterministic for a fixed seed."""
+    density.  Deterministic for a fixed seed.
+
+    Each candidate is scored by counting its quotient edges; only the
+    winner's cells and witnesses are built, once, at the end."""
     if g.n == 0:
         raise GraphInputError("density undefined for the empty graph")
     if r < 0:
@@ -264,7 +282,7 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
     rng = Rng(seed)
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     attempts = 0
-    best = None  # (density, cells, edges, centers)
+    best = None  # (density, centers)
 
     def consider(centers: list):
         nonlocal best, attempts
@@ -272,10 +290,9 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
         if not centers:
             return
         attempts += 1
-        cells, qedges = _voronoi_quotient(g, centers, r)
-        dens = len(qedges) / len(cells)
+        dens = _quotient_edge_count(g, centers, r) / len(centers)
         if best is None or dens > best[0]:
-            best = (dens, cells, qedges, centers)
+            best = (dens, centers)
 
     consider(list(range(g.n)))
     for k in range(1, g.n + 1):
@@ -285,12 +302,18 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
         pool = list(range(g.n))
         rng.shuffle(pool)
         consider(pool[:k])
-        if best is not None and len(best[3]) > 1:
+        if best is not None and len(best[1]) > 1:
             # local move: drop one random center from the incumbent
-            drop = rng.choice(best[3])
-            consider([c for c in best[3] if c != drop])
+            drop = rng.choice(best[1])
+            consider([c for c in best[1] if c != drop])
 
-    dens, cells, qedges, _ = best
+    dens, centers = best
+    cells, qedges = _voronoi_quotient(g, centers, r)
+    if len(qedges) / len(cells) != dens:
+        raise AlgorithmStallError(
+            f"quotient density {len(qedges)}/{len(cells)} disagrees with its score {dens}",
+            state={"centers": centers, "scored": dens,
+                   "cells": len(cells), "edges": len(qedges)})
     idx = {cell_id: i for i, cell_id in enumerate(sorted(cells))}
     branch = {idx[cid]: frozenset(vs) for cid, vs in cells.items()}
     witness = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError)
-from .graph import Graph, foreign_vertices, iter_bits, mask_ball
+from .graph import Graph, bfs_distances, foreign_vertices, iter_bits, mask_ball
 
 
 class VertexOrder:
@@ -196,25 +196,54 @@ def greedy_wreach_order(g: Graph, r: int) -> VertexOrder:
     weakly reached through suffix vertices, so the partial maximum is exact.
     Placed vertices have rank 1 and the others rank 0, so the backward search
     from an unplaced x moves only through the suffix.
+
+    The score of an unplaced y, the largest count its search reaches plus
+    one, is kept instead of rescanned.  Scores and the running maximum only
+    grow, so the least (max(running maximum, score), id) is read off two lazy
+    heaps: (score, id) for the scores above the maximum, and the ids whose
+    score is at most the maximum.  Placing x changes only the searches that
+    meet x's search R: a path from an unplaced y into R runs through placed
+    vertices, so y is an unplaced neighbour of a placed vertex within r-1 of
+    R.  Only those are searched again.
     """
     rank = [0] * g.n
     counts = [0] * g.n
+    reach = [{y} for y in range(g.n)]  # nothing placed: each search finds itself
+    score = [1] * g.n
+    above = [(1, y) for y in range(g.n)]  # (score, id), scores above cur_max
+    within = []  # ids whose score was at most cur_max when pushed
+    placed = set()
     suffix = []  # placement sequence, last position first
     cur_max = 0
-    remaining = set(range(g.n))
-    while remaining:
-        best = None
-        for x in sorted(remaining):
-            reached = _reach_above(g, rank, x, r)  # x itself, at count 0
-            new_max = max(cur_max, max(counts[w] for w in reached) + 1)
-            if best is None or new_max < best[0]:
-                best = (new_max, x, reached)
-        cur_max, x, reached = best
+    while len(suffix) < g.n:
+        while above and above[0][0] <= cur_max:
+            s, y = heapq.heappop(above)
+            if s == score[y] and not rank[y]:
+                heapq.heappush(within, y)
+        while within and (rank[within[0]] or score[within[0]] > cur_max):
+            heapq.heappop(within)
+        if within:
+            x = heapq.heappop(within)
+        else:
+            s, x = heapq.heappop(above)
+            while s != score[x] or rank[x]:
+                s, x = heapq.heappop(above)
+            cur_max = s
+        reached = reach[x]
         for w in reached:
             counts[w] += 1
         rank[x] = 1
-        remaining.discard(x)
+        placed.add(x)
         suffix.append(x)
+        if r < 1:
+            continue
+        near = bfs_distances(g, reached, r - 1, placed)
+        for y in {y for z in near for y in g.adj[z] if not rank[y]}:
+            reach[y] = _reach_above(g, rank, y, r)
+            s = max(counts[w] for w in reach[y]) + 1
+            if s != score[y]:
+                score[y] = s
+                heapq.heappush(above, (s, y))
     return VertexOrder(reversed(suffix))
 
 

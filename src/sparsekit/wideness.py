@@ -304,7 +304,12 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     Every extraction runs on G at radius 4r, so the weak-reach table of G at
     that radius is built once: its largest set is c, and each extraction
     deletes from its own copy (see `uqw_extract` for why a deletion only
-    re-runs the searches from the sources in WReach_4r[u])."""
+    re-runs the searches from the sources in WReach_4r[u]).
+
+    The invariant is checked on every step, but a vertex's ball count is
+    kept across steps: the r-ball of v in G-X can change only when a vertex
+    that entered or left X lies within distance r of v, so only those
+    counts are taken again."""
     A = frozenset(A)
     if not A:
         raise PreconditionError("A must be nonempty")
@@ -321,11 +326,17 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
 
     X = frozenset(range(g.n))
     iterations = 0
+    hits = {}  # v -> members of A in v's r-ball in G-X, for v outside X
+    changed = ()  # the vertices that entered or left X in the last step
     while True:
         outside = frozenset(range(g.n)) - X
+        # a ball changes only if a changed vertex lies within distance r
+        for v in bfs_distances(g, changed, r):
+            if v in outside:
+                hits[v] = sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
         worst = 0
         for v in outside:
-            hit = sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
+            hit = hits[v]
             if hit > budget:
                 raise AlgorithmStallError(
                     f"exchange loop broke its invariant at vertex {v}",
@@ -350,6 +361,7 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
                            "n_theory": n_theory, "iterations": iterations})
             break
         X = (X - X2) | Y
+        changed = X2 | Y
         iterations += 1
 
     cert = SeparatorCertificate(r, eps, A, X, worst, iterations)
@@ -507,18 +519,30 @@ def validate_cover(g: Graph, cover: Cover) -> list:
 
 
 def validate_partition(g: Graph, pc: PartitionCover) -> list:
+    """Definition-level check of a partition cover; sets pc.verified.
+
+    A component passes as soon as one member reaches every other member
+    within 2r inside it, by a BFS capped at 2r; only when no member does is
+    the component's exact radius measured, for the violation.  A ball
+    around v fits in a part only if v is a member, so each ball is tested
+    against v's own parts alone."""
     out = foreign_vertices(g, frozenset().union(*pc.parts))
     if out:
         pc.verified = False
         return out
+    parts_of = [[] for _ in range(g.n)]
+    for p in pc.parts:
+        for v in p:
+            parts_of[v].append(p)
     for v in range(g.n):
         b = ball(g, v, pc.r)
-        if not any(b <= p for p in pc.parts):
+        if not any(b <= p for p in parts_of[v]):
             out.append(f"ball of {v} fits in no part")
+    bound = 2 * pc.r
     for i, p in enumerate(pc.parts):
         for comp in components(g, p):
-            rad = set_radius(g, comp)
-            if rad > 2 * pc.r:
-                out.append(f"part {i} has a component of radius {rad} > {2 * pc.r}")
+            if not any(len(bfs_distances(g, (c,), bound, comp)) == len(comp) for c in comp):
+                rad = set_radius(g, comp)
+                out.append(f"part {i} has a component of radius {rad} > {bound}")
     pc.verified = not out
     return out

@@ -11,6 +11,7 @@ from functools import lru_cache
 from sparsekit.errors import PreconditionError
 from sparsekit.graph import Graph, bfs_distances
 from sparsekit.logic import DistLe, Edge, Eq, Or, Quant
+from sparsekit.orders import VertexOrder
 
 
 def naive_wreach(g: Graph, order, r: int, v: int) -> frozenset:
@@ -28,6 +29,32 @@ def naive_wreach(g: Graph, order, r: int, v: int) -> frozenset:
         if rank[u] <= rank[v] and all(rank[x] > rank[u] for x in path[1:-1]):
             out.add(u)
     return frozenset(out)
+
+
+def greedy_wreach_order(g: Graph, r: int) -> VertexOrder:
+    """The greedy order by full rescans: fill positions right to left, and
+    at every step score every unplaced vertex x afresh, by the largest
+    count among the vertices its search through the placed suffix reaches,
+    plus one; place the least (max(running maximum, score), id)."""
+    counts = [0] * g.n
+    placed = set()
+    suffix = []
+    cur_max = 0
+    while len(suffix) < g.n:
+        best = None
+        for x in range(g.n):
+            if x in placed:
+                continue
+            reached = bfs_distances(g, (x,), r, placed | {x})
+            new_max = max(cur_max, max(counts[w] for w in reached) + 1)
+            if best is None or new_max < best[0]:
+                best = (new_max, x, reached)
+        cur_max, x, reached = best
+        for w in reached:
+            counts[w] += 1
+        placed.add(x)
+        suffix.append(x)
+    return VertexOrder(reversed(suffix))
 
 
 def check_separation(g: Graph, order, r: int, u: int, v: int) -> bool:

@@ -202,6 +202,18 @@ def test_cap_exit_3():
     assert doc["result"] is None
 
 
+def test_vertex_cap_exit_3(tmp_path):
+    # an id of 10^11 once allocated one adjacency set per id: a MemoryError
+    # traceback and exit 1
+    path = tmp_path / "huge.el"
+    path.write_text("0 99999999999\n")
+    for source in (str(path), '{"family":"path","n":1000000000000}'):
+        code, doc, err = run_cli("col", source)
+        assert code == 3 and doc["error"]["code"] == "capability", source
+        assert doc["result"] is None and "1000000 vertices" in doc["error"]["message"]
+        assert "Traceback" not in err
+
+
 def test_stall_exit_4(monkeypatch, capsys):
     def boom(*a, **k):
         raise AlgorithmStallError("exchange step failed to shrink X",

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from sparsekit.errors import EdgeListParseError, GraphInputError
-from sparsekit.graphio import (apex_graph, complete_graph, cycle_graph,
-                               emit_json, generate, gnd_graph, graph_from_json,
-                               grid_graph, parse_edge_list, path_graph,
-                               random_tree, read_dimacs, star_graph, subdivide,
-                               to_jsonable, write_edge_list)
+from sparsekit.errors import CapabilityError, EdgeListParseError, GraphInputError
+from sparsekit.graphio import (MAX_VERTICES, apex_graph, complete_graph,
+                               cycle_graph, emit_json, generate, gnd_graph,
+                               graph_from_json, grid_graph, parse_edge_list,
+                               path_graph, random_tree, read_dimacs,
+                               star_graph, subdivide, to_jsonable,
+                               write_edge_list)
 
 
 def test_numeric_edge_list_keeps_ids():
@@ -125,3 +126,30 @@ def test_json_canonicalization():
     assert back.n == 3 and sorted(back.edges()) == [(0, 1), (1, 2)]
     with pytest.raises(TypeError):
         to_jsonable(object())
+
+
+def test_vertex_count_cap():
+    # checked before any per-vertex allocation, so none of these allocates
+    assert MAX_VERTICES == 1_000_000
+    too_many = [
+        lambda: parse_edge_list(f"0 {MAX_VERTICES}\n"),
+        lambda: parse_edge_list("0 99999999999\n"),
+        lambda: read_dimacs(f"p edge {MAX_VERTICES + 1} 0\n"),
+        lambda: generate({"family": "path", "n": 10 ** 12}),
+        lambda: generate({"family": "grid", "rows": 1001, "cols": 1000}),
+        lambda: generate({"family": "subdivision", "r": 1000,
+                          "base": {"family": "star", "n": 1001}}),
+    ]
+    for build in too_many:
+        with pytest.raises(CapabilityError) as e:
+            build()
+        assert e.value.cap_name == "max_vertices" and e.value.cap_value == MAX_VERTICES
+    # two negative sides multiply to a large count, but stay an input error
+    with pytest.raises(GraphInputError, match="grid needs rows, cols >= 1"):
+        generate({"family": "grid", "rows": -2000, "cols": -1000})
+
+
+def test_overlong_vertex_id_is_a_parse_error():
+    # int() refuses more than 4300 digits; that was a ValueError traceback
+    with pytest.raises(EdgeListParseError, match="line 2: vertex id too long"):
+        parse_edge_list("0 1\n0 " + "9" * 5000 + "\n")

@@ -1,10 +1,13 @@
+import hashlib
+
 import pytest
 
 from oracles import naive_has_minor
-from sparsekit.errors import CapabilityError
+from sparsekit.errors import AlgorithmStallError, CapabilityError
 from sparsekit.graph import Graph
-from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
-                               path_graph, star_graph, subdivide)
+from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
+                               gnd_graph, grid_graph, path_graph, random_tree,
+                               star_graph, subdivide)
 from sparsekit.minors import (MinorModel, density_report, find_depth_r_minor,
                               verify_minor_model)
 
@@ -130,3 +133,57 @@ def test_density_lower_bound_model():
         rep = density_report(subdivide(complete_graph(n), 1), 1, seed=0)
         assert rep.density == want
         assert rep.lower_bound
+
+
+# sha256 of emit_json(density_report(g, r, budget=20, seed=seed).to_json()),
+# as the search that built every candidate's quotient returned it.
+PINNED_DENSITY_REPORTS = {
+    ("gnd500", 1, 0): "32ffc38a1bcc0767532974182cdf15fb07d97632186f64f35b5c3501c21fcb3d",
+    ("gnd500", 1, 7): "e780544b338043eb67557d178a7b06d5fb360f3fece294a93f379c69e85074da",
+    ("gnd500", 2, 0): "1932710f5d871298fc344051dd336343e8eb31da926256d0ef03c49ad9e8d43c",
+    ("gnd500", 2, 7): "f531a2b3b08ff035d38e53e3553e2489206a9cc3118be9058831a499161a898a",
+    ("grid12", 1, 0): "0c23a3ec477a65fb4454cd5d9996d9cc59e8ec952a90403078cede297ee72f85",
+    ("grid12", 1, 7): "9a3192971d10fbf49e6cab61bcaba60cb477585bcf705ce24d2ae116f0960379",
+    ("grid12", 2, 0): "e9f761ce1f8e0c84ac0982a4327af511d72729651ae7d0a0682741fb35ca5e26",
+    ("grid12", 2, 7): "158a65db54a9e3d24c42a9d0f85f6016d12220355b2dd5bb091a38e3ccf71dcc",
+    ("tree300", 1, 0): "35121da039b64a97da2b6aae750088ae4c195b185d7b39183cc1a376f0b978e3",
+    ("tree300", 1, 7): "35121da039b64a97da2b6aae750088ae4c195b185d7b39183cc1a376f0b978e3",
+    ("tree300", 2, 0): "fe06f65c5c77eec20721cda92c23a13f5b77b303525b47d22f55708e86b4f688",
+    ("tree300", 2, 7): "fe06f65c5c77eec20721cda92c23a13f5b77b303525b47d22f55708e86b4f688",
+}
+
+
+def test_density_reports_pinned():
+    graphs = {"gnd500": gnd_graph(500, 3.0, seed=1), "grid12": grid_graph(12, 12),
+              "tree300": random_tree(300, seed=1)}
+    for (name, r, seed), want in PINNED_DENSITY_REPORTS.items():
+        rep = density_report(graphs[name], r, budget=20, seed=seed)
+        got = hashlib.sha256(emit_json(rep.to_json()).encode()).hexdigest()
+        assert got == want, (name, r, seed)
+
+
+def test_density_report_builds_one_quotient(monkeypatch):
+    # candidates are scored without building their quotients; only the
+    # winner's cells and witnesses are materialized
+    import sparsekit.minors as minors
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return quotient(*args)
+
+    quotient = minors._voronoi_quotient
+    monkeypatch.setattr(minors, "_voronoi_quotient", counting)
+    rep = density_report(grid_graph(6, 6), 1, budget=10, seed=1)
+    assert rep.attempts > 1 and len(calls) == 1
+
+
+def test_density_report_rechecks_the_winning_score(monkeypatch):
+    # the built quotient must have the density its candidate was scored at;
+    # a mismatch is a raise, not an assert, so it survives python -O
+    import sparsekit.minors as minors
+    count = minors._quotient_edge_count
+    monkeypatch.setattr(minors, "_quotient_edge_count", lambda *a: count(*a) + 1)
+    with pytest.raises(AlgorithmStallError) as e:
+        density_report(grid_graph(4, 4), 1, budget=2, seed=0)
+    assert e.value.state["scored"] == (e.value.state["edges"] + 1) / e.value.state["cells"]

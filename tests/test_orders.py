@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import (brute_treedepth, brute_wcol, check_separation,
                      dfs_preorder, naive_wreach)
 from sparsekit.errors import CapabilityError, GraphInputError, PreconditionError
@@ -152,15 +153,46 @@ PINNED_GREEDY_ORDERS = {
     ("gnd150", 1): "63c885bb9930527e711229678094cf059018f85dbea7be2f7eaa0f3f75657319",
     ("gnd150", 2): "d5047e9359cf6447e0e3d2245c51219b81b5c53e752feaf7b10c398a2f9f985e",
     ("gnd150", 3): "3d2be4b3810ac42352b4788efdd5cda87e1e6260f5009acb40d5c3a11c661625",
+    ("gnd500", 2): "0dd4fc4041b8dd65a718fc73e6d5240f2cc57db9896aa48610198479b0dd1b36",
 }
 
 
 def test_greedy_orders_pinned():
     graphs = {"grid8": grid_graph(8, 8), "tree100": random_tree(100, seed=1),
-              "gnd150": gnd_graph(150, 3.0, seed=1)}
+              "gnd150": gnd_graph(150, 3.0, seed=1), "gnd500": gnd_graph(500, 3.0, seed=1)}
     for (name, r), want in PINNED_GREEDY_ORDERS.items():
         perm = greedy_wreach_order(graphs[name], r).perm
         assert hashlib.sha256(",".join(map(str, perm)).encode()).hexdigest() == want, (name, r)
+
+
+def test_greedy_order_matches_the_full_rescan():
+    graphs = [gnd_graph(n, 3.0, seed=n) for n in range(10, 70, 5)]
+    graphs += [random_tree(n, seed=n) for n in range(8, 80, 6)]
+    graphs += [grid_graph(a, b) for a, b in ((2, 9), (3, 3), (4, 6), (5, 5), (6, 7))]
+    graphs += [cycle_graph(n) for n in (3, 4, 9, 16, 31)]
+    graphs += [gnd_graph(60, 6.0, seed=s) for s in range(4)]
+    graphs += [Graph(0, []), Graph(3, []), star_graph(12)]
+    assert len(graphs) >= 40
+    for g in graphs:
+        for r in (0, 1, 2, 3):
+            assert greedy_wreach_order(g, r) == oracles.greedy_wreach_order(g, r), (g, r)
+
+
+def test_greedy_order_search_count(monkeypatch):
+    # placing a vertex re-scores only the unplaced vertices near it, not all
+    # of them: n(n+1)/2 = 125,250 searches would be a full rescan per step
+    import sparsekit.orders as orders
+    g = gnd_graph(500, 3.0, seed=1)
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return reach_above(*args)
+
+    reach_above = orders._reach_above
+    monkeypatch.setattr(orders, "_reach_above", counting)
+    greedy_wreach_order(g, 2)
+    assert 0 < len(calls) < 20_000
 
 
 # sha256 of the comma-joined perm of degeneracy_order(g), as the min-over-a-set

@@ -188,6 +188,8 @@ PIN_GRAPHS = {
     "grid12": lambda: grid_graph(12, 12),
     "tree300": lambda: random_tree(300, seed=1),
     "gnd300": lambda: gnd_graph(300, 3.0, seed=1),
+    "tree2000": lambda: random_tree(2000, seed=1),
+    "grid30": lambda: grid_graph(30, 30),
 }
 
 # sha256 of emit_json(cert.to_json()), degeneracy order, A = all vertices.
@@ -219,6 +221,12 @@ PINNED_CERTIFICATES = {
     ("gnd300", "separator", 1, 0.2): "39fe8f769e3c119418e93a778c3518dd44a73f71af0e1ed9eb96b562e5b3960c",
     ("gnd300", "separator", 2, 0.1): "abaa3c46d47bdc9e8d17d63730075ca957a9e8fa42d422aa6311a5698eb76ab8",
     ("gnd300", "separator", 2, 0.2): "fc2ffe980e595bba140838e91e8ca245a79566b2a97d289634e0f65592e24006",
+    ("tree2000", "separator", 1, 0.1): "ea90a93b1032ffe9d54312c5103f3ccbd0e731399671ad0cb2babd0aa9eee042",
+    ("tree2000", "separator", 1, 0.2): "5c1e2cff2ebcef54c87231c333d50eae29ceb485ed746d7ff66ffbb9391e07f2",
+    ("tree2000", "separator", 2, 0.1): "26ed9d648728da353aff9b7d355096076f4d717a3cdd686b3c0fddabe7c3a467",
+    ("grid30", "separator", 1, 0.1): "4702905958b6f8015d483b771a3ccfb2165952ea6dbecf950704255b59b1284f",
+    ("grid30", "separator", 1, 0.2): "45cfd72b370a4d6efaf93e533d8e8038f20057936da8051414032273211bfa97",
+    ("grid30", "separator", 2, 0.1): "a60f20eb26f2147518dc935ccb04f1e4fcc45176727be09647b5808d715f6f71",
 }
 
 
@@ -245,6 +253,18 @@ def test_separator_on_the_40_grid_pinned():
     g = grid_graph(40, 40)
     cert = balanced_separator(g, range(g.n), 1, 0.1, degeneracy_order(g))
     assert _digest(cert) == "adc11303479470ef580f931ffff7540a533d860ddccb75e139594847e8bec72b"
+
+
+def test_separator_recounts_balls_near_vertices_entering_x():
+    # the deletion set Y holds vertices outside X here; a ball count kept
+    # from before Y entered X reads high, and the recorded worst with it
+    g = random_tree(59, seed=713)
+    A = [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 17, 18, 22, 24, 25, 28, 29, 30,
+         31, 33, 34, 36, 37, 38, 39, 40, 42, 43, 44, 45, 47, 48, 49, 50, 51, 52, 55, 56, 57]
+    cert = balanced_separator(g, A, 1, 0.3, identity_order(g.n))
+    assert sorted(cert.S) == [0, 1, 3, 8, 11, 12, 16, 20, 22, 26, 27, 28, 30, 31, 32, 34,
+                              36, 39, 48, 57, 58]
+    assert (cert.worst_ball_count, cert.iterations, cert.verified) == (2, 4, True)
 
 
 # ------------------------------------------------------------------- covers
@@ -405,6 +425,42 @@ def test_validate_partition_rejects():
     fat = PartitionCover(1, [frozenset(range(7))])
     assert any("radius" in v for v in validate_partition(g, fat))
     assert fat.verified is False
+
+
+def test_validate_partition_messages_pinned():
+    P = PartitionCover
+    assert validate_partition(path_graph(7), P(1, [frozenset({0, 1})])) == \
+        [f"ball of {v} fits in no part" for v in range(1, 7)]
+    # the message carries the component's radius (3), not the eccentricity
+    # of its first member (6)
+    assert validate_partition(path_graph(7), P(1, [frozenset(range(7))])) == \
+        ["part 0 has a component of radius 3 > 2"]
+    halves = P(1, [frozenset(range(5)), frozenset(range(5, 9))])
+    assert validate_partition(path_graph(9), halves) == \
+        ["ball of 4 fits in no part", "ball of 5 fits in no part"]
+    two = P(1, [frozenset(range(9)), frozenset({0, 1, 2, 6, 7, 8})])
+    assert validate_partition(path_graph(9), two) == ["part 0 has a component of radius 4 > 2"]
+    gap = P(1, [frozenset(set(range(11)) - {5}), frozenset({4, 5, 6})])
+    assert validate_partition(path_graph(11), gap) == \
+        ["ball of 4 fits in no part", "ball of 6 fits in no part"]
+    # two components of one part, both too wide, in component order
+    split = P(1, [frozenset(set(range(15)) - {6}), frozenset({5, 6, 7})])
+    assert validate_partition(path_graph(15), split) == \
+        ["ball of 5 fits in no part", "ball of 7 fits in no part",
+         "part 0 has a component of radius 3 > 2", "part 0 has a component of radius 4 > 2"]
+    assert validate_partition(grid_graph(4, 4), P(1, [frozenset(range(16))])) == \
+        ["part 0 has a component of radius 4 > 2"]
+    assert validate_partition(grid_graph(4, 4), P(2, [frozenset(range(16))])) == []
+    ring = P(1, [frozenset(range(12)), frozenset(range(0, 12, 2))])
+    assert validate_partition(cycle_graph(12), ring) == ["part 0 has a component of radius 6 > 2"]
+    # a peripheral member (eccentricity 4) does not fail a radius-2 component
+    assert validate_partition(path_graph(5), P(1, [frozenset(range(5))])) == []
+    assert validate_partition(path_graph(5), P(1, [frozenset({0, 9}), frozenset({-1})])) == \
+        ["vertex -1 not in the graph", "vertex 9 not in the graph"]
+    assert validate_partition(path_graph(5), P(1, [])) == \
+        [f"ball of {v} fits in no part" for v in range(5)]
+    star = P(1, [frozenset({1, 2, 3}), frozenset(range(6))])
+    assert validate_partition(star_graph(6), star) == []
 
 
 def test_partition_json_round_trip():
