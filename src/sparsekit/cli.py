@@ -3,8 +3,8 @@ per invocation on standard output, certificates re-checkable with `verify`.
 
 Exit codes: 0 success; 1 a "no/absent" answer where --expect demanded
 presence (or a failed verification); 2 usage or input error; 3 an exact
-computation exceeded its cap; 4 an algorithmic contract was violated at
-runtime (stalled exchange loop, buggy strategy).
+computation exceeded its cap; 4 a runtime failure: a broken algorithmic
+contract (stalled exchange loop, buggy strategy) or any other exception.
 
 The graph argument is a file path (edge list, or DIMACS when the file has a
 `p` line) or an inline JSON generator spec such as '{"family":"path","n":5}'.
@@ -16,8 +16,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import operator
 import sys
 import time
+from contextlib import contextmanager
 
 from . import __version__
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
@@ -32,7 +34,7 @@ from .graphio import (emit_json, generate, graph_from_json, parse_edge_list,
                       read_dimacs, to_jsonable, write_edge_list)
 from .logic import (BasicLocalSentence, distance_dominating_set,
                     distance_independent_set, eval_basic_local, eval_naive,
-                    parse_formula, satisfying_set)
+                    free_vars, parse_formula)
 from .minors import MinorModel, density_report, find_depth_r_minor, verify_minor_model
 from .orders import (ORDER_NAMES, EliminationForest, VertexOrder, build_order,
                      coloring_number, treedepth_exact,
@@ -44,19 +46,24 @@ from .wideness import (Cover, PartitionCover, SeparatorCertificate,
 
 # ----------------------------------------------------------------- loading
 
-def _graph_digest(g: Graph) -> str:
-    canon = write_edge_list(g).encode()
-    return "sha256:" + hashlib.sha256(canon).hexdigest()
+def _input_meta(src: str, g: Graph) -> dict:
+    digest = "sha256:" + hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+    return {"source": src, "digest": digest, "n": g.n, "m": g.m}
+
+
+def _spec_graph(text: str) -> Graph:
+    """Inline JSON generator spec -> graph."""
+    try:
+        spec = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise GraphInputError(f"bad generator spec: {e}")
+    return generate(spec)
 
 
 def load_graph(src: str):
     """Path or inline generator spec -> (graph, input metadata)."""
     if src.lstrip().startswith("{"):
-        try:
-            spec = json.loads(src)
-        except json.JSONDecodeError as e:
-            raise GraphInputError(f"bad generator spec: {e}")
-        g = generate(spec)
+        g = _spec_graph(src)
     else:
         try:
             with open(src, encoding="utf-8") as fh:
@@ -67,7 +74,7 @@ def load_graph(src: str):
             g = read_dimacs(text)
         else:
             g = parse_edge_list(text)
-    return g, {"source": src, "digest": _graph_digest(g), "n": g.n, "m": g.m}
+    return g, _input_meta(src, g)
 
 
 def _load_json(path: str) -> dict:
@@ -78,6 +85,17 @@ def _load_json(path: str) -> dict:
         raise GraphInputError(f"cannot read {path!r}: {e}")
     except json.JSONDecodeError as e:
         raise GraphInputError(f"{path!r} is not valid JSON: {e}")
+
+
+@contextmanager
+def _malformed(what: str):
+    """A lookup or type error while reading `what` is a usage error (exit 2)."""
+    try:
+        yield
+    except SparsekitError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise PreconditionError(f"malformed {what}: {type(e).__name__}: {e}")
 
 
 def _vertex_list(text, g: Graph):
@@ -270,9 +288,10 @@ def cmd_eval(args):
         result = {"value": value}
         code = 1 if (args.expect and not value) else 0
         return meta, result, None, f"value = {value}", code
-    doc = args.sentence
-    doc = _load_json(doc) if not doc.lstrip().startswith("{") else json.loads(doc)
-    s = BasicLocalSentence.from_json(doc)
+    text = args.sentence
+    with _malformed("sentence"):
+        doc = _load_json(text) if not text.lstrip().startswith("{") else json.loads(text)
+        s = BasicLocalSentence.from_json(doc)
     value, witnesses = eval_basic_local(g, s, marked)
     result = {"value": value,
               "witnesses": list(witnesses) if witnesses is not None else None}
@@ -281,6 +300,8 @@ def cmd_eval(args):
         cert = {"kind": "distance_set", "problem": "independent",
                 "r": 2 * s.r, "k": s.k, "vertices": sorted(witnesses),
                 "sentence": s.to_json()}
+        if args.marked is not None:
+            cert["marked"] = sorted(marked)
     code = 1 if (args.expect and not value) else 0
     return meta, result, cert, f"value = {value}", code
 
@@ -311,12 +332,8 @@ def cmd_solve(args):
 
 
 def cmd_gen(args):
-    try:
-        spec = json.loads(args.spec)
-    except json.JSONDecodeError as e:
-        raise GraphInputError(f"bad generator spec: {e}")
-    g = generate(spec)
-    meta = {"source": args.spec, "digest": _graph_digest(g), "n": g.n, "m": g.m}
+    g = _spec_graph(args.spec)
+    meta = _input_meta(args.spec, g)
     if args.to:
         with open(args.to, "w") as fh:
             fh.write(write_edge_list(g))
@@ -343,7 +360,8 @@ def _check_density(g: Graph, doc: dict) -> list:
 
 def _check_distance_set(g: Graph, doc: dict) -> list:
     vs = doc["vertices"]
-    out = foreign_vertices(g, vs)
+    marked = doc.get("marked", [])
+    out = foreign_vertices(g, vs) + foreign_vertices(g, marked)
     if out:
         return out
     if doc["problem"] == "independent":
@@ -356,9 +374,9 @@ def _check_distance_set(g: Graph, doc: dict) -> list:
                     out.append(f"{u} and {v} are within distance {doc['r']}")
         if "sentence" in doc:
             s = BasicLocalSentence.from_json(doc["sentence"])
-            T = satisfying_set(g, s)
             for v in vs:
-                if v not in T:
+                env = {s.var: v} if s.var in free_vars(s.chi) else {}
+                if not eval_naive(g, s.chi, env, marked):
                     out.append(f"witness {v} does not satisfy the local property")
     elif doc["problem"] == "dominating":
         covered = set()
@@ -406,12 +424,8 @@ def _read_certificate(path: str, default_kind=None) -> tuple[str, dict]:
 def _check_certificate(g: Graph, kind: str, doc: dict) -> list:
     """Violations found by the kind's validator; a certificate too malformed
     to check is a usage error, not a failed verification."""
-    try:
+    with _malformed(f"{kind} certificate"):
         return CERTIFICATES[kind](g, doc)
-    except SparsekitError:
-        raise
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise PreconditionError(f"malformed {kind} certificate: {type(e).__name__}: {e}")
 
 
 def cmd_verify(args):
@@ -426,15 +440,18 @@ def cmd_verify(args):
 
 def cmd_sweep(args):
     cfg = _load_json(args.config)
-    families = cfg.get("families", [])
-    radii = cfg.get("r", [1])
-    operations = cfg.get("operations", [])
-    order_name = cfg.get("order", "degeneracy")
+    with _malformed("sweep config"):
+        families = [(fam.get("name", json.dumps(fam["spec"], sort_keys=True)), fam["spec"])
+                    for fam in cfg.get("families", [])]
+        radii = [operator.index(r) for r in cfg.get("r", [1])]
+        operations = list(cfg.get("operations", []))
+        if "density" in operations and "seed" in cfg:
+            operator.index(cfg["seed"])
+        order_name = cfg.get("order", "degeneracy")
     rows = []
-    for fam in families:
-        name = fam.get("name", json.dumps(fam.get("spec", {}), sort_keys=True))
+    for name, spec in families:
         try:
-            g = generate(fam["spec"])
+            g = generate(spec)
         except SparsekitError as e:
             rows.append({"family": name, "error": str(e)})
             continue
@@ -604,6 +621,11 @@ def run(argv=None) -> int:
                 error = {"code": error_code, "message": str(e)}
                 summary, code = f"error: {e}", exit_code
                 break
+    except Exception as e:  # a defect: keep the envelope, log the traceback
+        import traceback  # imported here: start-up is most of a small command
+        traceback.print_exc()
+        error = {"code": "runtime", "message": f"{type(e).__name__}: {e}"}
+        summary, code = f"error: {error['message']}", 4
     doc = {
         "command": args.command,
         "input": meta,

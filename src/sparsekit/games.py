@@ -1,12 +1,13 @@
 """Vertex-deletion pursuit games.
 
-Two kinds share one engine.  In the treedepth game the connector picks a
-connected component of the residual and the splitter deletes one vertex of
-it; the component replaces the residual.  In the radius-r game the connector
-picks any subgraph of radius at most r (certified by a center: every chosen
-vertex lies within r of it inside the chosen set) and the splitter deletes a
-batch of up to batch_limit vertices of it.  The splitter wins when the
-residual empties within round_cap rounds.
+In each round the connector names a residual vertex c, the center, and its
+move is the arena of c: the residual vertices within reach of c inside the
+residual.  The reach (`GameConfig.reach`) is unbounded in the treedepth game,
+so the arena is c's component, and r in the radius-r splitter game, so it is
+c's r-ball (Grohe, Kreutzer and Siebertz, Deciding first-order properties of
+nowhere dense graphs, JACM 2017).  The splitter deletes a batch of up to
+batch_limit vertices of the arena, the rest of the arena is the new residual,
+and the splitter wins when the residual empties within round_cap rounds.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ class GameConfig:
             raise GraphInputError("radius-r game needs radius >= 1")
         if self.round_cap < 1 or self.batch_limit < 1:
             raise GraphInputError("round_cap and batch_limit must be >= 1")
+
+    @property
+    def reach(self):
+        """How far an arena reaches from its center; None is unbounded."""
+        return None if self.kind == "treedepth" else self.radius
 
     def to_json(self):
         return {
@@ -115,32 +121,34 @@ class GameTranscript:
         )
 
 
+# ---------------------------------------------------------------- arenas
+
+def _arena(g: Graph, cfg: GameConfig, residual: frozenset, c: int) -> frozenset:
+    """Residual vertices within reach of c inside the residual."""
+    return frozenset(bfs_distances(g, (c,), cfg.reach, residual))
+
+
+def _arenas(g: Graph, cfg: GameConfig, residual: frozenset):
+    """(center, arena) pairs, least center first, made lazily.  In the
+    treedepth game a component is the arena of each of its vertices, so it
+    appears once, centred at its least vertex."""
+    if cfg.reach is None:
+        return ((min(comp), comp) for comp in components(g, residual))
+    return ((c, _arena(g, cfg, residual, c)) for c in sorted(residual))
+
+
 # -------------------------------------------------------------- legality
 
 def connector_move_violations(g: Graph, cfg: GameConfig, residual: frozenset,
                               move: ConnectorMove) -> list:
-    out = []
-    if move.center not in move.vertices:
-        out.append(f"center {move.center} outside its own move")
-    if not move.vertices:
-        out.append("empty move")
-    if not move.vertices <= residual:
-        out.append(f"move leaves the residual: {sorted(move.vertices - residual)}")
-    if out:
-        return out
-    if cfg.kind == "treedepth":
-        comp = frozenset(bfs_distances(g, (move.center,), None, residual))
-        if move.vertices != comp:
-            out.append("move is not the full component of its center")
-    else:
-        dist = bfs_distances(g, (move.center,), cfg.radius, move.vertices)
-        missing = move.vertices - set(dist)
-        if missing:
-            out.append(
-                f"vertices beyond radius {cfg.radius} of center {move.center} "
-                f"inside the move: {sorted(missing)}"
-            )
-    return out
+    """A legal move is the arena of a residual center."""
+    if move.center not in residual:
+        return [f"center {move.center} is not a residual vertex"]
+    arena = _arena(g, cfg, residual, move.center)
+    if move.vertices != arena:
+        return [f"move is not the arena of center {move.center}: extra "
+                f"{sorted(move.vertices - arena)}, missing {sorted(arena - move.vertices)}"]
+    return []
 
 
 def splitter_move_violations(cfg: GameConfig, move: ConnectorMove, batch: frozenset) -> list:
@@ -206,27 +214,18 @@ class SplitterStrategy:
 
 
 class GreedyBallConnector(ConnectorStrategy):
-    """Largest radius-r ball of the residual (largest component in the
-    treedepth game); ties broken by smallest center."""
+    """Largest arena of the residual; ties broken by smallest center."""
 
     tag = "greedy_largest_ball"
 
     def pick(self, residual):
-        if self.cfg.kind == "treedepth":
-            comps = components(self.g, residual)
-            comp = max(comps, key=lambda c: (len(c), -min(c)))
-            return ConnectorMove(min(comp), comp)
-        best = None
-        for c in sorted(residual):
-            b = frozenset(bfs_distances(self.g, (c,), self.cfg.radius, residual))
-            if best is None or len(b) > len(best.vertices):
-                best = ConnectorMove(c, b)
-        return best
+        c, arena = max(_arenas(self.g, self.cfg, residual),
+                       key=lambda ca: (len(ca[1]), -ca[0]))
+        return ConnectorMove(c, arena)
 
 
 class RandomConnector(ConnectorStrategy):
-    """Ball around a uniformly random center (random component for the
-    treedepth game)."""
+    """Arena of a uniformly random residual center."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -239,10 +238,7 @@ class RandomConnector(ConnectorStrategy):
     def pick(self, residual):
         pool = sorted(residual)
         c = pool[self._rng.randint(len(pool))]
-        if self.cfg.kind == "treedepth":
-            comp = frozenset(bfs_distances(self.g, (c,), None, residual))
-            return ConnectorMove(min(comp), comp)
-        return ConnectorMove(c, frozenset(bfs_distances(self.g, (c,), self.cfg.radius, residual)))
+        return ConnectorMove(c, _arena(self.g, self.cfg, residual, c))
 
 
 class ExhaustiveConnector(ConnectorStrategy):
@@ -346,8 +342,7 @@ class ExhaustiveSplitter(SplitterStrategy):
 
 class _Engine:
     """Minimax over residual vertex sets, memoized.  The connector only ever
-    needs inclusion-maximal legal moves (a bigger subgraph never hurts it),
-    which are exactly the residual balls / components."""
+    needs the inclusion-maximal arenas (a bigger arena never hurts it)."""
 
     def __init__(self, g: Graph, cfg: GameConfig):
         if g.n > GAME_CAP:
@@ -355,21 +350,17 @@ class _Engine:
                 f"game search capped at {GAME_CAP} vertices, graph has {g.n}",
                 "game_cap", GAME_CAP)
         self.g, self.cfg = g, cfg
-        self._memo = {}
+        self._memo = {frozenset(): 0}  # an empty residual: the game is over
 
     def moves(self, residual: frozenset) -> list:
-        g, cfg = self.g, self.cfg
-        if cfg.kind == "treedepth":
-            return [ConnectorMove(min(c), c) for c in components(g, residual)]
-        balls = {}
-        for c in sorted(residual):
-            b = frozenset(bfs_distances(g, (c,), cfg.radius, residual))
-            if b not in balls:
-                balls[b] = c
+        """Distinct inclusion-maximal arenas, largest first, then by center."""
+        arenas = {}
+        for c, arena in _arenas(self.g, self.cfg, residual):
+            arenas.setdefault(arena, c)
         maximal = [
-            ConnectorMove(c, b)
-            for b, c in balls.items()
-            if not any(b < other for other in balls)
+            ConnectorMove(c, a)
+            for a, c in arenas.items()
+            if not any(a < other for other in arenas)
         ]
         return sorted(maximal, key=lambda m: (-len(m.vertices), m.center))
 
@@ -382,22 +373,15 @@ class _Engine:
 
     def value(self, residual: frozenset) -> int:
         """Rounds the splitter needs under optimal play on both sides."""
-        if not residual:
-            return 0
         got = self._memo.get(residual)
-        if got is not None:
-            return got
-        best = 0
-        for move in self.moves(residual):
-            resp = min(1 + self.value(move.vertices - b) for b in self.batches(move))
-            best = max(best, resp)
-        self._memo[residual] = best
-        return best
+        if got is None:
+            got = self._memo[residual] = self.best_connector_move(residual)[1]
+        return got
 
     def best_connector_move(self, residual: frozenset):
         best = None
         for move in self.moves(residual):
-            resp = min(1 + self.value(move.vertices - b) for b in self.batches(move))
+            resp = self.best_splitter_batch(move)[1]
             if best is None or resp > best[1]:
                 best = (move, resp)
         return best

@@ -131,12 +131,12 @@ def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     return dist
 
 
-def ball(g: Graph, v: int, r: int, active=None) -> frozenset:
+def ball(g: Graph, v: int, r: int) -> frozenset:
     """Closed r-neighborhood of v (always contains v)."""
     _check_vertex(g, v)
     if r < 0:
         raise GraphInputError(f"radius must be >= 0, got {r}")
-    return frozenset(bfs_distances(g, (v,), r, active))
+    return frozenset(bfs_distances(g, (v,), r))
 
 
 def components(g: Graph, active=None) -> list[frozenset]:

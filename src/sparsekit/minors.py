@@ -279,6 +279,8 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
         raise GraphInputError("density undefined for the empty graph")
     if r < 0:
         raise PreconditionError(f"r must be >= 0, got {r}")
+    if budget < 0:
+        raise PreconditionError(f"budget must be >= 0, got {budget}")
     rng = Rng(seed)
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     attempts = 0

@@ -258,6 +258,8 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
     A = frozenset(A)
     if r < 1:
         raise PreconditionError("r must be >= 1")
+    if s_max < 0:
+        raise PreconditionError(f"s_max must be >= 0, got {s_max}")
     if g.n > UQW_BRUTE_N_CAP:
         raise CapabilityError(f"uqw_brute capped at {UQW_BRUTE_N_CAP} vertices, got {g.n}",
                               "uqw_brute_n", UQW_BRUTE_N_CAP)

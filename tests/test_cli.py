@@ -447,3 +447,62 @@ def test_non_utf8_certificate_is_an_input_error(tmp_path):
     assert code == 2 and doc["error"]["code"] == "graph_input"
     assert doc["error"]["message"].startswith(f"cannot read {str(out)!r}: ")
     assert "Traceback" not in err
+
+
+def test_eval_certificate_keeps_its_marked_set(tmp_path):
+    # the certificate once dropped the marked set, so verify recomputed the
+    # satisfying set without it and rejected every witness
+    out = tmp_path / "c.json"
+    code, doc, _ = run_cli("eval", PATH8, "--sentence", '{"k":2,"r":1,"chi":"P(x)"}',
+                           "--marked", "1,6", "--out", str(out))
+    assert code == 0 and doc["certificate"]["marked"] == [1, 6]
+    code, vdoc, _ = run_cli("verify", str(out), "--graph", PATH8)
+    assert code == 0 and vdoc["result"]["ok"] is True
+    cert = doc["certificate"]
+    for marked, violation in (([1], "witness 6 does not satisfy the local property"),
+                              ([1, 6, 99], "vertex 99 not in the graph")):
+        out.write_text(json.dumps({**cert, "marked": marked}))
+        code, vdoc, _ = run_cli("verify", str(out), "--graph", PATH8)
+        assert code == 1 and vdoc["result"]["violations"] == [violation]
+
+
+_SWEEP_FAMILY = {"spec": {"family": "path", "n": 4}}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("eval", PATH8, "--sentence", "{bad"), None),
+    (("eval", PATH8, "--sentence", '{"k":1}'), None),
+    (("eval", PATH8, "--sentence", '{"k":"a","r":1,"chi":"true"}'), None),
+    (("eval", PATH8, "--sentence", '{"k":1,"r":1,"chi":7}'), None),
+    (("sweep",), {"families": 5}),
+    (("sweep",), [1]),
+    (("sweep",), {"families": [{"name": "p"}], "operations": ["wcol"]}),
+    (("sweep",), {"families": [_SWEEP_FAMILY], "r": ["x"], "operations": ["wcol"]}),
+    (("sweep",), {"families": [_SWEEP_FAMILY], "operations": ["density"], "seed": "a"}),
+    (("uqw", PATH5, "--mode", "brute", "--r", "1", "--m", "1", "--smax=-1"), None),
+    (("density", PATH5, "--r", "1", "--seed", "1", "--budget=-5"), None),
+], ids=["sentence-not-json", "sentence-no-r", "sentence-k-string", "sentence-chi-int",
+        "sweep-families-int", "sweep-list", "sweep-family-no-spec", "sweep-r-string",
+        "sweep-seed-string", "uqw-smax-negative", "density-budget-negative"])
+def test_malformed_inputs_exit_2(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        argv = (*argv, str(path))
+    code, doc, err = run_cli(*argv)
+    assert code == 2 and doc["error"]["code"] == "precondition"
+    assert "Traceback" not in err
+
+
+def test_stray_exception_exit_4(monkeypatch, capsys):
+    def boom(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_col", boom)
+    code = cli.run(["col", PATH5])
+    assert code == 4
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert doc["error"] == {"code": "runtime", "message": "RuntimeError: boom"}
+    assert doc["command"] == "col" and doc["result"] is None
+    assert "RuntimeError: boom" in captured.err

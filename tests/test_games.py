@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from oracles import brute_treedepth
@@ -10,8 +12,9 @@ from sparsekit.games import (ConnectorMove, ExhaustiveConnector,
                              connector_move_violations, game_value, play,
                              splitter_move_violations, validate_transcript,
                              wcol_splitter_strategy)
-from sparsekit.graphio import (complete_graph, cycle_graph, grid_graph,
-                               path_graph, star_graph)
+from sparsekit.graph import Graph
+from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
+                               grid_graph, path_graph, star_graph)
 from sparsekit.orders import degeneracy_order, identity_order, wcol_of_order
 
 
@@ -189,3 +192,83 @@ def test_play_rejects_illegal_strategy_moves():
     with pytest.raises(StrategyBugError) as e:
         play(g, td_cfg(g), _CheatingSplitter(), GreedyBallConnector())
     assert "cheat" in str(e.value)
+
+
+# sha256 of emit_json(transcript.to_json()), taken before the engine was
+# rebuilt around arenas.  Small graphs: the exhaustive splitter against the
+# greedy and the exhaustive connector, round_cap = n, radius 1 for the
+# splitter game.
+PIN_GRAPHS = {
+    "C6": lambda: cycle_graph(6),
+    "grid2x4": lambda: grid_graph(2, 4),
+    "P7": lambda: path_graph(7),
+    "K5": lambda: complete_graph(5),
+}
+PINNED_TRANSCRIPTS = {
+    ("C6", "treedepth", "greedy"): "d9642c634cd3232114e80c5b461a63af59452ef02c5c3f2a986c46f531a78e77",
+    ("C6", "treedepth", "exhaustive"): "8224b1364f00652433735961565527fde44d8b3b3f38b88b21c3296f92ecb1a5",
+    ("C6", "splitter", "greedy"): "69ac78eb85fde41f290f2b5d42f4423dc9c1a08b82ffc7a326953a96958ad888",
+    ("C6", "splitter", "exhaustive"): "d012bf721c9c40301b35fa39a9e7f51a8d0dd81d04bde013642f033fb01eb284",
+    ("grid2x4", "treedepth", "greedy"): "58ea6755d549ccd1e2a48bcad836b013d68b8de408469ee3c15299153381eae8",
+    ("grid2x4", "treedepth", "exhaustive"): "118abadab040afea8cb5d9e52e70c580a423974160a04c09eb5e1aa8fb7d9f4f",
+    ("grid2x4", "splitter", "greedy"): "f2a48f1399766c55e2efd2b755555753f50259ccf4a59d9a985d2989f9a9efb7",
+    ("grid2x4", "splitter", "exhaustive"): "22b3429e85bc322aff123256a16c7aa66ae56d13bc4086c398bad5def4ac269c",
+    ("P7", "treedepth", "greedy"): "68403cb0a91fc89515e4122a15fcaecfbde495b3f3b45d9209d60ea42021fce4",
+    ("P7", "treedepth", "exhaustive"): "8a2eed8bd3c6fa01e86146e820f197f61cf6dd2c84203dfe640f128a2425c9e1",
+    ("P7", "splitter", "greedy"): "51050d8791b1f94b6f5672f3b585177f6b70566f8e6a1cf434f45b2cb651a51d",
+    ("P7", "splitter", "exhaustive"): "7c8c7fa50f97bd67635ce597722566bdfed46a35b71a8f59a2f7325a333347bf",
+    ("K5", "treedepth", "greedy"): "c6dbf4956f0e00ec58320ff37abde525c39822a0d1d20b991622239afeabd7dd",
+    ("K5", "treedepth", "exhaustive"): "d28f1930d28bac80379e3354f4923c9d2e764955bee131adeec0df9efc21f9be",
+    ("K5", "splitter", "greedy"): "ad5a9807a81af08ae29d0d4cd4a2239b0654b5bbc64273eefad8fba5f31f2725",
+    ("K5", "splitter", "exhaustive"): "856589ad078382ee0e1ae27d5a01e1168d2fba8109003967bc3462aa96143a17",
+    # the wcol splitter (degeneracy order) at radius 1, round_cap = wcol_2
+    ("grid4x4", "splitter", "random(seed=5)"): "b4e4cb7f1e6cf4c8a0ca86e5639c732fe76da323e3f68bf4f8dabc8330bf265e",
+    ("grid12x12", "splitter", "greedy"): "2987c8348d3ae87825bdd0c2d0c4bacdff3e83745fb39a826891ef765ffdaebf",
+}
+
+
+def _pinned_game(name, kind, connector):
+    if name in PIN_GRAPHS:
+        g = PIN_GRAPHS[name]()
+        cfg = GameConfig(kind=kind, radius=1 if kind == "splitter" else 0,
+                         round_cap=g.n)
+        co = GreedyBallConnector() if connector == "greedy" else ExhaustiveConnector()
+        return play(g, cfg, ExhaustiveSplitter(), co)
+    side = {"grid4x4": 4, "grid12x12": 12}[name]
+    g = grid_graph(side, side)
+    pi = degeneracy_order(g)
+    cfg = GameConfig(kind=kind, radius=1, round_cap=wcol_of_order(g, pi, 2))
+    co = RandomConnector(5) if connector.startswith("random") else GreedyBallConnector()
+    return play(g, cfg, wcol_splitter_strategy(pi, 1), co)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_TRANSCRIPTS), ids="-".join)
+def test_transcripts_pinned(key):
+    t = _pinned_game(*key)
+    got = hashlib.sha256(emit_json(t.to_json()).encode()).hexdigest()
+    assert got == PINNED_TRANSCRIPTS[key]
+
+
+def test_splitter_move_must_be_the_whole_ball():
+    # {0, 1} lies within radius 1 of vertex 1 but leaves out its neighbour 2
+    g = path_graph(5)
+    cfg = GameConfig(kind="splitter", radius=1, round_cap=5)
+    sub = ConnectorMove(1, frozenset({0, 1}))
+    assert connector_move_violations(g, cfg, frozenset(range(5)), sub) != []
+
+
+def test_exhaustive_connector_tries_larger_components_first():
+    # P2 + P3: both components need 2 rounds; the larger one is tried first
+    g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+    cfg = GameConfig(kind="treedepth", round_cap=5)
+    t = play(g, cfg, ExhaustiveSplitter(), ExhaustiveConnector())
+    assert t.rounds[0].connector.vertices == frozenset({2, 3, 4})
+    assert len(t.rounds) == 2 and t.winner == "splitter"
+
+
+def test_random_connector_names_the_drawn_vertex_in_the_treedepth_game():
+    g = path_graph(7)
+    t = play(g, td_cfg(g), ExhaustiveSplitter(), RandomConnector(3))
+    second = t.rounds[1].connector
+    assert second.center == 5
+    assert second.vertices == frozenset({4, 5, 6})
