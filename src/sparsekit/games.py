@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError, StrategyBugError)
-from .graph import Graph, bfs_distances, components
+from .graph import Graph, bfs_distances, components, foreign_vertices
 from .orders import VertexOrder
 from .rng import Rng
 
@@ -163,9 +163,17 @@ def splitter_move_violations(cfg: GameConfig, move: ConnectorMove, batch: frozen
 
 
 def validate_transcript(g: Graph, transcript: GameTranscript) -> list:
-    """Replay every round from scratch and re-check each rule."""
+    """Replay every round from scratch and re-check each rule.  An id that is
+    not a vertex of g is reported on its own, before any replay."""
     cfg = transcript.config
     out = []
+    for i, rd in enumerate(transcript.rounds, start=1):
+        parts = {"center": (rd.connector.center,), "connector": rd.connector.vertices,
+                 "splitter": rd.splitter, "residual": rd.residual}
+        for part, vs in parts.items():
+            out += [f"round {i} {part}: {v}" for v in foreign_vertices(g, vs)]
+    if out:
+        return out
     residual = frozenset(range(g.n))
     for i, rd in enumerate(transcript.rounds, start=1):
         for v in connector_move_violations(g, cfg, residual, rd.connector):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .errors import GraphInputError
+from .errors import AlgorithmStallError, GraphInputError
 
 
 class Graph:
@@ -108,6 +108,54 @@ def mask_ball(masks, seed: int, within: int, radius=None) -> tuple[int, int]:
     return ball, depth
 
 
+def least_independent(conflicts, cand: int, k: int):
+    """The lexicographically least k members of the `cand` mask, no two of
+    which conflict, as an increasing list; None when there are no such k.
+    `conflicts[v]` is the mask of what v conflicts with, v excluded.
+
+    `holds(c, need)` branches on the lowest member v of c: take v, else
+    skip it.  Skips loop rather than recurse, so the recursion depth stays
+    below k.  `failed` keeps, per mask, the least need shown out of reach,
+    so no failed search runs twice."""
+    failed = {}
+
+    def holds(c, need):
+        if need <= 0:
+            return True
+        chain = []  # masks that hold exactly when the current c holds
+        while c.bit_count() >= need and failed.get(c, need + 1) > need:
+            low = c & -c
+            rest = c ^ low
+            v = low.bit_length() - 1
+            if holds(rest & ~conflicts[v], need - 1):
+                return True
+            chain.append(c)
+            if not rest & conflicts[v]:
+                break  # v conflicts with nothing left: skipping it frees nothing
+            c = rest
+        for m in chain:
+            failed[m] = need
+        return False
+
+    if not holds(cand, k):
+        return None
+    chosen = []
+    while len(chosen) < k and cand:
+        low = cand & -cand
+        v = low.bit_length() - 1
+        rest = cand ^ low
+        if holds(rest & ~conflicts[v], k - len(chosen) - 1):
+            chosen.append(v)
+            cand = rest & ~conflicts[v]
+        else:
+            cand = rest
+    if len(chosen) != k:
+        raise AlgorithmStallError(
+            f"answer loop chose {len(chosen)} of {k} after feasibility held",
+            state={"k": k, "chosen": chosen})
+    return chosen
+
+
 def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     """Hop distances from a set of sources, optionally capped and restricted
     to an `active` vertex set (sources outside it are ignored)."""
@@ -185,10 +233,10 @@ def set_radius(g: Graph, vs) -> int:
 
 def foreign_vertices(g: Graph, vs) -> list:
     """One violation per member of `vs` that is not a vertex id of g."""
-    bad = [v for v in vs if not (isinstance(v, int) and 0 <= v < g.n)]
+    bad = [v for v in vs if not (type(v) is int and 0 <= v < g.n)]
     return [f"vertex {v} not in the graph" for v in sorted(bad, key=str)]
 
 
 def _check_vertex(g: Graph, v: int) -> None:
-    if not (isinstance(v, int) and 0 <= v < g.n):
+    if not (type(v) is int and 0 <= v < g.n):
         raise GraphInputError(f"vertex {v!r} not in range(0, {g.n})")

@@ -23,10 +23,9 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
-                     FormulaScopeError, GraphInputError, LocalityError,
-                     PreconditionError)
+                     FormulaScopeError, LocalityError, PreconditionError)
 from .graph import (Graph, ball, bfs_distances, induced_subgraph, iter_bits,
-                    mask_ball)
+                    least_independent, mask_ball)
 
 
 # ----------------------------------------------------------------- AST
@@ -383,6 +382,9 @@ class BasicLocalSentence:
     var: str
 
     def __post_init__(self):
+        if type(self.k) is not int or type(self.r) is not int:
+            raise PreconditionError(
+                f"k and r must be integers, got k={self.k!r}, r={self.r!r}")
         if self.k < 1 or self.r < 1:
             raise PreconditionError("need k >= 1 and r >= 1")
         if free_vars(self.chi) - {self.var}:
@@ -561,63 +563,19 @@ def expand_basic_local(s: BasicLocalSentence):
 
 def distance_independent_set(g: Graph, r: int, k: int, candidates):
     """The lexicographically least k candidates pairwise at distance > r, or
-    None.  Exact search branches on the highest-degree candidate of the
-    r-th power graph (ties by id)."""
+    None: `least_independent` over the candidates' r-balls, a memoized
+    search that branches on the least candidate."""
     if k < 0:
         raise PreconditionError(f"k must be >= 0, got {k}")
     if r < 0:
         raise PreconditionError(f"r must be >= 0, got {r}")
-    cands = sorted(candidates)
-    if k == 0:
-        return frozenset()
-    if len(cands) < k:
-        return None
     # masks[c] = the vertices within distance r of candidate c, c excluded;
     # candidate bits are vertex ids, so bit order is id order
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
-    masks = {c: mask_ball(adj, 1 << c, full, r)[0] ^ (1 << c) for c in cands}
-
-    def feasible(cand_mask, need):
-        if need <= 0:
-            return True
-        if cand_mask.bit_count() < need:
-            return False
-        best_i, best_deg = -1, -1
-        for i in iter_bits(cand_mask):
-            deg = (masks[i] & cand_mask).bit_count()
-            if deg == 0:
-                # isolated candidates are free picks
-                return feasible(cand_mask & ~(1 << i), need - 1)
-            if deg > best_deg:
-                best_i, best_deg = i, deg
-        take = feasible(cand_mask & ~masks[best_i] & ~(1 << best_i), need - 1)
-        if take:
-            return True
-        return feasible(cand_mask & ~(1 << best_i), need)
-
-    all_mask = sum(1 << c for c in cands)
-    if not feasible(all_mask, k):
-        return None
-    chosen = []
-    cand_mask = all_mask
-    for c in cands:
-        if len(chosen) == k:
-            break
-        bit = 1 << c
-        if not (cand_mask & bit):
-            continue
-        rest = cand_mask & ~masks[c] & ~bit
-        if feasible(rest, k - len(chosen) - 1):
-            chosen.append(c)
-            cand_mask = rest
-        else:
-            cand_mask &= ~bit
-    if len(chosen) != k:
-        raise AlgorithmStallError(
-            f"answer loop chose {len(chosen)} of {k} after feasibility held",
-            state={"r": r, "k": k, "chosen": chosen})
-    return frozenset(chosen)
+    masks = {c: mask_ball(adj, 1 << c, full, r)[0] ^ (1 << c) for c in candidates}
+    sol = least_independent(masks, sum(1 << c for c in masks), k)
+    return frozenset(sol) if sol is not None else None
 
 
 def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
@@ -628,7 +586,7 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
     if g.n == 0:
         return frozenset()
     if r < 0:
-        raise GraphInputError(f"radius must be >= 0, got {r}")
+        raise PreconditionError(f"r must be >= 0, got {r}")
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
     balls = [mask_ball(adj, 1 << v, full, r)[0] for v in range(g.n)]

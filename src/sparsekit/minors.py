@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError)
-from .graph import Graph, bfs_distances, set_radius
+from .graph import Graph, bfs_distances, foreign_vertices, set_radius
 from .rng import Rng
 
 
@@ -42,18 +42,21 @@ class MinorModel:
 
 def verify_minor_model(g: Graph, h: Graph, model: MinorModel) -> list:
     """Independent validator; returns human-readable violations (empty = ok)."""
-    out = []
     if set(model.branch_sets) != set(range(h.n)):
         return [f"branch sets keyed by {sorted(model.branch_sets)}, want range({h.n})"]
+    out = [f"branch set of {hv}: {v}" for hv, vs in sorted(model.branch_sets.items())
+           for v in foreign_vertices(g, vs)]
+    out += [f"witness of h-edge {e}: {v}" for e, w in sorted(model.edge_witness.items())
+            for v in foreign_vertices(g, w)]
+    if out:
+        return out
     seen = {}
     for hv, vs in sorted(model.branch_sets.items()):
         if not vs:
             out.append(f"branch set of {hv} is empty")
             continue
         for v in vs:
-            if not (0 <= v < g.n):
-                out.append(f"branch set of {hv} contains foreign vertex {v}")
-            elif v in seen:
+            if v in seen:
                 out.append(f"vertex {v} in branch sets of both {seen[v]} and {hv}")
             seen[v] = hv
         rad = set_radius(g, vs)

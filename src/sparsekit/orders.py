@@ -25,7 +25,7 @@ class VertexOrder:
         n = len(perm)
         rank = [-1] * n
         for i, v in enumerate(perm):
-            if not (isinstance(v, int) and 0 <= v < n) or rank[v] != -1:
+            if not (type(v) is int and 0 <= v < n) or rank[v] != -1:
                 raise GraphInputError(f"not a permutation of range({n}): {perm}")
             rank[v] = i
         self.perm = perm

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import AlgorithmStallError, CapabilityError, PreconditionError
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
-                    iter_bits, mask_ball, set_radius)
+                    least_independent, mask_ball, set_radius)
 from .orders import VertexOrder, WReachTable, wreach_sets
 
 # Caps of the exhaustive uqw_brute: graph size, and size of the deletion sets.
@@ -217,42 +217,13 @@ def _extract(g: Graph, A: frozenset, m: int,
     return cert
 
 
-def _max_independent_lex(masks, cand: int) -> list:
-    """Lexicographically least maximum independent set in the graph given by
-    bit masks, restricted to the candidate mask."""
-
-    memo = {}
-
-    def best(cand):
-        if cand == 0:
-            return 0
-        got = memo.get(cand)
-        if got is not None:
-            return got
-        v = next(iter_bits(cand))
-        take = 1 + best(cand & ~masks[v] & ~(1 << v))
-        skip = best(cand & ~(1 << v))
-        memo[cand] = out = max(take, skip)
-        return out
-
-    out = []
-    want = best(cand)
-    while want:
-        v = next(iter_bits(cand))
-        if 1 + best(cand & ~masks[v] & ~(1 << v)) == want:
-            out.append(v)
-            cand &= ~masks[v] & ~(1 << v)
-            want -= 1
-        else:
-            cand &= ~(1 << v)
-    return out
-
-
 def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
-    """Exhaustive ground truth: try every deletion set of size <= s_max and
-    take a maximum distance-r independent subset of A (exact, via maximum
-    independent set in the r-th power restricted to A).  Returns the best
-    certificate or None when no S achieves |B| >= m."""
+    """Exhaustive ground truth: try every deletion set S of size <= s_max,
+    in order of size, and for each look for a larger distance-r independent
+    subset of A - S in G - S than any earlier S gave, one size at a time,
+    with `least_independent`.  The first S that reaches the largest size
+    wins, with the lexicographically least such B.  Returns its certificate,
+    or None when no S achieves |B| >= m."""
     from itertools import combinations
 
     A = frozenset(A)
@@ -267,7 +238,7 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
         raise CapabilityError(f"uqw_brute capped at deletion sets of {UQW_BRUTE_S_CAP}",
                               "uqw_brute_s", UQW_BRUTE_S_CAP)
     adj = g.adjacency_masks()
-    best = None
+    best = (frozenset(), [])  # S = {} with the empty B, which any larger B replaces
     for size in range(s_max + 1):
         for S in combinations(range(g.n), size):
             active = frozenset(range(g.n)) - set(S)
@@ -277,12 +248,13 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
             # masks[a] = the members of A within distance r of a in G-S
             masks = {a: (mask_ball(adj, 1 << a, keep, r)[0] & cand) ^ (1 << a)
                      for a in pool}
-            B = _max_independent_lex(masks, cand)
-            if best is None or len(B) > len(best[1]):
+            k = len(best[1]) + 1
+            while (B := least_independent(masks, cand, k)) is not None:
                 best = (frozenset(S), B)
-    if best is None or len(best[1]) < m:
-        return None
+                k += 1
     S, B = best
+    if len(B) < m:
+        return None
     cert = UqwCertificate(r, m, A, S, frozenset(B), -1, False)
     bad = validate_uqw(g, cert)
     if bad:

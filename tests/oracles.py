@@ -9,7 +9,7 @@ import itertools
 from functools import lru_cache
 
 from sparsekit.errors import PreconditionError
-from sparsekit.graph import Graph, bfs_distances
+from sparsekit.graph import Graph, bfs_distances, induced_subgraph
 from sparsekit.logic import DistLe, Edge, Eq, Or, Quant
 from sparsekit.orders import VertexOrder
 
@@ -224,7 +224,9 @@ def naive_has_minor(g: Graph, h: Graph, r: int) -> bool:
 
 # ----------------------------------------------------------- logic oracles
 
-def brute_distance_independent(g: Graph, r: int, k: int, candidates) -> bool:
+def brute_distance_independent(g: Graph, r: int, k: int, candidates):
+    """The first k-combination of the sorted candidates that is pairwise at
+    distance > r (so the lexicographically least such set), or None."""
     cands = sorted(candidates)
     for combo in itertools.combinations(cands, k):
         ok = True
@@ -234,8 +236,29 @@ def brute_distance_independent(g: Graph, r: int, k: int, candidates) -> bool:
                 ok = False
                 break
         if ok:
-            return True
-    return False
+            return frozenset(combo)
+    return None
+
+
+def brute_uqw(g: Graph, A, r: int, s_max: int):
+    """(S, B) over every deletion set S of size <= s_max, B a largest subset
+    of A - S pairwise at distance > r in G - S: the first S (by size, then
+    in combination order) that reaches the largest |B|, and the
+    lexicographically least such B.  Distances come from a fresh
+    `induced_subgraph` on V - S, whose ids keep the order of the old ones."""
+    best = None
+    for size in range(s_max + 1):
+        for S in itertools.combinations(range(g.n), size):
+            h, old_ids = induced_subgraph(g, set(range(g.n)) - set(S))
+            cands = [i for i, v in enumerate(old_ids) if v in A]
+            k = len(best[1]) + 1 if best is not None else 0
+            while True:
+                B = brute_distance_independent(h, r, k, cands)
+                if B is None:
+                    break
+                best = (frozenset(S), frozenset(old_ids[i] for i in B))
+                k += 1
+    return best
 
 
 def brute_dominating_number(g: Graph, r: int) -> int:

@@ -113,6 +113,49 @@ def test_verify_reports_vertices_outside_the_graph(tmp_path, cert, violation):
     assert code == 1 and vdoc["result"]["violations"] == [violation]
 
 
+_TRANSCRIPT_P3 = {
+    "kind": "transcript", "winner": "splitter", "connector_tag": "exhaustive",
+    "splitter_tag": "exhaustive", "residual_sizes": [2, 0],
+    "config": {"kind": "treedepth", "radius": 0, "batch_limit": 1, "round_cap": 3},
+    "rounds": [{"center": "ID", "connector": [0, 1, 2], "splitter": [1], "residual": [0, 2]},
+               {"center": 0, "connector": [0], "splitter": [0], "residual": []}],
+}
+
+
+@pytest.mark.parametrize("cert,replay", [
+    ({"kind": "distance_set", "problem": "independent", "r": 1, "k": 1,
+      "vertices": ["ID"]}, False),
+    ({"kind": "order_witness", "r": 1, "value": 2, "optimal": False,
+      "order": [0, "ID", 2]}, False),
+    ({"kind": "uqw", "r": 1, "m": 1, "A": [0, "ID"], "S": [], "B": ["ID"],
+      "wcol_bound": 2, "guarantee_applies": False}, False),
+    ({"kind": "minor_model", "depth": 0, "h": {"n": 2, "edges": [[0, 1]]},
+      "branch_sets": {"0": [0], "1": ["ID"]}, "edge_witness": {"0,1": [0, "ID"]}}, False),
+    (_TRANSCRIPT_P3, False),
+    (_TRANSCRIPT_P3, True),
+], ids=["distance-set", "order-witness", "uqw", "minor-model", "transcript",
+        "transcript-replay"])
+def test_booleans_are_not_vertex_ids(tmp_path, cert, replay):
+    # true once passed as vertex 1: every certificate here verified clean
+    outcomes = []
+    for vertex in (9, True):
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert).replace('"ID"', json.dumps(vertex)))
+        argv = (("game", PATH3, "--kind", "treedepth", "--replay", str(path)) if replay
+                else ("verify", str(path), "--graph", PATH3))
+        code, doc, _ = run_cli(*argv)
+        outcomes.append((code, doc["error"] and doc["error"]["code"]))
+    assert outcomes[0][0] in (1, 2) and outcomes[1] == outcomes[0]
+
+
+def test_independent_search_depth_stays_below_k():
+    # the search once recursed once per skipped candidate: on a star of 3000
+    # vertices that was a RecursionError and exit 4
+    code, doc, _ = run_cli("solve", '{"family":"star","n":3000}', "--problem",
+                           "independent", "--r", "2", "--k", "2")
+    assert code == 0 and doc["result"]["found"] is False
+
+
 def test_verify_accepts_full_out_document(tmp_path):
     out = tmp_path / "run.json"
     code, _, _ = run_cli("cover", PATH8, "--r", "1", "--out", str(out))
@@ -474,6 +517,10 @@ _SWEEP_FAMILY = {"spec": {"family": "path", "n": 4}}
     (("eval", PATH8, "--sentence", '{"k":1}'), None),
     (("eval", PATH8, "--sentence", '{"k":"a","r":1,"chi":"true"}'), None),
     (("eval", PATH8, "--sentence", '{"k":1,"r":1,"chi":7}'), None),
+    (("eval", PATH8, "--sentence", '{"k":1.5,"r":1,"chi":"true"}'), None),
+    (("eval", PATH8, "--sentence", '{"k":1,"r":1.5,"chi":"true"}'), None),
+    (("eval", PATH8, "--sentence", '{"k":true,"r":1,"chi":"true"}'), None),
+    (("solve", PATH5, "--problem", "dominating", "--r=-1"), None),
     (("sweep",), {"families": 5}),
     (("sweep",), [1]),
     (("sweep",), {"families": [{"name": "p"}], "operations": ["wcol"]}),
@@ -482,6 +529,7 @@ _SWEEP_FAMILY = {"spec": {"family": "path", "n": 4}}
     (("uqw", PATH5, "--mode", "brute", "--r", "1", "--m", "1", "--smax=-1"), None),
     (("density", PATH5, "--r", "1", "--seed", "1", "--budget=-5"), None),
 ], ids=["sentence-not-json", "sentence-no-r", "sentence-k-string", "sentence-chi-int",
+        "sentence-k-float", "sentence-r-float", "sentence-k-bool", "dominating-r-negative",
         "sweep-families-int", "sweep-list", "sweep-family-no-spec", "sweep-r-string",
         "sweep-seed-string", "uqw-smax-negative", "density-budget-negative"])
 def test_malformed_inputs_exit_2(tmp_path, argv, config):

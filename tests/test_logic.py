@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from oracles import dominating_formula
+from oracles import brute_distance_independent, dominating_formula
 from sparsekit.errors import (CapabilityError, FormulaParseError,
                               FormulaScopeError, LocalityError,
                               PreconditionError)
@@ -18,6 +18,7 @@ from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit,
                              eval_naive, expand_basic_local, free_vars,
                              locality_violations, parse_formula,
                              satisfying_set, to_text)
+from sparsekit.rng import Rng
 
 
 # ---------------------------------------------------------------- parsing
@@ -300,6 +301,18 @@ def test_distance_independent_set_is_lex_least():
     g = cycle_graph(9)
     got = distance_independent_set(g, 2, 3, range(9))
     assert got == frozenset({0, 3, 6})
+
+
+def test_distance_independent_set_matches_brute_force(corpus_small):
+    rng = Rng(11)
+    for g in corpus_small[::10]:
+        subset = [v for v in range(g.n) if rng.next_float() < 0.6]
+        for cands in (range(g.n), subset):
+            for r in range(4):
+                for k in range(5):
+                    want = brute_distance_independent(g, r, k, cands)
+                    assert distance_independent_set(g, r, k, cands) == want, \
+                        (g.n, sorted(g.edges()), list(cands), r, k)
 
 
 def test_distance_dominating_set_pins():

@@ -2,13 +2,16 @@ import hashlib
 
 import pytest
 
+from oracles import brute_uqw
 from sparsekit.errors import (AlgorithmStallError, CapabilityError,
                               PreconditionError)
+from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
                                star_graph)
 from sparsekit.orders import (degeneracy_order, identity_order, wcol_of_order,
                               wreach_sets)
+from sparsekit.rng import Rng
 from sparsekit.wideness import (Cover, PartitionCover, SeparatorCertificate,
                                 UqwCertificate, balanced_separator,
                                 neighborhood_cover, partition_cover,
@@ -83,6 +86,68 @@ def test_uqw_brute_never_worse_than_extraction():
         assert ref is not None and len(ref.B) >= len(got.B)
 
 
+# sha256 of emit_json(cert.to_json()) for uqw_brute(g, A, r, 1, s_max=3),
+# taken when uqw_brute searched each S with a memoized maximum independent
+# set; A is every vertex ("all") or the vertices not 1 mod 3.
+PINNED_UQW_BRUTE = {
+    ("path18", 1, "all"): "bed10b395315393ca3b4bdfb6f6d04eb6c461bef7d347008879dbfa3e7c4b4c4",
+    ("path18", 1, "not1mod3"): "0cd733f4f1a06ce244b32a3849d7e09e1d9b77dfd3652036a53c72452c1dfd0d",
+    ("path18", 2, "all"): "c396d35151fe4a78ffe75a3fae4d752b2d97d3a99c27fce84e687abb0f8deaf0",
+    ("path18", 2, "not1mod3"): "e2eee18f5228b538fac3e55ea3f1554fc5d19234273cf8b86cf429854f0e4fab",
+    ("cycle18", 1, "all"): "bed10b395315393ca3b4bdfb6f6d04eb6c461bef7d347008879dbfa3e7c4b4c4",
+    ("cycle18", 1, "not1mod3"): "def06f7008e78abb12078fccd7ba0f3fad2e43e97c74b5838559ea29f0676d97",
+    ("cycle18", 2, "all"): "6bd091fb421e6cfefe824b60f186d65a4821c9bf7ed2fb376b77c7e8794925bf",
+    ("cycle18", 2, "not1mod3"): "16b1278b1f9d897200e95d99a2f5dbb9578ab3f54fb43e6e303eeb18f2b50daa",
+    ("grid3x6", 1, "all"): "5f6e278716d3b54ab7254e80278d14ad4bf072f0bc9a6144279ee29a88e38f1d",
+    ("grid3x6", 1, "not1mod3"): "4c9e64dbe5b1bdebbd5fc3798f88ed4a8e40c5eb49bf19bc1962395a83521d9f",
+    ("grid3x6", 2, "all"): "98617283d5bf064bb269fcdd966c50ab634c9795f1fe5ef1969335c6023d7812",
+    ("grid3x6", 2, "not1mod3"): "87e6af347ad62807e3f8b2bb08b38b27e765514bd5000dc12168c4dd96c9bd5d",
+    ("triangles6", 1, "all"): "dde4e60890a0715f69f43cad5902c100fab9fa84a64aa22390c8f755603e85af",
+    ("triangles6", 1, "not1mod3"): "7b521217112e50950291d7612fee2ecb9a8442c5aa11a52d93853a2c8992fe92",
+    ("triangles6", 2, "all"): "04f4c3cfeab14f699e1fe378ac74eadecfbec6e3be8bcf0031581772454d98fc",
+    ("triangles6", 2, "not1mod3"): "16b1278b1f9d897200e95d99a2f5dbb9578ab3f54fb43e6e303eeb18f2b50daa",
+    ("tree18", 1, "all"): "75751d7170853ec3b208257507a892522594bdf91bb4b2610e40c16a36b25a03",
+    ("tree18", 1, "not1mod3"): "06533da8a7ac4e054af4fd1f5789b68d9ed242c885a473ceaed6ee4d12f2caa2",
+    ("tree18", 2, "all"): "b7afa9088e3a92416a8d6aec06608c9999bfe19ae70788afd26bad4520aa9431",
+    ("tree18", 2, "not1mod3"): "167b71185fd683ddaa5f2af1ed40faee99dedbaa324d1cf9c9366bb989c96799",
+    ("gnd18", 1, "all"): "f9c5fe49570e22e6953da24b96febe9baa6e30e0442b010be095780e38c64385",
+    ("gnd18", 1, "not1mod3"): "6ac61717b8966e77bb9a92402474462f6a680f7bbe2f7d133257992d0258d89f",
+    ("gnd18", 2, "all"): "7aba5a4e5642d840b2fab8fa4230221f644fccb86cebd02185beeebefc516f6d",
+    ("gnd18", 2, "not1mod3"): "4d06770d00a6ffe1a4182039b9e154ba176619f2e3ce7a70990afef64b3275fc",
+}
+
+
+def test_uqw_brute_pinned():
+    triangles = Graph(18, [(3 * i + a, 3 * i + b) for i in range(6)
+                           for a, b in ((0, 1), (0, 2), (1, 2))])
+    graphs = {"path18": path_graph(18), "cycle18": cycle_graph(18),
+              "grid3x6": grid_graph(3, 6), "triangles6": triangles,
+              "tree18": random_tree(18, seed=5), "gnd18": gnd_graph(18, 3.0, seed=1)}
+    for (name, r, target), want in PINNED_UQW_BRUTE.items():
+        g = graphs[name]
+        A = range(g.n) if target == "all" else [v for v in range(g.n) if v % 3 != 1]
+        cert = uqw_brute(g, A, r, 1, s_max=3)
+        got = hashlib.sha256(emit_json(cert.to_json()).encode()).hexdigest()
+        assert got == want, (name, r, target)
+
+
+def test_uqw_brute_matches_brute_force(corpus_small):
+    rng = Rng(7)
+    graphs = corpus_small[::40] + [path_graph(10), cycle_graph(10), grid_graph(2, 5),
+                                   random_tree(10, seed=3), star_graph(9)]
+    for g in graphs:
+        subset = [v for v in range(g.n) if rng.next_float() < 0.6] or [0]
+        for A in (range(g.n), subset):
+            for r in (1, 2, 3):
+                for s_max in (0, 1, 2):
+                    S, B = brute_uqw(g, frozenset(A), r, s_max)
+                    for m in (len(B), len(B) + 1):
+                        cert = uqw_brute(g, A, r, m, s_max)
+                        got = None if cert is None else (cert.S, cert.B)
+                        want = (S, B) if m <= len(B) else None
+                        assert got == want, (sorted(g.edges()), list(A), r, s_max, m)
+
+
 def test_validate_uqw_rejects():
     g = path_graph(6)
     A = frozenset(range(6))
@@ -141,7 +206,6 @@ def test_separator_on_trees_and_grids():
     import random
     rnd = random.Random(7)
     edges = [(v, rnd.randint(0, v - 1)) for v in range(1, 60)]
-    from sparsekit.graph import Graph
     tree = Graph(60, edges)
     for g in (tree, grid_graph(5, 5)):
         pi = degeneracy_order(g)
