@@ -23,7 +23,7 @@ from .orders import (ORDER_NAMES, EliminationForest, VertexOrder, build_order,
                      coloring_number, degeneracy_order, greedy_wreach_order,
                      identity_order, treedepth_exact,
                      validate_elimination_forest, wcol_exact, wcol_of_order,
-                     wreach_sets)
+                     wreach_clusters, wreach_sets)
 from .minors import (DensityReport, MinorModel, density_report,
                      find_depth_r_minor, verify_minor_model)
 from .games import (ConnectorMove, ExhaustiveConnector, ExhaustiveSplitter,
@@ -35,8 +35,7 @@ from .games import (ConnectorMove, ExhaustiveConnector, ExhaustiveSplitter,
 from .wideness import (Cover, PartitionCover, SeparatorCertificate,
                        UqwCertificate, balanced_separator, neighborhood_cover,
                        partition_cover, uqw_brute, uqw_extract, validate_cover,
-                       validate_partition, validate_separator, validate_uqw,
-                       wreach_clusters)
+                       validate_partition, validate_separator, validate_uqw)
 from .logic import (BasicLocalSentence, distance_dominating_set,
                     distance_independent_set, eval_basic_local, eval_naive,
                     expand_basic_local, free_vars, locality_violations,

@@ -1,10 +1,11 @@
 """Batch front end: one subcommand per library operation, one JSON document
 per invocation on standard output, certificates re-checkable with `verify`.
 
-Exit codes: 0 success; 1 a "no/absent" answer where --expect demanded
-presence (or a failed verification); 2 usage or input error; 3 an exact
-computation exceeded its cap; 4 a runtime failure: a broken algorithmic
-contract (stalled exchange loop, buggy strategy) or any other exception.
+Exit codes: 0 success; 1 a false answer (absent, false, or a failed
+verification), except from a command with an --expect flag left unset;
+2 usage or input error; 3 an exact computation exceeded its cap; 4 a runtime
+failure: a broken algorithmic contract (stalled exchange loop, buggy
+strategy) or any other exception.
 
 The graph argument is a file path (edge list, or DIMACS when the file has a
 `p` line) or an inline JSON generator spec such as '{"family":"path","n":5}'.
@@ -112,64 +113,62 @@ def _vertex_list(text, g: Graph):
 
 
 # ---------------------------------------------------------------- handlers
-# Each returns (result, certificate, summary line, exit code).
+# Each takes the parsed arguments, the input graph and its metadata (None and
+# {} for `gen` and `sweep`, which read their own input), and may add to the
+# metadata.  It returns (result, certificate, summary line, ok); `run` owns
+# the exit code.
 
-def cmd_wcol(args):
-    g, meta = load_graph(args.graph)
+def _order_witness(r: int, value: int, order: VertexOrder, optimal: bool) -> dict:
+    return {"kind": "order_witness", "r": r, "value": value, "optimal": optimal,
+            **order.to_json()}
+
+
+def _distance_set(problem: str, r: int, vertices, **extra) -> dict:
+    return {"kind": "distance_set", "problem": problem, "r": r,
+            "vertices": sorted(vertices), **extra}
+
+
+def cmd_wcol(args, g, meta):
     if args.mode == "exact":
         value, order = wcol_exact(g, args.r, cap=args.cap)
     else:
         order = build_order(g, args.order, args.r)
         value = wcol_of_order(g, order, args.r)
-    cert = {"kind": "order_witness", "r": args.r, "value": value,
-            "order": list(order.perm), "optimal": args.mode == "exact"}
     result = {"r": args.r, "mode": args.mode, "value": value}
-    return meta, result, cert, f"wcol_{args.r} = {value} ({args.mode})", 0
+    cert = _order_witness(args.r, value, order, args.mode == "exact")
+    return result, cert, f"wcol_{args.r} = {value} ({args.mode})", True
 
 
-def cmd_col(args):
-    g, meta = load_graph(args.graph)
+def cmd_col(args, g, meta):
     value, order = coloring_number(g)
-    cert = {"kind": "order_witness", "r": 1, "value": value,
-            "order": list(order.perm), "optimal": True}
-    return meta, {"value": value}, cert, f"col = {value}", 0
+    return {"value": value}, _order_witness(1, value, order, True), f"col = {value}", True
 
 
-def cmd_treedepth(args):
-    g, meta = load_graph(args.graph)
+def cmd_treedepth(args, g, meta):
     value, forest = treedepth_exact(g, cap=args.cap)
-    cert = {"kind": "elimination_forest", "value": value,
-            "parent": list(forest.parent)}
-    return meta, {"value": value}, cert, f"treedepth = {value}", 0
+    cert = {"kind": "elimination_forest", "value": value, **forest.to_json()}
+    return {"value": value}, cert, f"treedepth = {value}", True
 
 
-def cmd_minor(args):
-    g, meta = load_graph(args.graph)
-    h, hmeta = load_graph(args.pattern)
+def cmd_minor(args, g, meta):
+    h, meta["pattern"] = load_graph(args.pattern)
     model = find_depth_r_minor(g, h, args.r, max_h=args.max_h, max_g=args.max_g)
-    meta["pattern"] = hmeta
     found = model is not None
-    result = {"r": args.r, "found": found}
-    cert = None
-    if found:
-        cert = {"kind": "minor_model", "h": to_jsonable(h), **model.to_json()}
-    code = 1 if (args.expect and not found) else 0
+    cert = {"kind": "minor_model", "h": to_jsonable(h), **model.to_json()} if found else None
     word = "found" if found else "absent"
-    return meta, result, cert, f"depth-{args.r} minor {word}", code
+    return {"r": args.r, "found": found}, cert, f"depth-{args.r} minor {word}", found
 
 
-def cmd_density(args):
-    g, meta = load_graph(args.graph)
+def cmd_density(args, g, meta):
     rep = density_report(g, args.r, budget=args.budget, seed=args.seed)
     h = Graph(len(rep.model.branch_sets), list(rep.model.edge_witness))
     cert = {"kind": "density", "h": to_jsonable(h), **rep.to_json()}
     result = {k: cert[k] for k in
               ("depth", "density", "minor_n", "minor_m", "attempts", "lower_bound")}
-    return meta, result, cert, f"depth-{args.r} density >= {rep.density:.3f}", 0
+    return result, cert, f"depth-{args.r} density >= {rep.density:.3f}", True
 
 
-def cmd_game(args):
-    g, meta = load_graph(args.graph)
+def cmd_game(args, g, meta):
     if args.replay:
         kind, doc = _read_certificate(args.replay, "transcript")
         if kind != "transcript":
@@ -178,10 +177,17 @@ def cmd_game(args):
         t = GameTranscript.from_json(doc)
         result = {"replay": True, "winner": t.winner,
                   "rounds": len(t.rounds), "violations": violations}
-        cert = {"kind": "transcript", **t.to_json()}
         word = "clean" if not violations else f"{len(violations)} violations"
-        return meta, result, cert, f"replay {word}", 0 if not violations else 1
+        summary, ok = f"replay {word}", not violations
+    else:
+        t = _play(args, g)
+        result = {"winner": t.winner, "rounds": len(t.rounds),
+                  "residual_sizes": t.residual_sizes}
+        summary, ok = f"{t.winner} wins after {len(t.rounds)} rounds", True
+    return result, {"kind": "transcript", **t.to_json()}, summary, ok
 
+
+def _play(args, g: Graph) -> GameTranscript:
     radius = args.r if args.kind == "splitter" else 0
     batch = args.batch
     if batch is None:
@@ -203,15 +209,10 @@ def cmd_game(args):
         co = RandomConnector(args.seed)
     else:
         co = ExhaustiveConnector()
-    t = play(g, cfg, sp, co)
-    result = {"winner": t.winner, "rounds": len(t.rounds),
-              "residual_sizes": t.residual_sizes}
-    cert = {"kind": "transcript", **t.to_json()}
-    return meta, result, cert, f"{t.winner} wins after {len(t.rounds)} rounds", 0
+    return play(g, cfg, sp, co)
 
 
-def cmd_uqw(args):
-    g, meta = load_graph(args.graph)
+def cmd_uqw(args, g, meta):
     A = _vertex_list(args.a, g)
     if args.mode == "extract":
         pi = build_order(g, args.order, args.r)
@@ -220,17 +221,15 @@ def cmd_uqw(args):
         cert_obj = uqw_brute(g, A, args.r, args.m, s_max=args.smax)
         if cert_obj is None:
             result = {"found": False, "r": args.r, "m": args.m, "s_max": args.smax}
-            code = 1 if args.expect else 0
-            return meta, result, None, "no qualifying far-apart set", code
+            return result, None, "no qualifying far-apart set", False
     result = {"found": True, "r": args.r, "m": args.m,
               "s_size": len(cert_obj.S), "b_size": len(cert_obj.B),
               "guarantee_applies": cert_obj.guarantee_applies}
     s = f"|S| = {len(cert_obj.S)}, |B| = {len(cert_obj.B)} at distance > {args.r}"
-    return meta, result, cert_obj.to_json(), s, 0
+    return result, cert_obj.to_json(), s, True
 
 
-def cmd_separator(args):
-    g, meta = load_graph(args.graph)
+def cmd_separator(args, g, meta):
     A = _vertex_list(args.a, g)
     pi = build_order(g, args.order, 4 * args.r)
     cert_obj = balanced_separator(g, A, args.r, args.eps, pi)
@@ -240,25 +239,22 @@ def cmd_separator(args):
               "iterations": cert_obj.iterations}
     s = (f"|S| = {len(cert_obj.S)}, worst ball fraction "
          f"{cert_obj.worst_ball_fraction:.3f} <= {args.eps}")
-    return meta, result, cert_obj.to_json(), s, 0
+    return result, cert_obj.to_json(), s, True
 
 
-def cmd_cover(args):
-    g, meta = load_graph(args.graph)
+def cmd_cover(args, g, meta):
     pi = build_order(g, args.order, 2 * args.r)
     cov = neighborhood_cover(g, args.r, pi)
     result = {"r": args.r, "clusters": len(cov.clusters),
               "radius_bound": cov.radius_bound, "max_degree": cov.max_degree}
     s = f"{len(cov.clusters)} clusters, degree {cov.max_degree}, radius <= {cov.radius_bound}"
-    return meta, result, cov.to_json(), s, 0
+    return result, cov.to_json(), s, True
 
 
-def cmd_partition(args):
-    g, meta = load_graph(args.graph)
+def cmd_partition(args, g, meta):
     pi = build_order(g, args.order, 4 * args.r + 1)
     pc = partition_cover(g, args.r, pi)
-    result = {"r": args.r, "n_parts": pc.n_parts}
-    return meta, result, pc.to_json(), f"{pc.n_parts} parts", 0
+    return {"r": args.r, "n_parts": pc.n_parts}, pc.to_json(), f"{pc.n_parts} parts", True
 
 
 def _parse_env(text, g: Graph) -> dict:
@@ -276,8 +272,7 @@ def _parse_env(text, g: Graph) -> dict:
     return env
 
 
-def cmd_eval(args):
-    g, meta = load_graph(args.graph)
+def cmd_eval(args, g, meta):
     marked = _vertex_list(args.marked, g) if args.marked is not None else frozenset()
     if (args.formula is None) == (args.sentence is None):
         raise PreconditionError("exactly one of --formula / --sentence is required")
@@ -285,9 +280,7 @@ def cmd_eval(args):
         env = _parse_env(args.env, g)
         f = parse_formula(args.formula, free=tuple(env))
         value = eval_naive(g, f, env, marked)
-        result = {"value": value}
-        code = 1 if (args.expect and not value) else 0
-        return meta, result, None, f"value = {value}", code
+        return {"value": value}, None, f"value = {value}", value
     text = args.sentence
     with _malformed("sentence"):
         doc = _load_json(text) if not text.lstrip().startswith("{") else json.loads(text)
@@ -297,17 +290,13 @@ def cmd_eval(args):
               "witnesses": list(witnesses) if witnesses is not None else None}
     cert = None
     if value:
-        cert = {"kind": "distance_set", "problem": "independent",
-                "r": 2 * s.r, "k": s.k, "vertices": sorted(witnesses),
-                "sentence": s.to_json()}
-        if args.marked is not None:
-            cert["marked"] = sorted(marked)
-    code = 1 if (args.expect and not value) else 0
-    return meta, result, cert, f"value = {value}", code
+        extra = {"marked": sorted(marked)} if args.marked is not None else {}
+        cert = _distance_set("independent", 2 * s.r, witnesses, k=s.k,
+                             sentence=s.to_json(), **extra)
+    return result, cert, f"value = {value}", value
 
 
-def cmd_solve(args):
-    g, meta = load_graph(args.graph)
+def cmd_solve(args, g, meta):
     if args.problem == "independent":
         if args.k is None:
             raise PreconditionError("--problem independent requires --k")
@@ -316,33 +305,28 @@ def cmd_solve(args):
         found = sol is not None
         result = {"problem": "independent", "r": args.r, "k": args.k, "found": found,
                   "vertices": sorted(sol) if found else None}
-        cert = None
-        if found:
-            cert = {"kind": "distance_set", "problem": "independent",
-                    "r": args.r, "k": args.k, "vertices": sorted(sol)}
-        code = 1 if (args.expect and not found) else 0
+        cert = _distance_set("independent", args.r, sol, k=args.k) if found else None
         word = "found" if found else "absent"
-        return meta, result, cert, f"distance-{args.r} independent {args.k}-set {word}", code
+        return result, cert, f"distance-{args.r} independent {args.k}-set {word}", found
     sol = distance_dominating_set(g, args.r, mode=args.mode, cap=args.cap)
     result = {"problem": "dominating", "r": args.r, "mode": args.mode,
               "size": len(sol), "vertices": sorted(sol)}
-    cert = {"kind": "distance_set", "problem": "dominating",
-            "r": args.r, "mode": args.mode, "vertices": sorted(sol)}
-    return meta, result, cert, f"distance-{args.r} dominating set of size {len(sol)}", 0
+    cert = _distance_set("dominating", args.r, sol, mode=args.mode)
+    return result, cert, f"distance-{args.r} dominating set of size {len(sol)}", True
 
 
-def cmd_gen(args):
+def cmd_gen(args, g, meta):
     g = _spec_graph(args.spec)
-    meta = _input_meta(args.spec, g)
+    meta.update(_input_meta(args.spec, g))
     if args.to:
         with open(args.to, "w") as fh:
             fh.write(write_edge_list(g))
     result = {"n": g.n, "m": g.m, "graph": to_jsonable(g)}
-    return meta, result, None, f"generated n={g.n} m={g.m}", 0
+    return result, None, f"generated n={g.n} m={g.m}", True
 
 
 def _check_order_witness(g: Graph, doc: dict) -> list:
-    got = wcol_of_order(g, VertexOrder(doc["order"]), doc["r"])
+    got = wcol_of_order(g, VertexOrder.from_json(doc), doc["r"])
     return ([] if got == doc["value"]
             else [f"order achieves wcol_{doc['r']} = {got}, claimed {doc['value']}"])
 
@@ -428,26 +412,30 @@ def _check_certificate(g: Graph, kind: str, doc: dict) -> list:
         return CERTIFICATES[kind](g, doc)
 
 
-def cmd_verify(args):
-    g, meta = load_graph(args.graph)
+def cmd_verify(args, g, meta):
     kind, doc = _read_certificate(args.certificate)
     meta["certificate"] = args.certificate
     violations = _check_certificate(g, kind, doc)
     result = {"kind": kind, "ok": not violations, "violations": violations}
     word = "ok" if not violations else f"{len(violations)} violations"
-    return meta, result, None, f"{kind}: {word}", 0 if not violations else 1
+    return result, None, f"{kind}: {word}", not violations
 
 
-def cmd_sweep(args):
+# sweep operation -> the key of its command's result that a row reports
+SWEEP_KEYS = {"wcol": "value", "cover": "max_degree", "partition": "n_parts",
+              "density": "density"}
+
+
+def cmd_sweep(args, g, meta):
     cfg = _load_json(args.config)
     with _malformed("sweep config"):
         families = [(fam.get("name", json.dumps(fam["spec"], sort_keys=True)), fam["spec"])
                     for fam in cfg.get("families", [])]
         radii = [operator.index(r) for r in cfg.get("r", [1])]
         operations = list(cfg.get("operations", []))
-        if "density" in operations and "seed" in cfg:
-            operator.index(cfg["seed"])
-        order_name = cfg.get("order", "degeneracy")
+        seed = (operator.index(cfg["seed"])
+                if "density" in operations and "seed" in cfg else None)
+    parser = build_parser()
     rows = []
     for name, spec in families:
         try:
@@ -459,29 +447,27 @@ def cmd_sweep(args):
             for op in operations:
                 row = {"family": name, "n": g.n, "m": g.m, "r": r, "op": op}
                 try:
-                    row["value"] = _sweep_value(g, r, op, order_name, cfg)
+                    # the row runs the command's own handler on the parser's
+                    # defaults; g is already built, so "-" only fills its slot
+                    if not isinstance(op, str) or op not in SWEEP_KEYS:
+                        raise PreconditionError(f"unknown sweep operation {op!r}")
+                    argv = [op, "-", f"--r={r}"]
+                    if op == "density":
+                        if seed is None:
+                            raise PreconditionError(
+                                "density rows need a top-level 'seed' in the config")
+                        argv.append(f"--seed={seed}")
+                    op_args = parser.parse_args(argv)
+                    if "order" in cfg and "order" in vars(op_args):
+                        op_args.order = cfg["order"]  # build_order rejects a bad name
+                    row["value"] = op_args.fn(op_args, g, {})[0][SWEEP_KEYS[op]]
                 except SparsekitError as e:
                     row["error"] = str(e)
                 rows.append(row)
     with open(args.config, "rb") as fh:
         digest = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    meta = {"source": args.config, "digest": digest}
-    result = {"rows": rows}
-    return meta, result, None, f"{len(rows)} rows", 0
-
-
-def _sweep_value(g: Graph, r: int, op: str, order_name: str, cfg: dict):
-    if op == "wcol":
-        return wcol_of_order(g, build_order(g, order_name, r), r)
-    if op == "density":
-        if "seed" not in cfg:
-            raise PreconditionError("density rows need a top-level 'seed' in the config")
-        return density_report(g, r, seed=cfg["seed"]).density
-    if op == "cover":
-        return neighborhood_cover(g, r, build_order(g, order_name, 2 * r)).max_degree
-    if op == "partition":
-        return partition_cover(g, r, build_order(g, order_name, 4 * r + 1)).n_parts
-    raise PreconditionError(f"unknown sweep operation {op!r}")
+    meta.update(source=args.config, digest=digest)
+    return {"rows": rows}, None, f"{len(rows)} rows", True
 
 
 # ------------------------------------------------------------------ driver
@@ -503,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("wcol", cmd_wcol, "weak r-coloring number")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "heuristic"), default="heuristic")
-    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
     p.add_argument("--cap", type=int, default=10)
 
     add("col", cmd_col, "coloring number (degeneracy + 1)")
@@ -517,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-h", type=int, default=5)
     p.add_argument("--max-g", type=int, default=20)
-    p.add_argument("--expect", action="store_true",
-                   help="exit 1 when the pattern is absent")
 
     p = add("density", cmd_density, "best depth-r minor density found (lower bound)")
     p.add_argument("--r", type=int, required=True)
@@ -531,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splitter", choices=("wcol", "uqw", "exhaustive"), default="wcol")
     p.add_argument("--connector", choices=("greedy", "random", "exhaustive"),
                    default="greedy")
-    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
     p.add_argument("--rounds", type=int, default=64, help="round cap")
     p.add_argument("--batch", type=int, default=None,
                    help="splitter batch size limit (default 1, auto for uqw)")
@@ -544,30 +526,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", help="target set as comma-separated ids (default: all)")
     p.add_argument("--mode", choices=("extract", "brute"), default="extract")
-    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
     p.add_argument("--smax", type=int, default=3, help="brute mode: max |S|")
-    p.add_argument("--expect", action="store_true")
 
     p = add("separator", cmd_separator, "balanced neighborhood separator")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--a", help="target set (default: all vertices)")
-    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
 
     p = add("cover", cmd_cover, "sparse neighborhood cover")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
 
     p = add("partition", cmd_partition, "partition into unions of far-apart clusters")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
 
     p = add("eval", cmd_eval, "evaluate a formula or a basic-local sentence")
     p.add_argument("--formula", help="formula text; free variables come from --env")
     p.add_argument("--env", help="assignment var=vertex,var=vertex")
     p.add_argument("--sentence", help="basic-local sentence: JSON path or inline")
     p.add_argument("--marked", help="extension of the unary predicate P")
-    p.add_argument("--expect", action="store_true", help="exit 1 when false")
 
     p = add("solve", cmd_solve, "distance-r independent or dominating set")
     p.add_argument("--problem", choices=("independent", "dominating"), required=True)
@@ -576,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="independent: candidate ids (default: all)")
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--cap", type=int, default=25)
-    p.add_argument("--expect", action="store_true")
 
     p = add("gen", cmd_gen, "materialize a generator spec", graph=False)
     p.add_argument("spec", help="JSON generator spec")
@@ -591,6 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep, "tabulate values across graph families", graph=False)
     p.add_argument("config", help="JSON config: families, r, operations")
 
+    for name in ("wcol", "game", "uqw", "separator", "cover", "partition"):
+        sub.choices[name].add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
+    for name in ("minor", "uqw", "eval", "solve"):
+        sub.choices[name].add_argument("--expect", action="store_true",
+                                       help="exit 1 when the answer is absent or false")
     return ap
 
 
@@ -610,11 +590,14 @@ _ERROR_CODES = (
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
-    meta = result = cert = None
+    meta = result = cert = error = None
     summary, code = "", 0
-    error = None
     try:
-        meta, result, cert, summary, code = args.fn(args)
+        g, got = load_graph(args.graph) if "graph" in vars(args) else (None, {})
+        result, cert, summary, ok = args.fn(args, g, got)
+        meta = got
+        # a false answer exits 1, unless the command's --expect flag is unset
+        code = 0 if ok or not getattr(args, "expect", True) else 1
     except SparsekitError as e:
         for klass, error_code, exit_code in _ERROR_CODES:
             if isinstance(e, klass):

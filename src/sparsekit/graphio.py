@@ -21,6 +21,9 @@ from .rng import Rng
 # Largest graph any reader or generator builds, checked before any
 # per-vertex allocation.
 MAX_VERTICES = 1_000_000
+# Most vertex pairs a generator that scans every pair (complete, gnd) may
+# scan, checked before it builds anything.
+MAX_PAIRS = 10_000_000
 
 
 def _check_vertex_count(n: int) -> None:
@@ -242,19 +245,19 @@ def apex_graph(g: Graph) -> Graph:
     return Graph(g.n + 1, edges, labels)
 
 
-# Each family's builder, its parameters in call order, and the vertex count
-# of the graph it builds from them.  "base" is a nested spec, "d" a number,
-# and every other parameter an integer.
+# Each family's builder, its parameters in call order, the vertex count of
+# the graph it builds from them, and whether it scans every vertex pair.
+# "base" is a nested spec, "d" a number, and every other parameter an integer.
 _FAMILIES = {
-    "path": (path_graph, ("n",), None),
-    "cycle": (cycle_graph, ("n",), None),
-    "grid": (grid_graph, ("rows", "cols"), lambda a, b: max(a, 0) * max(b, 0)),
-    "complete": (complete_graph, ("n",), None),
-    "star": (star_graph, ("n",), None),
-    "random_tree": (random_tree, ("n", "seed"), None),
-    "gnd": (gnd_graph, ("n", "d", "seed"), None),
-    "subdivision": (subdivide, ("base", "r"), lambda base, r: base.n + r * base.m),
-    "apex": (apex_graph, ("base",), lambda base: base.n + 1),
+    "path": (path_graph, ("n",), None, False),
+    "cycle": (cycle_graph, ("n",), None, False),
+    "grid": (grid_graph, ("rows", "cols"), lambda a, b: max(a, 0) * max(b, 0), False),
+    "complete": (complete_graph, ("n",), None, True),
+    "star": (star_graph, ("n",), None, False),
+    "random_tree": (random_tree, ("n", "seed"), None, False),
+    "gnd": (gnd_graph, ("n", "d", "seed"), None, True),
+    "subdivision": (subdivide, ("base", "r"), lambda base, r: base.n + r * base.m, False),
+    "apex": (apex_graph, ("base",), lambda base: base.n + 1, False),
 }
 
 
@@ -267,7 +270,7 @@ def generate(spec: dict) -> Graph:
         raise GraphInputError(f"family {family!r} requires an explicit seed")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise GraphInputError(f"unknown generator family {family!r}")
-    build, names, size = _FAMILIES[family]
+    build, names, size, all_pairs = _FAMILIES[family]
     args = []
     for name in names:
         if name not in spec:
@@ -281,7 +284,12 @@ def generate(spec: dict) -> Graph:
                 raise GraphInputError(f"generator parameter {name!r} for {family!r} "
                                       f"must be {what}, got {value!r}")
         args.append(value)
-    _check_vertex_count(size(*args) if size else args[0])
+    n = size(*args) if size else args[0]
+    _check_vertex_count(n)
+    if all_pairs and (pairs := max(n, 0) * (n - 1) // 2) > MAX_PAIRS:
+        raise CapabilityError(f"generators are capped at {MAX_PAIRS} vertex pairs, "
+                              f"{family!r} on {n} vertices scans {pairs}",
+                              "max_pairs", MAX_PAIRS)
     return build(*args)
 
 

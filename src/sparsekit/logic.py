@@ -228,44 +228,19 @@ class _Parser:
         raise FormulaParseError(f"unexpected token {tok!r}", pos)
 
 
-def _check_scope(f, in_scope: frozenset):
-    if isinstance(f, Lit):
-        return
-    if isinstance(f, (Eq, Edge, DistLe)):
-        for v in (f.a, f.b):
-            if v not in in_scope:
-                raise FormulaScopeError(f"variable {v!r} is not in scope")
-        return
-    if isinstance(f, Pred):
-        if f.a not in in_scope:
-            raise FormulaScopeError(f"variable {f.a!r} is not in scope")
-        return
-    if isinstance(f, Not):
-        _check_scope(f.body, in_scope)
-        return
-    if isinstance(f, (And, Or)):
-        _check_scope(f.left, in_scope)
-        _check_scope(f.right, in_scope)
-        return
-    if isinstance(f, Quant):
-        if f.anchor is not None and f.anchor not in in_scope:
-            raise FormulaScopeError(f"anchor {f.anchor!r} is not in scope")
-        _check_scope(f.body, in_scope | {f.var})
-        return
-    raise TypeError(f"not a formula node: {f!r}")
-
-
 def parse_formula(text: str, free=()) -> object:
     """Parse; `free` names the variables allowed to occur unbound (none by
-    default, so the text must be a sentence).  free=None allows any."""
+    default, so the text must be a sentence).  free=None allows any.  Any
+    other unbound name is a FormulaScopeError naming the least of them."""
     p = _Parser(text)
     out = p.formula()
     tok, pos = p.toks[p.i]
     if tok is not None:
         raise FormulaParseError(f"trailing input {tok!r}", pos)
-    if free is None:
-        free = free_vars(out)
-    _check_scope(out, frozenset(free))
+    if free is not None:
+        stray = free_vars(out) - frozenset(free)
+        if stray:
+            raise FormulaScopeError(f"variable or anchor {min(stray)!r} is not in scope")
     return out
 
 
@@ -561,6 +536,11 @@ def expand_basic_local(s: BasicLocalSentence):
 
 # ---------------------------------------------------------- exact solvers
 
+# Largest k of distance_independent_set: its search recurses once per chosen
+# vertex, so k stays well below the interpreter's recursion limit.
+INDEPENDENT_K_CAP = 500
+
+
 def distance_independent_set(g: Graph, r: int, k: int, candidates):
     """The lexicographically least k candidates pairwise at distance > r, or
     None: `least_independent` over the candidates' r-balls, a memoized
@@ -569,6 +549,10 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates):
         raise PreconditionError(f"k must be >= 0, got {k}")
     if r < 0:
         raise PreconditionError(f"r must be >= 0, got {r}")
+    if k > INDEPENDENT_K_CAP:
+        raise CapabilityError(
+            f"distance independent set capped at k = {INDEPENDENT_K_CAP}, got {k}",
+            "independent_k", INDEPENDENT_K_CAP)
     # masks[c] = the vertices within distance r of candidate c, c excluded;
     # candidate bits are vertex ids, so bit order is id order
     adj = g.adjacency_masks()

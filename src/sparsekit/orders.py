@@ -60,34 +60,41 @@ def _check_order(g: Graph, order: VertexOrder) -> None:
         raise GraphInputError(f"order on {len(order)} vertices, graph has {g.n}")
 
 
-def wreach_sets(g: Graph, order: VertexOrder, r: int) -> dict:
-    """Weak-r-reachability sets for every vertex.
-
-    Computed backwards: a BFS from u that only moves through vertices ranked
-    strictly above u finds exactly the vertices whose wreach set contains u.
-    """
-    return {v: frozenset(s) for v, s in _wreach(g, order, r).items()}
-
-
-def wcol_of_order(g: Graph, order: VertexOrder, r: int) -> int:
-    return max(map(len, _wreach(g, order, r).values()), default=0)
-
-
-def _wreach(g: Graph, order: VertexOrder, r: int, clusters=None) -> dict:
-    """The weak-r-reach sets, as mutable sets; the backward search from each
-    u is also kept as `clusters[u]` when a dict is passed."""
+def wreach_clusters(g: Graph, order: VertexOrder, r: int) -> dict:
+    """The backward searches, from which every other view of weak
+    reachability is derived: cluster(u) = the vertices u is weakly
+    r-reachable from (u included), each a fresh set.  A cluster is connected
+    with radius <= r around u, since weak-reach paths stay inside it."""
     _check_order(g, order)
     if r < 0:
         raise GraphInputError(f"radius must be >= 0, got {r}")
     rank = order.rank
-    sets = {v: set() for v in range(g.n)}
-    for u in sets:
-        reach = _reach_above(g, rank, u, r)
-        if clusters is not None:
-            clusters[u] = reach
+    return {u: _reach_above(g, rank, u, r) for u in range(g.n)}
+
+
+def _invert(clusters: dict) -> dict:
+    """Weak-reach sets from clusters: WReach_r[v] holds the u whose cluster
+    holds v."""
+    sets = {v: set() for v in clusters}
+    for u, reach in clusters.items():
         for w in reach:
             sets[w].add(u)
     return sets
+
+
+def wreach_sets(g: Graph, order: VertexOrder, r: int) -> dict:
+    """Weak-r-reachability sets for every vertex, the inversion of the
+    clusters."""
+    return {v: frozenset(s) for v, s in _invert(wreach_clusters(g, order, r)).items()}
+
+
+def wcol_of_order(g: Graph, order: VertexOrder, r: int) -> int:
+    """The largest weak-reach set, counted as cluster memberships."""
+    counts = [0] * g.n
+    for reach in wreach_clusters(g, order, r).values():
+        for w in reach:
+            counts[w] += 1
+    return max(counts, default=0)
 
 
 def _reach_above(g: Graph, rank, u: int, r: int) -> set:
@@ -129,8 +136,8 @@ class WReachTable:
 
     def __init__(self, g: Graph, order: VertexOrder, r: int):
         self.g, self.rank, self.r = g, list(order.rank), r
-        self.clusters = {}
-        self.sets = _wreach(g, order, r, self.clusters)
+        self.clusters = wreach_clusters(g, order, r)
+        self.sets = _invert(self.clusters)
 
     def wcol(self) -> int:
         """The largest set: wcol_r of the order on the alive vertices."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import AlgorithmStallError, CapabilityError, PreconditionError
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     least_independent, mask_ball, set_radius)
-from .orders import VertexOrder, WReachTable, wreach_sets
+from .orders import VertexOrder, WReachTable, wreach_clusters, wreach_sets
 
 # Caps of the exhaustive uqw_brute: graph size, and size of the deletion sets.
 UQW_BRUTE_N_CAP = 18
@@ -349,13 +349,6 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
 
 # ------------------------------------------------------------------- covers
 
-def wreach_clusters(g: Graph, pi: VertexOrder, r: int) -> dict:
-    """cluster(u) = the vertices u is weakly r-reachable from (u included).
-    Each cluster is connected with radius <= r around u, since weak-reach
-    paths stay inside the cluster."""
-    return {u: frozenset(vs) for u, vs in WReachTable(g, pi, r).clusters.items()}
-
-
 def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
     """Clusters are the weak-2r-reach clusters of the order-minimum m(v) of
     each r-ball; the ball around v then sits inside the cluster of m(v), and
@@ -364,7 +357,7 @@ def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
     centers = set()
     for v in range(g.n):
         centers.add(min(ball(g, v, r), key=lambda u: pi.rank[u]))
-    clusters = {u: all_clusters[u] for u in sorted(centers)}
+    clusters = {u: frozenset(all_clusters[u]) for u in sorted(centers)}
     degree = [0] * g.n
     for vs in clusters.values():
         for v in vs:

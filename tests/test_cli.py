@@ -216,6 +216,12 @@ def test_uqw_rejects_a_target_below_one(m):
     assert doc["error"]["message"] == "m must be >= 1"
 
 
+def test_a_failed_command_reports_no_input():
+    # the graph is read before the handler runs; its failure still names none
+    code, doc, _ = run_cli("uqw", PATH3, "--r", "1", "--m", "0")
+    assert code == 2 and doc["input"] is None and doc["result"] is None
+
+
 def test_solve_rejects_a_negative_k():
     code, doc, _ = run_cli("solve", PATH3, "--problem", "independent",
                            "--r", "1", "--k", "-1")
@@ -255,6 +261,31 @@ def test_vertex_cap_exit_3(tmp_path):
         assert code == 3 and doc["error"]["code"] == "capability", source
         assert doc["result"] is None and "1000000 vertices" in doc["error"]["message"]
         assert "Traceback" not in err
+
+
+def test_independent_k_cap_exit_3():
+    # k = 1000 once recursed past the interpreter's limit: exit 4
+    path = '{"family":"path","n":2000}'
+    code, doc, err = run_cli("solve", path, "--problem", "independent",
+                             "--r", "1", "--k", "1000")
+    assert code == 3 and doc["error"]["code"] == "capability"
+    assert doc["error"]["message"] == "distance independent set capped at k = 500, got 1000"
+    assert "Traceback" not in err
+    code, doc, _ = run_cli("solve", path, "--problem", "independent",
+                           "--r", "1", "--k", "500")
+    assert code == 0 and doc["result"]["found"] is True
+
+
+@pytest.mark.parametrize("spec,pairs", [
+    ('{"family":"complete","n":1000000}', 499999500000),
+    ('{"family":"gnd","n":1000000,"d":3.0,"seed":1}', 499999500000),
+], ids=["complete", "gnd"])
+def test_generator_pair_cap_exit_3(spec, pairs):
+    # both once passed the vertex cap and went on to scan every pair
+    code, doc, err = run_cli("col", spec)
+    assert code == 3 and doc["error"]["code"] == "capability"
+    assert doc["error"]["message"].endswith(f"on 1000000 vertices scans {pairs}")
+    assert "Traceback" not in err
 
 
 def test_stall_exit_4(monkeypatch, capsys):
@@ -543,7 +574,7 @@ def test_malformed_inputs_exit_2(tmp_path, argv, config):
 
 
 def test_stray_exception_exit_4(monkeypatch, capsys):
-    def boom(args):
+    def boom(args, g, meta):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_col", boom)

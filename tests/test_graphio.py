@@ -3,8 +3,9 @@ import json
 import pytest
 
 from sparsekit.errors import CapabilityError, EdgeListParseError, GraphInputError
-from sparsekit.graphio import (MAX_VERTICES, apex_graph, complete_graph,
-                               cycle_graph, emit_json, generate, gnd_graph,
+from sparsekit.graphio import (MAX_PAIRS, MAX_VERTICES, apex_graph,
+                               complete_graph, cycle_graph, emit_json,
+                               generate, gnd_graph,
                                graph_from_json, grid_graph, parse_edge_list,
                                path_graph, random_tree, read_dimacs,
                                star_graph, subdivide, to_jsonable,
@@ -147,6 +148,24 @@ def test_vertex_count_cap():
     # two negative sides multiply to a large count, but stay an input error
     with pytest.raises(GraphInputError, match="grid needs rows, cols >= 1"):
         generate({"family": "grid", "rows": -2000, "cols": -1000})
+
+
+def test_pair_count_cap():
+    # the families that scan every vertex pair are checked before they build
+    assert MAX_PAIRS == 10_000_000
+    too_many = [
+        {"family": "complete", "n": 4473},  # 10001628 pairs
+        {"family": "gnd", "n": 10 ** 6, "d": 3.0, "seed": 1},
+        {"family": "subdivision", "r": 1, "base": {"family": "complete", "n": 5000}},
+    ]
+    for spec in too_many:
+        with pytest.raises(CapabilityError) as e:
+            generate(spec)
+        assert e.value.cap_name == "max_pairs" and e.value.cap_value == MAX_PAIRS
+    # a star is linear, however many pairs its vertices make
+    assert generate({"family": "star", "n": 5000}).m == 4999
+    with pytest.raises(GraphInputError, match="gnd needs n >= 0"):
+        generate({"family": "gnd", "n": -5000, "d": 1.0, "seed": 1})
 
 
 def test_overlong_vertex_id_is_a_parse_error():

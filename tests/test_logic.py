@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from oracles import brute_distance_independent, dominating_formula
+from oracles import (brute_distance_independent, brute_dominating_number,
+                     dominating_formula)
 from sparsekit.errors import (CapabilityError, FormulaParseError,
                               FormulaScopeError, LocalityError,
                               PreconditionError)
-from sparsekit.graph import Graph
+from sparsekit.graph import Graph, ball
 from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
                                grid_graph, path_graph, random_tree,
                                star_graph)
@@ -16,8 +17,8 @@ from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit,
                              Not, Or, Pred, Quant, distance_dominating_set,
                              distance_independent_set, eval_basic_local,
                              eval_naive, expand_basic_local, free_vars,
-                             locality_violations, parse_formula,
-                             satisfying_set, to_text)
+                             INDEPENDENT_K_CAP, locality_violations,
+                             parse_formula, satisfying_set, to_text)
 from sparsekit.rng import Rng
 
 
@@ -332,6 +333,35 @@ def test_distance_dominating_set_modes_and_caps():
     assert e.value.cap_name == "dominating_cap"
     # greedy has no cap
     assert len(distance_dominating_set(path_graph(40), 1, mode="greedy")) >= 14
+
+
+def test_exact_domination_matches_the_oracle(corpus_small):
+    greedy_lost = 0
+    for g in corpus_small[::5]:
+        for r in (1, 2):
+            exact = distance_dominating_set(g, r)
+            assert len(exact) == brute_dominating_number(g, r), (sorted(g.edges()), r)
+            assert set().union(*(ball(g, v, r) for v in exact)) == set(range(g.n))
+            greedy_lost += len(exact) < len(distance_dominating_set(g, r, mode="greedy"))
+    # the search improved on its greedy start somewhere in the slice
+    assert greedy_lost > 0
+
+
+def test_exact_domination_beats_greedy_on_a_grid():
+    g = grid_graph(2, 5)
+    assert distance_dominating_set(g, 1, mode="greedy") == frozenset({0, 1, 3, 8})
+    assert distance_dominating_set(g, 1) == frozenset({0, 4, 7})
+
+
+def test_distance_independent_set_caps_k():
+    # the search recurses once per chosen vertex: k = 1000 once raised
+    # RecursionError
+    g = path_graph(2000)
+    assert len(distance_independent_set(g, 1, INDEPENDENT_K_CAP, range(g.n))) \
+        == INDEPENDENT_K_CAP
+    with pytest.raises(CapabilityError) as e:
+        distance_independent_set(g, 1, 1000, range(g.n))
+    assert e.value.cap_name == "independent_k" and e.value.cap_value == INDEPENDENT_K_CAP
 
 
 # sha256 of the comma-joined sorted greedy distance-r dominating set, as the

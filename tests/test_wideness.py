@@ -10,14 +10,14 @@ from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
                                star_graph)
 from sparsekit.orders import (degeneracy_order, identity_order, wcol_of_order,
-                              wreach_sets)
+                              wreach_clusters, wreach_sets)
 from sparsekit.rng import Rng
 from sparsekit.wideness import (Cover, PartitionCover, SeparatorCertificate,
                                 UqwCertificate, balanced_separator,
                                 neighborhood_cover, partition_cover,
                                 uqw_brute, uqw_extract, validate_cover,
                                 validate_partition, validate_separator,
-                                validate_uqw, wreach_clusters)
+                                validate_uqw)
 
 
 # ------------------------------------------------------------ uqw extraction
