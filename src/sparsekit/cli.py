@@ -21,29 +21,17 @@ import operator
 import sys
 import time
 from contextlib import contextmanager
+from importlib import import_module
 
+# Start-up is most of a small command: library modules past graphio are
+# imported by the handlers and validators that call them.
 from . import __version__
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
                      FormulaScopeError, GraphInputError, LocalityError,
                      PreconditionError, SparsekitError, StrategyBugError)
-from .games import (ExhaustiveConnector, ExhaustiveSplitter, GameConfig,
-                    GameTranscript, GreedyBallConnector, RandomConnector,
-                    UqwBatchSplitter, play, validate_transcript,
-                    wcol_splitter_strategy)
 from .graph import Graph, ball, bfs_distances, foreign_vertices
 from .graphio import (emit_json, generate, graph_from_json, parse_edge_list,
                       read_dimacs, to_jsonable, write_edge_list)
-from .logic import (BasicLocalSentence, distance_dominating_set,
-                    distance_independent_set, eval_basic_local, eval_naive,
-                    free_vars, parse_formula)
-from .minors import MinorModel, density_report, find_depth_r_minor, verify_minor_model
-from .orders import (ORDER_NAMES, EliminationForest, VertexOrder, build_order,
-                     coloring_number, treedepth_exact,
-                     validate_elimination_forest, wcol_exact, wcol_of_order)
-from .wideness import (Cover, PartitionCover, SeparatorCertificate,
-                       UqwCertificate, balanced_separator, neighborhood_cover,
-                       partition_cover, uqw_brute, uqw_extract, validate_cover,
-                       validate_partition, validate_separator, validate_uqw)
 
 # ----------------------------------------------------------------- loading
 
@@ -118,7 +106,7 @@ def _vertex_list(text, g: Graph):
 # metadata.  It returns (result, certificate, summary line, ok); `run` owns
 # the exit code.
 
-def _order_witness(r: int, value: int, order: VertexOrder, optimal: bool) -> dict:
+def _order_witness(r: int, value: int, order, optimal: bool) -> dict:
     return {"kind": "order_witness", "r": r, "value": value, "optimal": optimal,
             **order.to_json()}
 
@@ -129,6 +117,7 @@ def _distance_set(problem: str, r: int, vertices, **extra) -> dict:
 
 
 def cmd_wcol(args, g, meta):
+    from .orders import build_order, wcol_exact, wcol_of_order
     if args.mode == "exact":
         value, order = wcol_exact(g, args.r, cap=args.cap)
     else:
@@ -140,17 +129,20 @@ def cmd_wcol(args, g, meta):
 
 
 def cmd_col(args, g, meta):
+    from .orders import coloring_number
     value, order = coloring_number(g)
     return {"value": value}, _order_witness(1, value, order, True), f"col = {value}", True
 
 
 def cmd_treedepth(args, g, meta):
+    from .orders import treedepth_exact
     value, forest = treedepth_exact(g, cap=args.cap)
     cert = {"kind": "elimination_forest", "value": value, **forest.to_json()}
     return {"value": value}, cert, f"treedepth = {value}", True
 
 
 def cmd_minor(args, g, meta):
+    from .minors import find_depth_r_minor
     h, meta["pattern"] = load_graph(args.pattern)
     model = find_depth_r_minor(g, h, args.r, max_h=args.max_h, max_g=args.max_g)
     found = model is not None
@@ -160,6 +152,7 @@ def cmd_minor(args, g, meta):
 
 
 def cmd_density(args, g, meta):
+    from .minors import density_report
     rep = density_report(g, args.r, budget=args.budget, seed=args.seed)
     h = Graph(len(rep.model.branch_sets), list(rep.model.edge_witness))
     cert = {"kind": "density", "h": to_jsonable(h), **rep.to_json()}
@@ -169,6 +162,7 @@ def cmd_density(args, g, meta):
 
 
 def cmd_game(args, g, meta):
+    from .games import GameTranscript
     if args.replay:
         kind, doc = _read_certificate(args.replay, "transcript")
         if kind != "transcript":
@@ -187,32 +181,36 @@ def cmd_game(args, g, meta):
     return result, {"kind": "transcript", **t.to_json()}, summary, ok
 
 
-def _play(args, g: Graph) -> GameTranscript:
+def _play(args, g: Graph):
+    from . import games
+    from .orders import build_order
     radius = args.r if args.kind == "splitter" else 0
     batch = args.batch
     if batch is None:
         batch = args.rounds * (radius + 1) if args.splitter == "uqw" else 1
-    cfg = GameConfig(kind=args.kind, radius=radius,
-                     round_cap=args.rounds, batch_limit=batch)
+    cfg = games.GameConfig(kind=args.kind, radius=radius,
+                           round_cap=args.rounds, batch_limit=batch)
     if args.splitter == "wcol":
         pi = build_order(g, args.order, 2 * max(radius, 1))
-        sp = wcol_splitter_strategy(pi, radius)
+        sp = games.wcol_splitter_strategy(pi, radius)
     elif args.splitter == "uqw":
-        sp = UqwBatchSplitter(radius)
+        sp = games.UqwBatchSplitter(radius)
     else:
-        sp = ExhaustiveSplitter()
+        sp = games.ExhaustiveSplitter()
     if args.connector == "greedy":
-        co = GreedyBallConnector()
+        co = games.GreedyBallConnector()
     elif args.connector == "random":
         if args.seed is None:
             raise PreconditionError("--connector random requires --seed")
-        co = RandomConnector(args.seed)
+        co = games.RandomConnector(args.seed)
     else:
-        co = ExhaustiveConnector()
-    return play(g, cfg, sp, co)
+        co = games.ExhaustiveConnector()
+    return games.play(g, cfg, sp, co)
 
 
 def cmd_uqw(args, g, meta):
+    from .orders import build_order
+    from .wideness import uqw_brute, uqw_extract
     A = _vertex_list(args.a, g)
     if args.mode == "extract":
         pi = build_order(g, args.order, args.r)
@@ -230,6 +228,8 @@ def cmd_uqw(args, g, meta):
 
 
 def cmd_separator(args, g, meta):
+    from .orders import build_order
+    from .wideness import balanced_separator
     A = _vertex_list(args.a, g)
     pi = build_order(g, args.order, 4 * args.r)
     cert_obj = balanced_separator(g, A, args.r, args.eps, pi)
@@ -243,6 +243,8 @@ def cmd_separator(args, g, meta):
 
 
 def cmd_cover(args, g, meta):
+    from .orders import build_order
+    from .wideness import neighborhood_cover
     pi = build_order(g, args.order, 2 * args.r)
     cov = neighborhood_cover(g, args.r, pi)
     result = {"r": args.r, "clusters": len(cov.clusters),
@@ -252,6 +254,8 @@ def cmd_cover(args, g, meta):
 
 
 def cmd_partition(args, g, meta):
+    from .orders import build_order
+    from .wideness import partition_cover
     pi = build_order(g, args.order, 4 * args.r + 1)
     pc = partition_cover(g, args.r, pi)
     return {"r": args.r, "n_parts": pc.n_parts}, pc.to_json(), f"{pc.n_parts} parts", True
@@ -273,6 +277,7 @@ def _parse_env(text, g: Graph) -> dict:
 
 
 def cmd_eval(args, g, meta):
+    from .logic import BasicLocalSentence, eval_basic_local, eval_naive, parse_formula
     marked = _vertex_list(args.marked, g) if args.marked is not None else frozenset()
     if (args.formula is None) == (args.sentence is None):
         raise PreconditionError("exactly one of --formula / --sentence is required")
@@ -297,6 +302,7 @@ def cmd_eval(args, g, meta):
 
 
 def cmd_solve(args, g, meta):
+    from .logic import distance_dominating_set, distance_independent_set
     if args.problem == "independent":
         if args.k is None:
             raise PreconditionError("--problem independent requires --k")
@@ -326,12 +332,27 @@ def cmd_gen(args, g, meta):
 
 
 def _check_order_witness(g: Graph, doc: dict) -> list:
+    from .orders import VertexOrder, wcol_of_order
+    if len(doc["order"]) != g.n:
+        return [f"order on {len(doc['order'])} vertices, graph has {g.n}"]
     got = wcol_of_order(g, VertexOrder.from_json(doc), doc["r"])
     return ([] if got == doc["value"]
             else [f"order achieves wcol_{doc['r']} = {got}, claimed {doc['value']}"])
 
 
+def _check_forest(g: Graph, doc: dict) -> list:
+    from .orders import EliminationForest, validate_elimination_forest
+    return validate_elimination_forest(g, EliminationForest.from_json(doc),
+                                       claimed=doc["value"])
+
+
+def _check_minor(g: Graph, doc: dict) -> list:
+    from .minors import MinorModel, verify_minor_model
+    return verify_minor_model(g, graph_from_json(doc["h"]), MinorModel.from_json(doc))
+
+
 def _check_density(g: Graph, doc: dict) -> list:
+    from .minors import MinorModel, verify_minor_model
     h = graph_from_json(doc["h"])
     out = verify_minor_model(g, h, MinorModel.from_json(doc["model"]))
     if h.n != doc["minor_n"] or h.m != doc["minor_m"]:
@@ -357,6 +378,7 @@ def _check_distance_set(g: Graph, doc: dict) -> list:
                 if v in dist:
                     out.append(f"{u} and {v} are within distance {doc['r']}")
         if "sentence" in doc:
+            from .logic import BasicLocalSentence, eval_naive, free_vars
             s = BasicLocalSentence.from_json(doc["sentence"])
             for v in vs:
                 env = {s.var: v} if s.var in free_vars(s.chi) else {}
@@ -374,19 +396,26 @@ def _check_distance_set(g: Graph, doc: dict) -> list:
     return out
 
 
+def _validator(module: str, cls: str, validate: str):
+    """The check validate(graph, cls.from_json(certificate)), with both names
+    taken from the library module `module` when the check first runs."""
+    def check(g: Graph, doc: dict) -> list:
+        lib = import_module(f"{__package__}.{module}")
+        return getattr(lib, validate)(g, getattr(lib, cls).from_json(doc))
+    return check
+
+
 # certificate kind -> validator(graph, certificate document) -> violations
 CERTIFICATES = {
     "order_witness": _check_order_witness,
-    "elimination_forest": lambda g, d: validate_elimination_forest(
-        g, EliminationForest.from_json(d), claimed=d["value"]),
-    "minor_model": lambda g, d: verify_minor_model(
-        g, graph_from_json(d["h"]), MinorModel.from_json(d)),
+    "elimination_forest": _check_forest,
+    "minor_model": _check_minor,
     "density": _check_density,
-    "transcript": lambda g, d: validate_transcript(g, GameTranscript.from_json(d)),
-    "uqw": lambda g, d: validate_uqw(g, UqwCertificate.from_json(d)),
-    "separator": lambda g, d: validate_separator(g, SeparatorCertificate.from_json(d)),
-    "cover": lambda g, d: validate_cover(g, Cover.from_json(d)),
-    "partition": lambda g, d: validate_partition(g, PartitionCover.from_json(d)),
+    "transcript": _validator("games", "GameTranscript", "validate_transcript"),
+    "uqw": _validator("wideness", "UqwCertificate", "validate_uqw"),
+    "separator": _validator("wideness", "SeparatorCertificate", "validate_separator"),
+    "cover": _validator("wideness", "Cover", "validate_cover"),
+    "partition": _validator("wideness", "PartitionCover", "validate_partition"),
     "distance_set": _check_distance_set,
 }
 
@@ -567,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="JSON config: families, r, operations")
 
     for name in ("wcol", "game", "uqw", "separator", "cover", "partition"):
-        sub.choices[name].add_argument("--order", choices=ORDER_NAMES, default="degeneracy")
+        sub.choices[name].add_argument("--order", default="degeneracy")
     for name in ("minor", "uqw", "eval", "solve"):
         sub.choices[name].add_argument("--expect", action="store_true",
                                        help="exit 1 when the answer is absent or false")

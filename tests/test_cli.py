@@ -113,6 +113,20 @@ def test_verify_reports_vertices_outside_the_graph(tmp_path, cert, violation):
     assert code == 1 and vdoc["result"]["violations"] == [violation]
 
 
+@pytest.mark.parametrize("command,kind,violation", [
+    ("col", "order_witness", "order on 7 vertices, graph has 8"),
+    ("treedepth", "elimination_forest", "forest covers 7 vertices, graph has 8"),
+])
+def test_verify_against_a_graph_of_another_size_fails(tmp_path, command, kind, violation):
+    # an order witness of the wrong size once exited 2 (graph_input)
+    out = tmp_path / "cert.json"
+    code, _, _ = run_cli(command, CYCLE7, "--out", str(out))
+    assert code == 0
+    code, vdoc, _ = run_cli("verify", str(out), "--graph", PATH8)
+    assert code == 1 and vdoc["error"] is None
+    assert vdoc["result"] == {"kind": kind, "ok": False, "violations": [violation]}
+
+
 _TRANSCRIPT_P3 = {
     "kind": "transcript", "winner": "splitter", "connector_tag": "exhaustive",
     "splitter_tag": "exhaustive", "residual_sizes": [2, 0],
@@ -293,7 +307,7 @@ def test_stall_exit_4(monkeypatch, capsys):
         raise AlgorithmStallError("exchange step failed to shrink X",
                                   state={"n_theory": 1})
 
-    monkeypatch.setattr(cli, "balanced_separator", boom)
+    monkeypatch.setattr("sparsekit.wideness.balanced_separator", boom)
     code = cli.run(["separator", PATH5, "--r", "1", "--eps", "0.5"])
     assert code == 4
     doc = json.loads(capsys.readouterr().out)
@@ -474,6 +488,30 @@ def test_sweep_wcol_every_order(tmp_path):
         assert code == 0
         assert doc["result"]["rows"] == [{"family": "g34", "n": 12, "m": 17,
                                           "r": 2, "op": "wcol", "value": value}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("wcol", PATH5, "--r", "1"), ("game", PATH5), ("uqw", PATH5, "--r", "1", "--m", "1"),
+    ("separator", PATH5, "--r", "1", "--eps", "0.5"), ("cover", PATH5, "--r", "1"),
+    ("partition", PATH5, "--r", "1"),
+], ids=lambda argv: argv[0])
+def test_unknown_order_name_is_a_precondition_error(argv):
+    # build_order owns the name rule, so a bad name gets the JSON envelope
+    code, doc, err = run_cli(*argv, "--order", "bogus")
+    assert code == 2 and "Traceback" not in err
+    assert doc["error"] == {"code": "precondition",
+                            "message": "unknown order strategy 'bogus'"}
+
+
+def test_sweep_unknown_order_name_is_a_row_error(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"families": [{"name": "p5", "spec": {"family": "path", "n": 5}}],
+                                "operations": ["wcol", "cover"], "order": "bogus"}))
+    code, doc, _ = run_cli("sweep", str(path))
+    assert code == 0 and doc["error"] is None
+    assert doc["result"]["rows"] == [
+        {"family": "p5", "n": 5, "m": 4, "r": 1, "op": op,
+         "error": "unknown order strategy 'bogus'"} for op in ("wcol", "cover")]
 
 
 @pytest.mark.parametrize("text", ["null", "[1, 2]", "7"])
