@@ -94,9 +94,9 @@ def _vertex_list(text, g: Graph):
         out = frozenset(int(t) for t in text.split(",") if t.strip())
     except ValueError:
         raise PreconditionError(f"expected comma-separated vertex ids, got {text!r}")
-    for v in out:
-        if not 0 <= v < g.n:
-            raise PreconditionError(f"vertex {v} not in the graph")
+    bad = foreign_vertices(g, out)
+    if bad:
+        raise PreconditionError("; ".join(bad))
     return out
 
 
@@ -261,7 +261,7 @@ def cmd_partition(args, g, meta):
     return {"r": args.r, "n_parts": pc.n_parts}, pc.to_json(), f"{pc.n_parts} parts", True
 
 
-def _parse_env(text, g: Graph) -> dict:
+def _parse_env(text) -> dict:
     env = {}
     if not text:
         return env
@@ -269,8 +269,11 @@ def _parse_env(text, g: Graph) -> dict:
         if "=" not in item:
             raise PreconditionError(f"expected var=vertex, got {item!r}")
         k, v = item.split("=", 1)
+        k = k.strip()
+        if k in env:
+            raise PreconditionError(f"variable {k!r} is assigned twice in --env")
         try:
-            env[k.strip()] = int(v)
+            env[k] = int(v)
         except ValueError:
             raise PreconditionError(f"vertex id in {item!r} is not an integer")
     return env
@@ -282,7 +285,7 @@ def cmd_eval(args, g, meta):
     if (args.formula is None) == (args.sentence is None):
         raise PreconditionError("exactly one of --formula / --sentence is required")
     if args.formula is not None:
-        env = _parse_env(args.env, g)
+        env = _parse_env(args.env)
         f = parse_formula(args.formula, free=tuple(env))
         value = eval_naive(g, f, env, marked)
         return {"value": value}, None, f"value = {value}", value
@@ -450,6 +453,13 @@ def cmd_verify(args, g, meta):
     return result, None, f"{kind}: {word}", not violations
 
 
+def _index(value) -> int:
+    """operator.index, except that a JSON boolean is not an integer."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 # sweep operation -> the key of its command's result that a row reports
 SWEEP_KEYS = {"wcol": "value", "cover": "max_degree", "partition": "n_parts",
               "density": "density"}
@@ -460,9 +470,9 @@ def cmd_sweep(args, g, meta):
     with _malformed("sweep config"):
         families = [(fam.get("name", json.dumps(fam["spec"], sort_keys=True)), fam["spec"])
                     for fam in cfg.get("families", [])]
-        radii = [operator.index(r) for r in cfg.get("r", [1])]
+        radii = [_index(r) for r in cfg.get("r", [1])]
         operations = list(cfg.get("operations", []))
-        seed = (operator.index(cfg["seed"])
+        seed = (_index(cfg["seed"])
                 if "density" in operations and "seed" in cfg else None)
     parser = build_parser()
     rows = []
@@ -623,6 +633,11 @@ def run(argv=None) -> int:
     summary, code = "", 0
     try:
         g, got = load_graph(args.graph) if "graph" in vars(args) else (None, {})
+        if "order" in vars(args):
+            # some modes build no order, so the name is checked here, by
+            # build_order's own rule on the empty graph
+            from .orders import build_order
+            build_order(Graph(0, ()), args.order, 1)
         result, cert, summary, ok = args.fn(args, g, got)
         meta = got
         # a false answer exits 1, unless the command's --expect flag is unset

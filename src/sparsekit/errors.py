@@ -57,3 +57,14 @@ class AlgorithmStallError(SparsekitError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state or {}
+
+
+def raise_if_invalid(violations: list, message: str, **state) -> None:
+    """The one self-check rule: a construction passes its own output's
+    validator verdict here, and any violation raises AlgorithmStallError
+    with `message`, the state and the violations.  A state value that has a
+    `to_json` is serialized only then."""
+    if violations:
+        state = {k: v.to_json() if hasattr(v, "to_json") else v for k, v in state.items()}
+        raise AlgorithmStallError(f"{message}: {violations}",
+                                  state={**state, "violations": violations})

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
-                     PreconditionError, StrategyBugError)
+from .errors import (CapabilityError, GraphInputError, PreconditionError,
+                     StrategyBugError, raise_if_invalid)
 from .graph import Graph, bfs_distances, components, foreign_vertices
 from .orders import VertexOrder
 from .rng import Rng
@@ -434,11 +434,8 @@ def play(g: Graph, cfg: GameConfig, sp: SplitterStrategy,
         rounds.append(GameRound(move, batch, residual))
     winner = "splitter" if not residual else "connector"
     transcript = GameTranscript(cfg, rounds, winner, co.tag, sp.tag)
-    bad = validate_transcript(g, transcript)
-    if bad:
-        raise AlgorithmStallError(
-            f"engine produced an invalid transcript: {bad}",
-            state={"transcript": transcript.to_json(), "violations": bad})
+    raise_if_invalid(validate_transcript(g, transcript),
+                     "engine produced an invalid transcript", transcript=transcript)
     return transcript
 
 

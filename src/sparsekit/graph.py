@@ -7,13 +7,14 @@ graph with re-densified ids; the original ids survive in the label table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 
 from .errors import AlgorithmStallError, GraphInputError
 
 
 class Graph:
-    __slots__ = ("n", "adj", "labels", "_adj_set", "_masks")
+    __slots__ = ("n", "adj", "labels", "_masks")
 
     def __init__(self, n: int, edges, labels=None):
         if n < 0:
@@ -35,7 +36,6 @@ class Graph:
         self.n = n
         self.adj = tuple(tuple(sorted(s)) for s in nbrs)
         self.labels = labels
-        self._adj_set = tuple(frozenset(s) for s in nbrs)
         self._masks = None
 
     @property
@@ -52,7 +52,9 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj_set[u]
+        a = self.adj[u]
+        i = bisect_left(a, v)
+        return i < len(a) and a[i] == v
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)

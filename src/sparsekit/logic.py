@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
                      FormulaScopeError, LocalityError, PreconditionError)
-from .graph import (Graph, ball, bfs_distances, induced_subgraph, iter_bits,
-                    least_independent, mask_ball)
+from .graph import (Graph, ball, bfs_distances, foreign_vertices,
+                    induced_subgraph, iter_bits, least_independent, mask_ball)
 
 
 # ----------------------------------------------------------------- AST
@@ -407,9 +407,9 @@ def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
     if set(env) != want:
         raise PreconditionError(
             f"assignment covers {sorted(env)}, free variables are {sorted(want)}")
-    for v in env.values():
-        if not 0 <= v < g.n:
-            raise PreconditionError(f"vertex {v} not in the graph")
+    bad = foreign_vertices(g, env.values())
+    if bad:
+        raise PreconditionError("; ".join(bad))
     cache = _DistCache(g)
     marked = frozenset(marked)
 
@@ -571,6 +571,10 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
         return frozenset()
     if r < 0:
         raise PreconditionError(f"r must be >= 0, got {r}")
+    if mode == "exact" and g.n > cap:
+        raise CapabilityError(
+            f"exact dominating set capped at {cap} vertices, got {g.n}",
+            "dominating_cap", cap)
     adj = g.adjacency_masks()
     full = (1 << g.n) - 1
     balls = [mask_ball(adj, 1 << v, full, r)[0] for v in range(g.n)]
@@ -598,10 +602,6 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
 
     if mode == "greedy":
         return frozenset(greedy())
-    if g.n > cap:
-        raise CapabilityError(
-            f"exact dominating set capped at {cap} vertices, got {g.n}",
-            "dominating_cap", cap)
 
     best = greedy()
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
-                     PreconditionError)
+                     PreconditionError, raise_if_invalid)
 from .graph import Graph, bfs_distances, foreign_vertices, set_radius
 from .rng import Rng
 
@@ -187,11 +187,8 @@ def find_depth_r_minor(
 
     model = choose_roots(0)
     if model is not None:
-        bad = verify_minor_model(g, h, model)
-        if bad:
-            raise AlgorithmStallError(
-                f"search produced an invalid model: {bad}",
-                state={"model": model.to_json(), "violations": bad})
+        raise_if_invalid(verify_minor_model(g, h, model),
+                         "search produced an invalid model", model=model)
     return model
 
 
@@ -326,9 +323,6 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
     }
     model = MinorModel(r, branch, witness)
     minor = Graph(len(branch), list(witness))
-    bad = verify_minor_model(g, minor, model)
-    if bad:
-        raise AlgorithmStallError(
-            f"density search produced an invalid model: {bad}",
-            state={"model": model.to_json(), "violations": bad})
+    raise_if_invalid(verify_minor_model(g, minor, model),
+                     "density search produced an invalid model", model=model)
     return DensityReport(r, dens, minor.n, minor.m, model, attempts)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
-                     PreconditionError)
+                     PreconditionError, raise_if_invalid)
 from .graph import Graph, bfs_distances, foreign_vertices, iter_bits, mask_ball
 
 
@@ -482,9 +482,6 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
     if g.n:
         build((1 << g.n) - 1, -1)
     forest = EliminationForest(tuple(parent))
-    bad = validate_elimination_forest(g, forest, value)
-    if bad:
-        raise AlgorithmStallError(
-            f"witness forest invalid: {bad}", state={"claimed": value, "violations": bad}
-        )
+    raise_if_invalid(validate_elimination_forest(g, forest, value),
+                     "witness forest invalid", claimed=value)
     return value, forest

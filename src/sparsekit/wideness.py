@@ -1,17 +1,17 @@
 """Quasi-wideness extraction, balanced neighborhood separators, and sparse
 neighborhood covers.
 
-Everything here returns a certificate object carrying the sets it claims and
-a `verified` flag; the flag is set exclusively by the definition-level
-validators at the bottom of the module, which share no code with the
-constructions.
+Everything here returns a certificate object carrying the sets it claims.
+Its validity is what the definition-level validators at the bottom of the
+module return for it; they share no code with the constructions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgorithmStallError, CapabilityError, PreconditionError
+from .errors import (AlgorithmStallError, CapabilityError, PreconditionError,
+                     raise_if_invalid)
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     least_independent, mask_ball, set_radius)
 from .orders import VertexOrder, WReachTable, wreach_clusters, wreach_sets
@@ -32,7 +32,6 @@ class UqwCertificate:
     B: frozenset
     wcol_bound: int           # c = wcol_of_order for the order used
     guarantee_applies: bool   # |A| >= 4*(2cm)^c held on input
-    verified: bool = False
 
     def to_json(self):
         return {
@@ -44,14 +43,12 @@ class UqwCertificate:
             "B": sorted(self.B),
             "wcol_bound": self.wcol_bound,
             "guarantee_applies": self.guarantee_applies,
-            "verified": self.verified,
         }
 
     @classmethod
     def from_json(cls, d):
         return cls(d["r"], d["m"], frozenset(d["A"]), frozenset(d["S"]),
-                   frozenset(d["B"]), d["wcol_bound"], d["guarantee_applies"],
-                   d.get("verified", False))
+                   frozenset(d["B"]), d["wcol_bound"], d["guarantee_applies"])
 
 
 @dataclass
@@ -62,7 +59,6 @@ class SeparatorCertificate:
     S: frozenset
     worst_ball_count: int
     iterations: int
-    verified: bool = False
 
     @property
     def worst_ball_fraction(self) -> float:
@@ -78,14 +74,12 @@ class SeparatorCertificate:
             "worst_ball_count": self.worst_ball_count,
             "worst_ball_fraction": self.worst_ball_fraction,
             "iterations": self.iterations,
-            "verified": self.verified,
         }
 
     @classmethod
     def from_json(cls, d):
         return cls(d["r"], d["eps"], frozenset(d["A"]), frozenset(d["S"]),
-                   d["worst_ball_count"], d.get("iterations", 0),
-                   d.get("verified", False))
+                   d["worst_ball_count"], d.get("iterations", 0))
 
 
 @dataclass
@@ -94,7 +88,6 @@ class Cover:
     clusters: dict            # center -> frozenset of vertices
     radius_bound: int
     max_degree: int
-    verified: bool = False
 
     def to_json(self):
         return {
@@ -103,21 +96,18 @@ class Cover:
             "clusters": {str(c): sorted(vs) for c, vs in sorted(self.clusters.items())},
             "radius_bound": self.radius_bound,
             "max_degree": self.max_degree,
-            "verified": self.verified,
         }
 
     @classmethod
     def from_json(cls, d):
         clusters = {int(c): frozenset(vs) for c, vs in d["clusters"].items()}
-        return cls(d["r"], clusters, d["radius_bound"], d["max_degree"],
-                   d.get("verified", False))
+        return cls(d["r"], clusters, d["radius_bound"], d["max_degree"])
 
 
 @dataclass
 class PartitionCover:
     r: int
     parts: list               # list of frozensets of vertices
-    verified: bool = False
 
     @property
     def n_parts(self) -> int:
@@ -129,13 +119,11 @@ class PartitionCover:
             "r": self.r,
             "parts": [sorted(p) for p in self.parts],
             "n_parts": self.n_parts,
-            "verified": self.verified,
         }
 
     @classmethod
     def from_json(cls, d):
-        return cls(d["r"], [frozenset(p) for p in d["parts"]],
-                   d.get("verified", False))
+        return cls(d["r"], [frozenset(p) for p in d["parts"]])
 
 
 # ----------------------------------------------------------- uqw extraction
@@ -209,11 +197,8 @@ def _extract(g: Graph, A: frozenset, m: int,
             used |= sets[a]
 
     cert = UqwCertificate(table.r, m, A, frozenset(S), frozenset(B), c, guarantee)
-    bad = validate_uqw(g, cert)
-    if bad:
-        raise AlgorithmStallError(
-            f"construction produced an invalid certificate: {bad}",
-            state={"certificate": cert.to_json(), "violations": bad})
+    raise_if_invalid(validate_uqw(g, cert),
+                     "construction produced an invalid certificate", certificate=cert)
     return cert
 
 
@@ -256,11 +241,8 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
     if len(B) < m:
         return None
     cert = UqwCertificate(r, m, A, S, frozenset(B), -1, False)
-    bad = validate_uqw(g, cert)
-    if bad:
-        raise AlgorithmStallError(
-            f"oracle produced an invalid certificate: {bad}",
-            state={"certificate": cert.to_json(), "violations": bad})
+    raise_if_invalid(validate_uqw(g, cert),
+                     "oracle produced an invalid certificate", certificate=cert)
     return cert
 
 
@@ -339,11 +321,8 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         iterations += 1
 
     cert = SeparatorCertificate(r, eps, A, X, worst, iterations)
-    bad = validate_separator(g, cert)
-    if bad:
-        raise AlgorithmStallError(
-            f"construction produced an invalid certificate: {bad}",
-            state={"certificate": cert.to_json(), "violations": bad})
+    raise_if_invalid(validate_separator(g, cert),
+                     "construction produced an invalid certificate", certificate=cert)
     return cert
 
 
@@ -363,11 +342,7 @@ def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
         for v in vs:
             degree[v] += 1
     cover = Cover(r, clusters, 2 * r, max(degree) if degree else 0)
-    bad = validate_cover(g, cover)
-    if bad:
-        raise AlgorithmStallError(
-            f"construction produced an invalid cover: {bad}",
-            state={"r": r, "violations": bad})
+    raise_if_invalid(validate_cover(g, cover), "construction produced an invalid cover", r=r)
     return cover
 
 
@@ -397,18 +372,15 @@ def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
                 vs |= clusters[u]
         parts.append(frozenset(vs))
     pc = PartitionCover(r, parts)
-    bad = validate_partition(g, pc)
-    if bad:
-        raise AlgorithmStallError(
-            f"construction produced an invalid partition cover: {bad}",
-            state={"r": r, "violations": bad})
+    raise_if_invalid(validate_partition(g, pc),
+                     "construction produced an invalid partition cover", r=r)
     return pc
 
 
 # --------------------------------------------------------------- validators
 
 def validate_uqw(g: Graph, cert: UqwCertificate) -> list:
-    """Definition-level check by plain BFS; sets cert.verified."""
+    """Definition-level check by plain BFS."""
     out = foreign_vertices(g, cert.A | cert.S | cert.B)
     if cert.S & cert.B:
         out.append(f"S and B overlap: {sorted(cert.S & cert.B)}")
@@ -426,7 +398,6 @@ def validate_uqw(g: Graph, cert: UqwCertificate) -> list:
             out.append(f"|S| = {len(cert.S)} exceeds the bound {cert.wcol_bound}")
         if len(cert.B) < cert.m:
             out.append(f"|B| = {len(cert.B)} below the target {cert.m}")
-    cert.verified = not out
     return out
 
 
@@ -441,12 +412,11 @@ def validate_separator(g: Graph, cert: SeparatorCertificate) -> list:
         out.append(f"recorded worst ball {cert.worst_ball_count}, measured {worst}")
     if worst > cert.eps * len(cert.A):
         out.append(f"worst ball holds {worst} of {len(cert.A)}, above eps={cert.eps}")
-    cert.verified = not out
     return out
 
 
 def validate_cover(g: Graph, cover: Cover) -> list:
-    """Definition-level check of a cover; sets cover.verified.
+    """Definition-level check of a cover.
 
     Each cluster gets one BFS from its named center, inside the cluster.
     That BFS decides connectivity on its own, and the center's eccentricity
@@ -458,7 +428,6 @@ def validate_cover(g: Graph, cover: Cover) -> list:
     own clusters alone."""
     out = foreign_vertices(g, set(cover.clusters).union(*cover.clusters.values()))
     if out:
-        cover.verified = False
         return out
     clusters_of = [[] for _ in range(g.n)]
     for u, vs in cover.clusters.items():
@@ -481,12 +450,11 @@ def validate_cover(g: Graph, cover: Cover) -> list:
     measured = max(map(len, clusters_of)) if clusters_of else 0
     if measured != cover.max_degree:
         out.append(f"recorded degree {cover.max_degree}, measured {measured}")
-    cover.verified = not out
     return out
 
 
 def validate_partition(g: Graph, pc: PartitionCover) -> list:
-    """Definition-level check of a partition cover; sets pc.verified.
+    """Definition-level check of a partition cover.
 
     A component passes as soon as one member reaches every other member
     within 2r inside it, by a BFS capped at 2r; only when no member does is
@@ -495,7 +463,6 @@ def validate_partition(g: Graph, pc: PartitionCover) -> list:
     against v's own parts alone."""
     out = foreign_vertices(g, frozenset().union(*pc.parts))
     if out:
-        pc.verified = False
         return out
     parts_of = [[] for _ in range(g.n)]
     for p in pc.parts:
@@ -511,5 +478,4 @@ def validate_partition(g: Graph, pc: PartitionCover) -> list:
             if not any(len(bfs_distances(g, (c,), bound, comp)) == len(comp) for c in comp):
                 rad = set_radius(g, comp)
                 out.append(f"part {i} has a component of radius {rad} > {bound}")
-    pc.verified = not out
     return out

@@ -345,6 +345,13 @@ def test_eval_formula_env():
     assert code == 0 and doc["result"]["value"] is True
 
 
+def test_eval_env_rejects_a_repeated_variable():
+    code, doc, err = run_cli("eval", PATH5, "--formula", "E(x,x)", "--env", "x=1,x=2")
+    assert code == 2 and "Traceback" not in err
+    assert doc["error"] == {"code": "precondition",
+                            "message": "variable 'x' is assigned twice in --env"}
+
+
 def test_eval_sentence_inline():
     code, doc, _ = run_cli("eval", CYCLE7, "--sentence",
                            '{"k":2,"r":1,"chi":"true"}')
@@ -494,13 +501,31 @@ def test_sweep_wcol_every_order(tmp_path):
     ("wcol", PATH5, "--r", "1"), ("game", PATH5), ("uqw", PATH5, "--r", "1", "--m", "1"),
     ("separator", PATH5, "--r", "1", "--eps", "0.5"), ("cover", PATH5, "--r", "1"),
     ("partition", PATH5, "--r", "1"),
-], ids=lambda argv: argv[0])
+    # these build no order, and still check the name
+    ("wcol", PATH5, "--r", "1", "--mode", "exact"),
+    ("uqw", PATH5, "--r", "1", "--m", "1", "--mode", "brute"),
+    ("game", PATH5, "--splitter", "uqw"), ("game", PATH5, "--splitter", "exhaustive"),
+], ids=["wcol", "game", "uqw", "separator", "cover", "partition",
+        "wcol-exact", "uqw-brute", "game-uqw", "game-exhaustive"])
 def test_unknown_order_name_is_a_precondition_error(argv):
     # build_order owns the name rule, so a bad name gets the JSON envelope
     code, doc, err = run_cli(*argv, "--order", "bogus")
     assert code == 2 and "Traceback" not in err
     assert doc["error"] == {"code": "precondition",
                             "message": "unknown order strategy 'bogus'"}
+
+
+@pytest.mark.parametrize("extra", [{"r": [True]}, {"r": [1], "seed": True}],
+                         ids=["radius", "seed"])
+def test_sweep_rejects_boolean_integers(tmp_path, extra):
+    # JSON true is not the integer 1, as in generator specs
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"families": [{"name": "p5", "spec": {"family": "path", "n": 5}}],
+                                "operations": ["wcol", "density"], **extra}))
+    code, doc, err = run_cli("sweep", str(path))
+    assert code == 2 and "Traceback" not in err
+    assert doc["error"] == {"code": "precondition", "message":
+                            "malformed sweep config: TypeError: expected an integer, got True"}
 
 
 def test_sweep_unknown_order_name_is_a_row_error(tmp_path):

@@ -145,6 +145,18 @@ def test_eval_env_must_match_free_vars():
         eval_naive(g, Eq("a", "a"), {"a": 7})
 
 
+def test_eval_assignment_takes_only_vertex_ids():
+    # JSON true is not vertex 1, and a float is no vertex id at all
+    g = path_graph(3)
+    for env in ({"x": True}, {"x": 1.0}):
+        with pytest.raises(PreconditionError) as e:
+            eval_naive(g, Edge("x", "x"), env)
+        assert str(e.value) == f"vertex {env['x']} not in the graph"
+    with pytest.raises(PreconditionError) as e:
+        eval_naive(g, Eq("x", "y"), {"x": 0, "y": 9})
+    assert str(e.value) == "vertex 9 not in the graph"
+
+
 def test_dominating_formula_pins():
     f2 = dominating_formula(2)
     assert to_text(f2) == ("exists x1 . exists x2 . forall y . "
@@ -333,6 +345,13 @@ def test_distance_dominating_set_modes_and_caps():
     assert e.value.cap_name == "dominating_cap"
     # greedy has no cap
     assert len(distance_dominating_set(path_graph(40), 1, mode="greedy")) >= 14
+
+
+def test_exact_domination_checks_its_cap_before_allocating():
+    g = path_graph(2000)
+    with pytest.raises(CapabilityError):
+        distance_dominating_set(g, 1)
+    assert g._masks is None  # no n-bit ball was built
 
 
 def test_exact_domination_matches_the_oracle(corpus_small):

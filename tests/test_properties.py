@@ -1,0 +1,189 @@
+"""Property tests (Hypothesis): text and JSON forms round-trip, and any input
+bytes given to the CLI end in a JSON envelope with exit 0-4, never a
+traceback.  Every test is derandomized with a bounded number of examples,
+so the suite stays deterministic and quick; the CLI cases run in process
+through `cli.run`."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import sparsekit.cli as cli
+from sparsekit.graph import Graph
+from sparsekit.graphio import emit_json, parse_edge_list, read_dimacs, write_edge_list
+from sparsekit.logic import (And, DistLe, Edge, Eq, Lit, Not, Or, Pred, Quant,
+                             parse_formula, to_text)
+from sparsekit.wideness import Cover, PartitionCover, SeparatorCertificate, UqwCertificate
+
+
+def bounded(n: int):
+    # no deadline and no too-slow check: a loaded host must not fail a test
+    return settings(max_examples=n, derandomize=True, database=None, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+# ------------------------------------------------------------- round trips
+
+NAMES = st.from_regex(r"[a-z_][a-z0-9_]{0,2}", fullmatch=True).filter(
+    lambda s: s not in {"exists", "forall", "within", "of", "dist", "true", "false"})
+
+
+@st.composite
+def formulas(draw, scope=(), depth=3):
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        if not scope:
+            return Lit(draw(st.booleans()))
+        a, b = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
+        return draw(st.sampled_from([Lit(True), Lit(False), Eq(a, b), Edge(a, b),
+                                     DistLe(a, b, draw(st.integers(0, 9))), Pred(a)]))
+    kind = draw(st.sampled_from(["not", "and", "or", "quant"]))
+    if kind == "not":
+        return Not(draw(formulas(scope, depth - 1)))
+    if kind in ("and", "or"):
+        node = And if kind == "and" else Or
+        return node(draw(formulas(scope, depth - 1)), draw(formulas(scope, depth - 1)))
+    var = draw(NAMES)
+    anchor = draw(st.none() | st.sampled_from(scope)) if scope else None
+    d = None if anchor is None else draw(st.integers(1, 9))
+    body = draw(formulas(tuple(sorted({*scope, var})), depth - 1))
+    return Quant(draw(st.sampled_from(["exists", "forall"])), var, anchor, d, body)
+
+
+@bounded(60)
+@given(formulas(scope=("x", "y")))
+def test_formula_text_round_trip(f):
+    assert parse_formula(to_text(f), free=None) == f
+
+
+@st.composite
+def graphs(draw, max_n=12):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n, draw(st.permutations(edges)))
+
+
+@bounded(50)
+@given(graphs())
+def test_edge_list_round_trip(g):
+    # an edge list names no isolated vertex past the largest endpoint
+    back = parse_edge_list(write_edge_list(g))
+    assert back.n == 1 + max((v for e in g.edges() for v in e), default=-1)
+    assert sorted(back.edges()) == sorted(g.edges())
+
+
+@bounded(50)
+@given(graphs())
+def test_dimacs_round_trip(g):
+    text = "\n".join([f"p edge {g.n} {g.m}"] + [f"e {u + 1} {v + 1}" for u, v in g.edges()])
+    assert read_dimacs(text) == g
+
+
+IDS = st.frozensets(st.integers(0, 30))
+
+
+def certificates():
+    uqw = st.builds(UqwCertificate, st.integers(1, 5), st.integers(1, 5), IDS, IDS, IDS,
+                    st.integers(-1, 9), st.booleans())
+    sep = st.builds(SeparatorCertificate, st.integers(1, 5),
+                    st.floats(0, 1, exclude_min=True), IDS, IDS,
+                    st.integers(0, 30), st.integers(0, 9))
+    cover = st.builds(Cover, st.integers(1, 5), st.dictionaries(st.integers(0, 30), IDS),
+                      st.integers(0, 10), st.integers(0, 10))
+    part = st.builds(PartitionCover, st.integers(1, 5), st.lists(IDS))
+    return uqw | sep | cover | part
+
+
+@bounded(100)
+@given(certificates(), st.booleans())
+def test_wideness_certificate_json_round_trip(cert, old_key):
+    doc = json.loads(emit_json(cert.to_json()))
+    if old_key:  # files written while certificates carried a verdict still load
+        doc["verified"] = True
+    back = type(cert).from_json(doc)
+    assert back == cert
+    assert emit_json(back.to_json()) == emit_json(cert.to_json())
+
+
+# ------------------------------------------------------------ CLI envelopes
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_in_process(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    assert 0 <= code <= 4 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    doc = json.loads(out.getvalue())
+    assert doc["command"] == argv[0] and (code < 2) == (doc["error"] is None)
+    return code, doc
+
+
+SMALL = st.integers(-2, 12)
+GRAPH_LINES = st.lists(st.one_of(
+    st.tuples(SMALL, SMALL).map(lambda e: f"{e[0]} {e[1]}"),
+    st.tuples(SMALL, SMALL).map(lambda e: f"e {e[0]} {e[1]}"),
+    st.tuples(SMALL, SMALL).map(lambda e: f"p edge {e[0]} {e[1]}"),
+    st.sampled_from(["a b", "b c", "# note", "", "1", "c comment", "p", "x y z"]),
+), max_size=8).map(lambda lines: "\n".join(lines).encode())
+GRAPH_FILES = st.binary(max_size=48) | GRAPH_LINES
+
+
+@bounded(100)
+@given(GRAPH_FILES, st.sampled_from(["col", "treedepth", "cover"]))
+def test_any_graph_file_gives_an_envelope(workdir, data, command):
+    path = workdir / "graph.txt"
+    path.write_bytes(data)
+    extra = ["--r", "1"] if command == "cover" else []
+    run_in_process(command, str(path), *extra)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats(-2, 12) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12)
+CERT_KEYS = ["r", "m", "A", "S", "B", "value", "order", "parent", "clusters", "parts",
+             "vertices", "problem", "k", "eps", "h", "depth", "branch_sets", "edge_witness",
+             "config", "rounds", "winner", "model", "radius_bound", "max_degree"]
+CERT_DOCS = st.builds(
+    lambda kind, fields: json.dumps({"kind": kind, **fields}).encode(),
+    st.sampled_from(sorted(cli.CERTIFICATES)) | st.text(max_size=3),
+    st.dictionaries(st.sampled_from(CERT_KEYS), JSON, max_size=6))
+
+
+@bounded(100)
+@given(st.binary(max_size=48) | CERT_DOCS)
+def test_any_certificate_gives_an_envelope(workdir, data):
+    path = workdir / "cert.json"
+    path.write_bytes(data)
+    run_in_process("verify", str(path), "--graph", '{"family":"grid","rows":2,"cols":3}')
+
+
+SPECS = st.fixed_dictionaries({"family": st.sampled_from(["path", "cycle", "star", "nope"]),
+                               "n": st.integers(-1, 8) | JSON})
+SWEEP_DOCS = st.builds(
+    lambda fields: json.dumps(fields).encode(),
+    st.fixed_dictionaries({}, optional={
+        "families": st.lists(st.fixed_dictionaries({"spec": SPECS},
+                                                   optional={"name": JSON}), max_size=2) | JSON,
+        "r": st.lists(st.integers(-1, 3) | JSON, max_size=2) | JSON,
+        "operations": st.lists(st.sampled_from(["wcol", "cover", "partition", "density"])
+                               | JSON, max_size=3) | JSON,
+        "seed": st.integers(0, 9) | JSON,
+        "order": st.sampled_from(["degeneracy", "greedy", "bogus"]) | JSON}))
+
+
+@bounded(80)
+@given(st.binary(max_size=48) | SWEEP_DOCS)
+def test_any_sweep_config_gives_an_envelope(workdir, data):
+    path = workdir / "sweep.json"
+    path.write_bytes(data)
+    run_in_process("sweep", str(path))

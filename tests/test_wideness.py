@@ -29,7 +29,7 @@ def test_uqw_extract_path_frozen():
     assert sorted(cert.B) == [2, 5, 8]
     assert cert.wcol_bound == 3
     assert cert.guarantee_applies is False
-    assert cert.verified
+    assert validate_uqw(g, cert) == []
 
 
 def test_uqw_extract_star_deletes_center():
@@ -37,7 +37,7 @@ def test_uqw_extract_star_deletes_center():
     cert = uqw_extract(g, range(100), 1, 3, identity_order(100))
     assert sorted(cert.S) == [0]
     assert len(cert.B) == 99
-    assert cert.verified
+    assert validate_uqw(g, cert) == []
 
 
 def test_uqw_extract_guarantee_case():
@@ -48,7 +48,7 @@ def test_uqw_extract_guarantee_case():
     assert cert.guarantee_applies is True
     assert cert.S == frozenset()
     assert len(cert.B) == 128
-    assert cert.verified
+    assert validate_uqw(g, cert) == []
 
 
 def test_uqw_extract_preconditions():
@@ -88,32 +88,34 @@ def test_uqw_brute_never_worse_than_extraction():
 
 # sha256 of emit_json(cert.to_json()) for uqw_brute(g, A, r, 1, s_max=3),
 # taken when uqw_brute searched each S with a memoized maximum independent
-# set; A is every vertex ("all") or the vertices not 1 mod 3.
+# set; A is every vertex ("all") or the vertices not 1 mod 3.  These pins,
+# PINNED_CERTIFICATES and the 40-grid pin were re-taken when certificates
+# lost their `verified` key; `repin_wideness.py` shows nothing else moved.
 PINNED_UQW_BRUTE = {
-    ("path18", 1, "all"): "bed10b395315393ca3b4bdfb6f6d04eb6c461bef7d347008879dbfa3e7c4b4c4",
-    ("path18", 1, "not1mod3"): "0cd733f4f1a06ce244b32a3849d7e09e1d9b77dfd3652036a53c72452c1dfd0d",
-    ("path18", 2, "all"): "c396d35151fe4a78ffe75a3fae4d752b2d97d3a99c27fce84e687abb0f8deaf0",
-    ("path18", 2, "not1mod3"): "e2eee18f5228b538fac3e55ea3f1554fc5d19234273cf8b86cf429854f0e4fab",
-    ("cycle18", 1, "all"): "bed10b395315393ca3b4bdfb6f6d04eb6c461bef7d347008879dbfa3e7c4b4c4",
-    ("cycle18", 1, "not1mod3"): "def06f7008e78abb12078fccd7ba0f3fad2e43e97c74b5838559ea29f0676d97",
-    ("cycle18", 2, "all"): "6bd091fb421e6cfefe824b60f186d65a4821c9bf7ed2fb376b77c7e8794925bf",
-    ("cycle18", 2, "not1mod3"): "16b1278b1f9d897200e95d99a2f5dbb9578ab3f54fb43e6e303eeb18f2b50daa",
-    ("grid3x6", 1, "all"): "5f6e278716d3b54ab7254e80278d14ad4bf072f0bc9a6144279ee29a88e38f1d",
-    ("grid3x6", 1, "not1mod3"): "4c9e64dbe5b1bdebbd5fc3798f88ed4a8e40c5eb49bf19bc1962395a83521d9f",
-    ("grid3x6", 2, "all"): "98617283d5bf064bb269fcdd966c50ab634c9795f1fe5ef1969335c6023d7812",
-    ("grid3x6", 2, "not1mod3"): "87e6af347ad62807e3f8b2bb08b38b27e765514bd5000dc12168c4dd96c9bd5d",
-    ("triangles6", 1, "all"): "dde4e60890a0715f69f43cad5902c100fab9fa84a64aa22390c8f755603e85af",
-    ("triangles6", 1, "not1mod3"): "7b521217112e50950291d7612fee2ecb9a8442c5aa11a52d93853a2c8992fe92",
-    ("triangles6", 2, "all"): "04f4c3cfeab14f699e1fe378ac74eadecfbec6e3be8bcf0031581772454d98fc",
-    ("triangles6", 2, "not1mod3"): "16b1278b1f9d897200e95d99a2f5dbb9578ab3f54fb43e6e303eeb18f2b50daa",
-    ("tree18", 1, "all"): "75751d7170853ec3b208257507a892522594bdf91bb4b2610e40c16a36b25a03",
-    ("tree18", 1, "not1mod3"): "06533da8a7ac4e054af4fd1f5789b68d9ed242c885a473ceaed6ee4d12f2caa2",
-    ("tree18", 2, "all"): "b7afa9088e3a92416a8d6aec06608c9999bfe19ae70788afd26bad4520aa9431",
-    ("tree18", 2, "not1mod3"): "167b71185fd683ddaa5f2af1ed40faee99dedbaa324d1cf9c9366bb989c96799",
-    ("gnd18", 1, "all"): "f9c5fe49570e22e6953da24b96febe9baa6e30e0442b010be095780e38c64385",
-    ("gnd18", 1, "not1mod3"): "6ac61717b8966e77bb9a92402474462f6a680f7bbe2f7d133257992d0258d89f",
-    ("gnd18", 2, "all"): "7aba5a4e5642d840b2fab8fa4230221f644fccb86cebd02185beeebefc516f6d",
-    ("gnd18", 2, "not1mod3"): "4d06770d00a6ffe1a4182039b9e154ba176619f2e3ce7a70990afef64b3275fc",
+    ("path18", 1, "all"): "2c0ad37d262c4fdc7e279d89cf8c275e10e5362deead263d561be50f7cf5e778",
+    ("path18", 1, "not1mod3"): "162c180a4cf29f64a3b6e511d099d36720e672224e46fc6d5637b98eb1466c73",
+    ("path18", 2, "all"): "6b0da98e8a79b82e1309945a6ba05a01e9b5af09d87ca2cce64f12f35c92f072",
+    ("path18", 2, "not1mod3"): "3692e80e6aa344c16ff64192f458ed2ff15064b490aec710288ca00583449554",
+    ("cycle18", 1, "all"): "2c0ad37d262c4fdc7e279d89cf8c275e10e5362deead263d561be50f7cf5e778",
+    ("cycle18", 1, "not1mod3"): "db37be961c453b1332f4873e566346cb4f08892f4c912c0c0917d935a7ada171",
+    ("cycle18", 2, "all"): "b129b1699a736856e6382579c97c034b72ebc3c3a27ca968bd080c2988faafbe",
+    ("cycle18", 2, "not1mod3"): "17b551866ce87f56eb731354847701f0c8f6783fe94a467996be65392e5d658c",
+    ("grid3x6", 1, "all"): "048e126aa856b895ea05dd980bbf08055970fc08dc5e3e991c6af1917c0ee56e",
+    ("grid3x6", 1, "not1mod3"): "84861df522771fd771ff4cf506ea9d05920d059e4ae12cbc7dfe50a3ae87610e",
+    ("grid3x6", 2, "all"): "118fbcb806375a4f914f161e246f4c8420d174607b0a0c0167cfecfb0a6b85dc",
+    ("grid3x6", 2, "not1mod3"): "f53223769740e1faeca5ee046266e91c65831bc750f3cc1552aa206d811fc9a0",
+    ("triangles6", 1, "all"): "97c44602792372f479d87b78accb21aa4573096a4c436526cb621b281d7be264",
+    ("triangles6", 1, "not1mod3"): "a7f2f219439a7bc838b5b0507ff184ac616efe8bbf2145a4d25ec42df6ab9afc",
+    ("triangles6", 2, "all"): "44c9dd283bd316dc2a634837b0d1cbaf53d1d25ba3c9c559c9531e98e9ba68a7",
+    ("triangles6", 2, "not1mod3"): "17b551866ce87f56eb731354847701f0c8f6783fe94a467996be65392e5d658c",
+    ("tree18", 1, "all"): "5699bc2d6160140b1ff7badab30da5ea1f71b6c1290dbe7973ee883593390fb7",
+    ("tree18", 1, "not1mod3"): "87d963b624090af4951d9350e475b3647d51041ac212014c07347ab3e9700fe6",
+    ("tree18", 2, "all"): "2285dc575764553751b87db15ce1d8ceab233303444de007e3f8d77555f1ab98",
+    ("tree18", 2, "not1mod3"): "d9c9b5d5f2c73a0172b7a7560942323cba6c2b3a3412c9d8252e4066428c90d5",
+    ("gnd18", 1, "all"): "bf343f3878252e9faa6f8b692eb62f1880fb653fe3790b0e908f0299f6feedb2",
+    ("gnd18", 1, "not1mod3"): "650d00107686037e7230a2129f329081fc1513381161be7c039d35874da57f52",
+    ("gnd18", 2, "all"): "67a2c99a188fa8feb3ffbdd44d2bd040a2745eedbe497de3db9467d8e308420b",
+    ("gnd18", 2, "not1mod3"): "345888c4e74401f517bc9f60c5e96546cdc20f6bc8132886c570f94f8f78d4b4",
 }
 
 
@@ -153,7 +155,7 @@ def test_validate_uqw_rejects():
     A = frozenset(range(6))
     close = UqwCertificate(2, 2, A, frozenset(), frozenset({0, 1}), 3, False)
     assert any("apart" in v for v in validate_uqw(g, close))
-    assert close.verified is False
+    assert validate_uqw(g, close) != []
     overlap = UqwCertificate(2, 2, A, frozenset({0}), frozenset({0, 4}), 3, False)
     assert any("overlap" in v for v in validate_uqw(g, overlap))
     outside = UqwCertificate(2, 2, A, frozenset(), frozenset({7}), 3, False)
@@ -181,14 +183,14 @@ def test_separator_star_frozen():
     assert cert.worst_ball_count == 1
     assert cert.worst_ball_fraction == pytest.approx(0.01)
     assert cert.iterations == 1
-    assert cert.verified
+    assert validate_separator(g, cert) == []
 
 
 def test_separator_star_trivial_eps():
     g = star_graph(100)
     cert = balanced_separator(g, range(100), 1, 1.0, identity_order(100))
     assert cert.S == frozenset()
-    assert cert.verified
+    assert validate_separator(g, cert) == []
 
 
 def test_separator_may_stop_with_everything_deleted():
@@ -199,7 +201,7 @@ def test_separator_may_stop_with_everything_deleted():
     assert cert.S == frozenset(range(10))
     assert cert.iterations == 0
     assert cert.worst_ball_count == 0
-    assert cert.verified
+    assert validate_separator(g, cert) == []
 
 
 def test_separator_on_trees_and_grids():
@@ -211,7 +213,7 @@ def test_separator_on_trees_and_grids():
         pi = degeneracy_order(g)
         for r, eps in ((1, 0.5), (1, 0.2), (2, 0.5)):
             cert = balanced_separator(g, range(g.n), r, eps, pi)
-            assert cert.verified
+            assert validate_separator(g, cert) == []
             assert cert.worst_ball_count <= eps * g.n
 
 
@@ -235,7 +237,7 @@ def test_validate_separator_rejects():
     bad = validate_separator(g, lying)
     assert any("measured" in v for v in bad)
     assert any("above eps" in v for v in bad)
-    assert lying.verified is False
+    assert validate_separator(g, lying) != []
 
 
 def test_separator_json_round_trip():
@@ -261,36 +263,36 @@ PIN_GRAPHS = {
 # eps (radius 4r, m = int(1/eps) + wcol_4r + 1); unlike a plain small-m
 # extraction on these graphs, it deletes vertices.
 PINNED_CERTIFICATES = {
-    ("grid12", "uqw", 1, 0.1): "7d67575b4e7eb274d8ffa8c1e89e9e262e01cdd45ff49929b701afc36fe593c7",
-    ("grid12", "uqw", 1, 0.2): "c8542be5a8ade162c415cbfdcbdfce1d514f30edd3575cc91513fd600fdf7315",
-    ("grid12", "uqw", 2, 0.1): "df22fd7f1509980ae69ec00401f485039c0725f565df9208bdac4456ab00cfad",
-    ("grid12", "uqw", 2, 0.2): "ffcaca03e2a70517aed0aea497d9993fce4e3e96387743aa2434172d02e28e92",
-    ("tree300", "uqw", 1, 0.1): "e34690d02c0bca6d87a81cfea7d8563eece76b1810225f055ca261a0b390a8b5",
-    ("tree300", "uqw", 1, 0.2): "635d17e7bb09f78231fbd9e0fb233c64287ef8c354000587c8f9c36e5f9629df",
-    ("tree300", "uqw", 2, 0.1): "2626d03ee2d0189b603f45deaece4d3c9545bd3827203edd954554ca752777a7",
-    ("tree300", "uqw", 2, 0.2): "f4f305c1456869efff860effaf67eb8e5fe946290e91429823bdc91bd882a5e5",
-    ("gnd300", "uqw", 1, 0.1): "8da9026d69b2a5f521d1b3218694896b354a4305e84a117482c86c573c74af6f",
-    ("gnd300", "uqw", 1, 0.2): "fbf1726d5b19f4f7f2d10d5475bcb59bc304b5bb076d1efaa077fe070aa9af5f",
-    ("gnd300", "uqw", 2, 0.1): "082208e1483bebfdea6481677c0fee1984ff505f9efbb3e2a0f4e10a639e2367",
-    ("gnd300", "uqw", 2, 0.2): "165319e69336dbfa2336cfda02d251ee73bdf346999cfd7aa39147a77e8bb13e",
-    ("grid12", "separator", 1, 0.1): "cde9ef462a62c25adecb2a85432ea6992110b52a8849d80e1896192172e3046a",
-    ("grid12", "separator", 1, 0.2): "9947ab9a055d12b9f1be48f3fcd3b417b30faa8d95c03ced7e5ca7112e2994f1",
-    ("grid12", "separator", 2, 0.1): "cf1da1c8438d1ea9629bb390a1189e1e360067192e5e3ee1ed1e1982b37f16f9",
-    ("grid12", "separator", 2, 0.2): "58bb968790c8efa9bf7d232552d254482d5892a3ea1b1fffa53ce8071f41e5d7",
-    ("tree300", "separator", 1, 0.1): "c31b8d080790160c67b3672fd535e892874462bcd6dd7c46ee5f06cc5b312240",
-    ("tree300", "separator", 1, 0.2): "544407781ba417bad21e04cbe861b843974b3bd429a7b0fe54ce15dbb660ec27",
-    ("tree300", "separator", 2, 0.1): "abc537f45afe4d6950435ba5417456784a12fcc21391a3863b1f667e092fb71f",
-    ("tree300", "separator", 2, 0.2): "5c03ed28651516216d2bc88cf0a4ac1e03fc5be635625da3d50200d85c5296b0",
-    ("gnd300", "separator", 1, 0.1): "4d076e3f5d70e57c2811de69a642c2dc78fd501a8f6584f953f20f55a1243b45",
-    ("gnd300", "separator", 1, 0.2): "39fe8f769e3c119418e93a778c3518dd44a73f71af0e1ed9eb96b562e5b3960c",
-    ("gnd300", "separator", 2, 0.1): "abaa3c46d47bdc9e8d17d63730075ca957a9e8fa42d422aa6311a5698eb76ab8",
-    ("gnd300", "separator", 2, 0.2): "fc2ffe980e595bba140838e91e8ca245a79566b2a97d289634e0f65592e24006",
-    ("tree2000", "separator", 1, 0.1): "ea90a93b1032ffe9d54312c5103f3ccbd0e731399671ad0cb2babd0aa9eee042",
-    ("tree2000", "separator", 1, 0.2): "5c1e2cff2ebcef54c87231c333d50eae29ceb485ed746d7ff66ffbb9391e07f2",
-    ("tree2000", "separator", 2, 0.1): "26ed9d648728da353aff9b7d355096076f4d717a3cdd686b3c0fddabe7c3a467",
-    ("grid30", "separator", 1, 0.1): "4702905958b6f8015d483b771a3ccfb2165952ea6dbecf950704255b59b1284f",
-    ("grid30", "separator", 1, 0.2): "45cfd72b370a4d6efaf93e533d8e8038f20057936da8051414032273211bfa97",
-    ("grid30", "separator", 2, 0.1): "a60f20eb26f2147518dc935ccb04f1e4fcc45176727be09647b5808d715f6f71",
+    ("grid12", "uqw", 1, 0.1): "57da6b951b444684fb0ca9d11a6c720f90836a1152af2a30bea375374eb98500",
+    ("grid12", "uqw", 1, 0.2): "f9b91389cbbb6542db3ed47673afc3eb8814a25bb3968c4b688ad375da56c209",
+    ("grid12", "uqw", 2, 0.1): "b83b6f620fb9f556c603f6eb89ec2b7fa216b71d3cac6ffb79e10d5b6729caec",
+    ("grid12", "uqw", 2, 0.2): "b465ae17f209507229872312fb8e09ef8a0838414a0ec9ac927d1fbe46b0ddba",
+    ("tree300", "uqw", 1, 0.1): "8a9cd9198ec480df9050967bdc4efadd6637d4a051df671c220135bdfd37cc27",
+    ("tree300", "uqw", 1, 0.2): "968033888ac61cb29887929fdfbc502f5542055209730a3f640f312a9cd906c7",
+    ("tree300", "uqw", 2, 0.1): "f1d54aabbf22ce5b97b850531760063c95196ac9446c49113e3c4de894d9bbcb",
+    ("tree300", "uqw", 2, 0.2): "23a48395d453548d98ad589c6ae9f2bad6ec4bd72b7c9abbfd4340bfd9d38200",
+    ("gnd300", "uqw", 1, 0.1): "3c117b14fd7c1dafff6dbe8486f2b21c8ceac73f2212d16d0fb03b424700b2d9",
+    ("gnd300", "uqw", 1, 0.2): "64c0f9fe33511b136aebf15d3f4fd36419e211b2d7c6681ea52e33cee9c3488f",
+    ("gnd300", "uqw", 2, 0.1): "b658ec57eee9286ece5345cd90452ddf60700f03b34f092698cb087b578c6bdc",
+    ("gnd300", "uqw", 2, 0.2): "ae628e68346159bbf6568737ecdc4551ffdcb84defa60653925b34463e32b75b",
+    ("grid12", "separator", 1, 0.1): "1997d25be3c39687e6dcd48164465768606bccef0c349f17fcaf3d93ac120664",
+    ("grid12", "separator", 1, 0.2): "5a2364547beb18393d80528066092520f66ec890ecd9791bc007eb30d99f4ced",
+    ("grid12", "separator", 2, 0.1): "5ec362643db41de764375a3a61be1765e26cec31dca605082924dd72d1b691f9",
+    ("grid12", "separator", 2, 0.2): "9e25771d0d03bf9d18692ef45bc756db94703967ec53908735e68aa191e0603e",
+    ("tree300", "separator", 1, 0.1): "621809e53bc7a59f43636fb8d64cd035b916e41653e1ff079c70f23086e3ec71",
+    ("tree300", "separator", 1, 0.2): "f8c8d402f3390e7f32a8bd7914a0ff2ef9f80b74077069ed6f0f1681f5d8bdb7",
+    ("tree300", "separator", 2, 0.1): "f45dba77f1ab69f2616dc8ab25d6803c76873317766bf43e7858337301cccf9b",
+    ("tree300", "separator", 2, 0.2): "4a46a510e7e2f51654adf907348b55036882b5896173042854c6f22bcd6cdca6",
+    ("gnd300", "separator", 1, 0.1): "a4948566dec7fd01ddcf1e0138391d4b0f10b531e952cfb1d507d855ed9c4adb",
+    ("gnd300", "separator", 1, 0.2): "ea378adae046d8dadc76c212481d6c497ed1bff272b4c904c871c1840e3ec281",
+    ("gnd300", "separator", 2, 0.1): "4495177ffbf3c931e1dc91aa09ab8655d9a5883ada9599053e4c6187e3a6b8cb",
+    ("gnd300", "separator", 2, 0.2): "50462cdf9b5351cd3d15133b0a29c01c8e682c44c92ebb5cab55bcce5fe66e80",
+    ("tree2000", "separator", 1, 0.1): "018deb654813db380c10eec0706a76afdaa3c82211ff7fe23e11e9824f38761a",
+    ("tree2000", "separator", 1, 0.2): "210c1a49c11928cb5408bce69e9b80201f5e6f3ece883ee4d99af208e7bc5081",
+    ("tree2000", "separator", 2, 0.1): "168803d5bf305e2d812230aeb446fbe3814e78184234ccf06c135ab7d90603f7",
+    ("grid30", "separator", 1, 0.1): "aa14289a10d12c817ad8e46a91e989b3191c2d895145cfe228b1263b4a4cfb89",
+    ("grid30", "separator", 1, 0.2): "e34d7a8b3606bec0c6cd528f71052aeba833a02c488fa15c990a2161fbacd7d1",
+    ("grid30", "separator", 2, 0.1): "baebb349b89abfad6028b87d7220426eb6d9f6b32fd17acb0f0ab2e37b7fb243",
 }
 
 
@@ -316,7 +318,7 @@ def test_certificates_pinned(name):
 def test_separator_on_the_40_grid_pinned():
     g = grid_graph(40, 40)
     cert = balanced_separator(g, range(g.n), 1, 0.1, degeneracy_order(g))
-    assert _digest(cert) == "adc11303479470ef580f931ffff7540a533d860ddccb75e139594847e8bec72b"
+    assert _digest(cert) == "9b2dc2b0fce2a2bc63ec31b9ace719518dc1056230fc7a65c9b36f51ae0464d1"
 
 
 def test_separator_recounts_balls_near_vertices_entering_x():
@@ -328,7 +330,8 @@ def test_separator_recounts_balls_near_vertices_entering_x():
     cert = balanced_separator(g, A, 1, 0.3, identity_order(g.n))
     assert sorted(cert.S) == [0, 1, 3, 8, 11, 12, 16, 20, 22, 26, 27, 28, 30, 31, 32, 34,
                               36, 39, 48, 57, 58]
-    assert (cert.worst_ball_count, cert.iterations, cert.verified) == (2, 4, True)
+    assert (cert.worst_ball_count, cert.iterations) == (2, 4)
+    assert validate_separator(g, cert) == []
 
 
 # ------------------------------------------------------------------- covers
@@ -341,7 +344,7 @@ def test_cover_path_frozen():
     assert cover.clusters == want
     assert cover.max_degree == 3
     assert cover.radius_bound == 2
-    assert cover.verified
+    assert validate_cover(g, cover) == []
 
 
 def test_cover_cycle_frozen():
@@ -349,7 +352,7 @@ def test_cover_cycle_frozen():
     cover = neighborhood_cover(g, 1, identity_order(6))
     assert sorted(cover.clusters) == [0, 1, 2, 3]
     assert cover.max_degree == 3
-    assert cover.verified
+    assert validate_cover(g, cover) == []
 
 
 def test_cover_degree_bounded_by_wcol():
@@ -357,7 +360,7 @@ def test_cover_degree_bounded_by_wcol():
         pi = degeneracy_order(g)
         for r in (1, 2):
             cover = neighborhood_cover(g, r, pi)
-            assert cover.verified
+            assert validate_cover(g, cover) == []
             assert cover.max_degree <= wcol_of_order(g, pi, 2 * r)
 
 
@@ -413,7 +416,6 @@ def test_validate_cover_accepts_a_peripheral_center():
     # center 0 has eccentricity 4 in P5, but the cluster's radius is 2
     cover = Cover(1, {0: frozenset(range(5))}, 2, 1)
     assert validate_cover(path_graph(5), cover) == []
-    assert cover.verified
 
 
 def test_validate_cover_bfs_count(monkeypatch):
@@ -461,7 +463,7 @@ def test_partition_path_frozen():
     pc = partition_cover(g, 1, pi)
     assert pc.n_parts == 6
     assert pc.n_parts <= wcol_of_order(g, pi, 5) == 6
-    assert pc.verified
+    assert validate_partition(g, pc) == []
 
 
 def test_partition_cycle_frozen():
@@ -470,7 +472,7 @@ def test_partition_cycle_frozen():
     pc = partition_cover(g, 1, pi)
     assert pc.n_parts == 6
     assert pc.n_parts <= wcol_of_order(g, pi, 5)
-    assert pc.verified
+    assert validate_partition(g, pc) == []
 
 
 def test_partition_count_bounded_by_wcol():
@@ -478,7 +480,7 @@ def test_partition_count_bounded_by_wcol():
         pi = degeneracy_order(g)
         for r in (1, 2):
             pc = partition_cover(g, r, pi)
-            assert pc.verified
+            assert validate_partition(g, pc) == []
             assert pc.n_parts <= wcol_of_order(g, pi, 4 * r + 1)
 
 
@@ -488,7 +490,7 @@ def test_validate_partition_rejects():
     assert any("fits in no part" in v for v in validate_partition(g, sparse))
     fat = PartitionCover(1, [frozenset(range(7))])
     assert any("radius" in v for v in validate_partition(g, fat))
-    assert fat.verified is False
+    assert validate_partition(g, fat) != []
 
 
 def test_validate_partition_messages_pinned():
