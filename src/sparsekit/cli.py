@@ -36,7 +36,10 @@ from .graphio import (emit_json, generate, graph_from_json, parse_edge_list,
 # ----------------------------------------------------------------- loading
 
 def _input_meta(src: str, g: Graph) -> dict:
-    digest = "sha256:" + hashlib.sha256(write_edge_list(g).encode()).hexdigest()
+    # the edge list names no isolated vertex past the largest endpoint, so the
+    # vertex count goes in too
+    text = f"n {g.n}\n" + write_edge_list(g)
+    digest = "sha256:" + hashlib.sha256(text.encode()).hexdigest()
     return {"source": src, "digest": digest, "n": g.n, "m": g.m}
 
 

@@ -218,6 +218,11 @@ class DensityReport:
             "model": self.model.to_json(),
         }
 
+    @classmethod
+    def from_json(cls, d):
+        return cls(d["depth"], d["density"], d["minor_n"], d["minor_m"],
+                   MinorModel.from_json(d["model"]), d["attempts"], d["lower_bound"])
+
 
 def _claim(g: Graph, centers: list, r: int):
     """Claim each vertex for its nearest center within distance r (ties to

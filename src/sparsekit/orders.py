@@ -271,25 +271,70 @@ def build_order(g: Graph, name: str, r: int) -> VertexOrder:
 
 # ------------------------------------------------------------- exact search
 
+def _completion_floor(masks, counts, unplaced: int) -> int:
+    """A lower bound, for r >= 1, on the largest final wreach count among
+    the `unplaced` vertices over every way of placing them after the prefix
+    that left `counts` (for each unplaced w, the placed vertices already
+    known to be in WReach_r[w]).
+
+    Each unplaced neighbour placed before w is adjacent to w and ranked below
+    it, so w ends with at least counts[w] + 1 + (its unplaced neighbours
+    placed first).  Within any subset L of the unplaced vertices, the one
+    placed last meets all its L-neighbours first, so some w in L ends with
+    at least key_L(w) = counts[w] + 1 + |N(w) & L|, and the least key of L is
+    a floor.  Removing the least-key vertex over and over (smallest last,
+    weighted by the counts) and keeping the largest least key takes the best
+    of these floors along the way.  Every w is the least at its own removal,
+    so the floor is never below counts[w] + 1."""
+    floor = 0
+    left = unplaced
+    while left:
+        least = None
+        rest = left
+        while rest:  # iter_bits inlined: this runs at nearly every search node
+            low = rest & -rest
+            w = low.bit_length() - 1
+            key = counts[w] + 1 + (masks[w] & left).bit_count()
+            if least is None or key < least:
+                least, last = key, low
+            rest ^= low
+        floor = max(floor, least)
+        left ^= last
+    return floor
+
+
 def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     """Minimum wcol_r over all orders, by branch and bound over prefixes.
 
     Placing u next fixes which vertices u is weakly reached by (everything
     still unplaced is ranked above u), so per-vertex wreach counts only grow
-    along a branch and the running maximum prunes.
+    along a branch and the running maximum prunes.  So does the completion
+    floor (`_completion_floor`), a bound on the counts the unplaced vertices
+    must still reach: a branch whose floor is at least the best value found
+    is cut.  The floor is never below the largest unplaced count plus one,
+    so it also cuts every branch where some unplaced vertex is already at
+    the limit.
 
     How a branch can still end depends only on its state: the unplaced set
     and the wreach counts of the unplaced vertices (placed vertices' counts
     are final and enter only through the running maximum).  A transposition
     table, local to the call, keeps the smallest running maximum each state
     was entered with; entering it again with a running maximum no smaller
-    prunes, since every completion is the same and cannot end lower.  The
-    search updates the best order only on a strict improvement, and a pruned
-    branch cannot strictly beat what the earlier visit already reached, so
-    the witness is the order the search returns without the table: the first
-    one, in search order, to strictly improve on the heuristic bound.  No
-    order beats the coloring number (wcol_r >= wcol_1 = col), so the search
-    runs only while the best heuristic order is above col.
+    prunes, since every completion is the same and cannot end lower.
+
+    Neither prune changes the witness.  The search replaces the best order
+    only on a strict improvement, so it returns the first order, in search
+    order, to strictly improve on every order before it.  A branch cut while
+    the best value is B holds no order below B, and the best value only
+    falls afterwards, so no cut branch holds an order that would have
+    replaced the best one: the search visits the same improvements, in the
+    same order, as the search without either prune.  The heuristic start
+    takes the better of the degeneracy and greedy orders (the degeneracy
+    order on a tie); the greedy order is built only when the degeneracy
+    order misses the coloring number, since no order beats the coloring
+    number (wcol_r >= wcol_1 = col), and for the same reason the search runs
+    only while the best order found is above col.  At r = 0 every order has
+    value 1 <= col, so the search, whose floor needs r >= 1, never runs.
     """
     if g.n > cap:
         raise CapabilityError(
@@ -297,13 +342,14 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
         )
     if g.n == 0:
         return 0, VertexOrder(())
-    best_val, best_order = g.n + 1, None
-    for name in ("degeneracy", "greedy"):
-        order = build_order(g, name, r)
+    best_order = degeneracy_order(g)
+    best_val = wcol_of_order(g, best_order, r)
+    col = wcol_of_order(g, best_order, 1)
+    if best_val > col:
+        order = greedy_wreach_order(g, r)
         val = wcol_of_order(g, order, r)
         if val < best_val:
             best_val, best_order = val, order
-    col, _ = coloring_number(g)
     n = g.n
     masks = g.adjacency_masks()
     counts = [0] * n
@@ -327,10 +373,9 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
         if seen is not None and seen <= cur_max:
             return
         table[key] = cur_max
-        cands = sorted(iter_bits(unplaced), key=lambda w: (-counts[w], w))
-        if counts[cands[0]] + 1 >= best_val:
-            return  # some unplaced vertex is already at the limit
-        for u in cands:
+        if _completion_floor(masks, counts, unplaced) >= best_val:
+            return
+        for u in sorted(iter_bits(unplaced), key=lambda w: (-counts[w], w)):
             bit = 1 << u
             rest = unplaced ^ bit
             reached = mask_ball(masks, bit, rest, r)[0] ^ bit

@@ -325,6 +325,21 @@ def test_gen_writes_file_with_matching_digest(tmp_path):
     assert doc2["input"]["digest"] == spec_digest
 
 
+def test_digest_tells_apart_graphs_that_differ_in_isolated_vertices(tmp_path):
+    # vertex 7 of this graph is isolated, so its edge list names only 0..6
+    spec = '{"family":"gnd","n":8,"d":1.0,"seed":2}'
+    out = tmp_path / "g.el"
+    code, doc, _ = run_cli("gen", spec, "--to", str(out))
+    assert code == 0
+    code, from_spec, _ = run_cli("col", spec)
+    code2, from_file, _ = run_cli("col", str(out))
+    assert code == code2 == 0
+    assert (from_spec["input"]["n"], from_file["input"]["n"]) == (8, 7)
+    assert from_spec["input"]["m"] == from_file["input"]["m"]
+    assert from_spec["input"]["digest"] == doc["input"]["digest"]
+    assert from_spec["input"]["digest"] != from_file["input"]["digest"]
+
+
 def test_out_flag_duplicates_stdout(tmp_path):
     out = tmp_path / "doc.json"
     proc = subprocess.run([sys.executable, "-m", "sparsekit.cli",

@@ -1,11 +1,13 @@
 import ast
 import hashlib
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
 import oracles
+from conftest import gnp_graph
 from oracles import (brute_treedepth, brute_wcol, check_separation,
                      dfs_preorder, naive_wreach)
 from sparsekit.errors import CapabilityError, GraphInputError, PreconditionError
@@ -14,11 +16,11 @@ from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
                                grid_graph, path_graph, random_tree, star_graph,
                                subdivide)
 from sparsekit.orders import (ORDER_NAMES, EliminationForest, VertexOrder,
-                              WReachTable, build_order, coloring_number,
-                              degeneracy_order, greedy_wreach_order,
-                              identity_order, treedepth_exact,
-                              validate_elimination_forest, wcol_exact,
-                              wcol_of_order, wreach_sets)
+                              WReachTable, _completion_floor, build_order,
+                              coloring_number, degeneracy_order,
+                              greedy_wreach_order, identity_order,
+                              treedepth_exact, validate_elimination_forest,
+                              wcol_exact, wcol_of_order, wreach_sets)
 
 
 def test_vertex_order_validation():
@@ -114,6 +116,38 @@ def test_wcol_exact_frozen_values():
     assert wcol_exact(cycle_graph(6), 2)[0] == 3
     assert wcol_exact(cycle_graph(6), 3)[0] == 4
     assert wcol_exact(star_graph(6), 3)[0] == 2
+
+
+def test_completion_floor_never_exceeds_the_best_completion():
+    # for random prefixes of random graphs, the floor is at most the largest
+    # final wreach set among the unplaced vertices in every completion, each
+    # set found by path enumeration (oracles.naive_wreach)
+    rng = random.Random(2019)
+    tight = above_counts = 0
+    for case in range(160):
+        n = rng.randint(2, 7)
+        g = gnp_graph(n, rng.choice((0.3, 0.5, 0.7)), seed=case)
+        r = rng.randint(1, 3)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        prefix = perm[:rng.randint(max(0, n - 5), n - 1)]
+        unplaced = [v for v in range(n) if v not in prefix]
+        # the placed vertices each unplaced one weakly reaches are the same in
+        # every completion, since all of them rank below every unplaced vertex
+        counts = [0] * n
+        for w in unplaced:
+            counts[w] = len(naive_wreach(g, VertexOrder(prefix + unplaced), r, w)
+                            & set(prefix))
+        best = min(max(len(naive_wreach(g, VertexOrder(prefix + list(rest)), r, w))
+                       for w in unplaced)
+                   for rest in itertools.permutations(unplaced))
+        floor = _completion_floor(g.adjacency_masks(), counts,
+                                  sum(1 << w for w in unplaced))
+        assert floor <= best, (g, r, prefix)
+        tight += floor == best
+        above_counts += floor > max(counts[w] + 1 for w in unplaced)
+    # the floor is often exact, and often above the bound the search had before
+    assert tight > 120 and above_counts > 50, (tight, above_counts)
 
 
 def test_wcol_exact_cap():
@@ -461,3 +495,33 @@ def test_wcol_exact_witness_orders_pinned():
     for g, rows in PINNED_WITNESSES:
         got = [(v, o.perm) for v, o in (wcol_exact(g, r) for r in range(1, g.n + 1))]
         assert got == rows
+
+
+# G(n, p) graphs of 8-10 vertices for the witness pins below, three seeds per
+# (n, p) cell.
+PIN_GNP = [gnp_graph(n, p, seed=700 + 10 * n + i)
+           for n in (8, 9, 10) for p in (0.25, 0.4, 0.6) for i in range(3)]
+PIN_GRIDS = [grid_graph(2, 4), grid_graph(2, 5), grid_graph(3, 3)]
+
+# sha256 of the witness rows of every graph of a set, one line per graph: the
+# repr of [(wcol_r, witness perm) for r = 1..n] from wcol_exact.  Taken before
+# the completion floor was added to the search; no prune may change them.
+PINNED_WITNESS_DIGESTS = {
+    "corpus_small": "a03f22bc74b665a2ef443f9e1f32d832d15d4d733d28cd587d9fbe243b25abc2",
+    "gnp": "c5653696fd9ad3d6fd25121960518f2079cb25a7f6daed86c324385a7bf41e66",
+    "grids": "f8831dcb5cc543525a4709ed2382f3bdb9aba0bc728e9bb26f04e978c9893234",
+}
+
+
+def _witness_digest(graphs) -> str:
+    lines = (repr([(v, o.perm) for v, o in (wcol_exact(g, r) for r in range(1, g.n + 1))])
+             for g in graphs)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_WITNESS_DIGESTS))
+def test_wcol_exact_witness_digests_pinned(name, request):
+    graphs = {"gnp": PIN_GNP, "grids": PIN_GRIDS}.get(name)
+    if graphs is None:
+        graphs = request.getfixturevalue(name)
+    assert _witness_digest(graphs) == PINNED_WITNESS_DIGESTS[name]

@@ -13,10 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsekit.cli as cli
+from sparsekit.games import ConnectorMove, GameConfig, GameRound, GameTranscript
 from sparsekit.graph import Graph
 from sparsekit.graphio import emit_json, parse_edge_list, read_dimacs, write_edge_list
 from sparsekit.logic import (And, DistLe, Edge, Eq, Lit, Not, Or, Pred, Quant,
                              parse_formula, to_text)
+from sparsekit.minors import DensityReport, MinorModel
+from sparsekit.orders import EliminationForest, VertexOrder
 from sparsekit.wideness import Cover, PartitionCover, SeparatorCertificate, UqwCertificate
 
 
@@ -98,15 +101,47 @@ def certificates():
     return uqw | sep | cover | part
 
 
-@bounded(100)
-@given(certificates(), st.booleans())
-def test_wideness_certificate_json_round_trip(cert, old_key):
+def json_round_trip(cert, extra=None):
+    """cert through emit_json, json.loads (plus `extra` keys) and from_json:
+    the same object, and the same canonical text."""
     doc = json.loads(emit_json(cert.to_json()))
-    if old_key:  # files written while certificates carried a verdict still load
-        doc["verified"] = True
+    doc.update(extra or {})
     back = type(cert).from_json(doc)
     assert back == cert
     assert emit_json(back.to_json()) == emit_json(cert.to_json())
+
+
+@bounded(100)
+@given(certificates(), st.booleans())
+def test_wideness_certificate_json_round_trip(cert, old_key):
+    # files written while certificates carried a verdict still load
+    json_round_trip(cert, {"verified": True} if old_key else None)
+
+
+VERTEX = st.integers(0, 30)
+ORDERS = st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))).map(VertexOrder)
+FORESTS = st.lists(st.integers(-1, 30), max_size=12).map(lambda ps: EliminationForest(tuple(ps)))
+MODELS = st.builds(MinorModel, st.integers(0, 5),
+                   st.dictionaries(st.integers(0, 12), IDS),
+                   st.dictionaries(st.tuples(VERTEX, VERTEX), st.tuples(VERTEX, VERTEX)))
+REPORTS = st.builds(DensityReport, st.integers(0, 5),
+                    st.floats(0, 30, allow_nan=False, allow_infinity=False),
+                    st.integers(0, 30), st.integers(0, 60), MODELS, st.integers(0, 99),
+                    st.booleans())
+CONFIGS = (st.builds(GameConfig, st.just("treedepth"), st.just(0), st.integers(1, 64),
+                     st.integers(1, 4))
+           | st.builds(GameConfig, st.just("splitter"), st.integers(1, 5), st.integers(1, 64),
+                       st.integers(1, 4)))
+ROUNDS = st.builds(GameRound, st.builds(ConnectorMove, VERTEX, IDS), IDS, IDS)
+TRANSCRIPTS = st.builds(GameTranscript, CONFIGS, st.lists(ROUNDS, max_size=4),
+                        st.sampled_from(["splitter", "connector"]),
+                        st.text(max_size=6), st.text(max_size=6))
+
+
+@bounded(100)
+@given(ORDERS | FORESTS | MODELS | REPORTS | TRANSCRIPTS)
+def test_certificate_json_round_trip(cert):
+    json_round_trip(cert)
 
 
 # ------------------------------------------------------------ CLI envelopes
