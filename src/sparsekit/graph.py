@@ -8,7 +8,6 @@ graph with re-densified ids; the original ids survive in the label table.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 
 from .errors import AlgorithmStallError, GraphInputError
 
@@ -160,24 +159,32 @@ def least_independent(conflicts, cand: int, k: int):
 
 def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     """Hop distances from a set of sources, optionally capped and restricted
-    to an `active` vertex set (sources outside it are ignored)."""
+    to an `active` vertex set (sources outside it are ignored).  Level by
+    level, so the keys come in the order a FIFO queue would reach them."""
     dist = {}
-    q = deque()
+    frontier = []
     for s in sources:
-        if active is not None and s not in active:
-            continue
-        if s not in dist:
+        if s not in dist and (active is None or s in active):
             dist[s] = 0
-            q.append(s)
-    while q:
-        u = q.popleft()
-        d = dist[u]
-        if radius is not None and d == radius:
-            continue
-        for w in g.adj[u]:
-            if w not in dist and (active is None or w in active):
-                dist[w] = d + 1
-                q.append(w)
+            frontier.append(s)
+    adj = g.adj
+    d = 0
+    while frontier and d != radius:
+        d += 1
+        nxt = []
+        if active is None:
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = d
+                        nxt.append(w)
+        else:
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist and w in active:
+                        dist[w] = d
+                        nxt.append(w)
+        frontier = nxt
     return dist
 
 

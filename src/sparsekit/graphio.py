@@ -1,8 +1,9 @@
 """Reading, generating, and serializing graphs.
 
-Edge-list format: one edge per line as two whitespace-separated names,
-'#' starts a comment, blank lines are skipped.  Vertex ids are assigned by
-first appearance and the original names are kept as labels.
+Edge-list format: one edge per line as two whitespace-separated names, or
+one name alone for a vertex that may have no edges; '#' starts a comment,
+blank lines are skipped.  Vertex ids are assigned by first appearance and
+the original names are kept as labels.
 
 Generator specs are plain dicts, e.g. {"family": "path", "n": 5} or
 {"family": "subdivision", "base": {"family": "complete", "n": 4}, "r": 1}.
@@ -39,14 +40,14 @@ def parse_edge_list(text: str) -> Graph:
         if not line:
             continue
         tokens = line.split()
-        if len(tokens) != 2:
+        if len(tokens) not in (1, 2):
             raise EdgeListParseError(
-                f"expected 2 tokens, got {len(tokens)}: {line!r}", line_no
+                f"expected 1 or 2 tokens, got {len(tokens)}: {line!r}", line_no
             )
-        rows.append((line_no, tokens[0], tokens[1]))
+        rows.append((line_no, tokens))
     # all-numeric tokens are vertex ids and survive a write/read round trip;
     # anything else is a label, numbered by first appearance
-    numeric = all(a.isdecimal() and b.isdecimal() for _, a, b in rows)
+    numeric = all(t.isdecimal() for _, tokens in rows for t in tokens)
     ids: dict[str, int] = {}
     top = -1
 
@@ -58,11 +59,14 @@ def parse_edge_list(text: str) -> Graph:
 
     edges = []
     seen = set()
-    for line_no, a, b in rows:
+    for line_no, tokens in rows:
         try:
-            u, v = vid(a), vid(b)
+            ends = [vid(t) for t in tokens]
         except ValueError:  # int() refuses more than 4300 digits
             raise EdgeListParseError("vertex id too long to read", line_no) from None
+        if len(ends) == 1:
+            continue  # a lone vertex adds no edge
+        (a, b), (u, v) = tokens, ends
         if u == v:
             raise EdgeListParseError(f"self-loop at {a!r}", line_no)
         key = (min(u, v), max(u, v))
@@ -129,7 +133,13 @@ def read_dimacs(text: str) -> Graph:
 
 
 def write_edge_list(g: Graph) -> str:
-    lines = [f"{g.label_of(u)} {g.label_of(v)}" for u, v in g.edges()]
+    """Each vertex's edges to higher ids, in id order; a vertex with no edges
+    is a lone line, so the file keeps it."""
+    lines = []
+    for u in range(g.n):
+        if not g.adj[u]:
+            lines.append(g.label_of(u))
+        lines += [f"{g.label_of(u)} {g.label_of(v)}" for v in g.adj[u] if u < v]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

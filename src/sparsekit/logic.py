@@ -562,6 +562,38 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates):
     return frozenset(sol) if sol is not None else None
 
 
+def _greedy_domination(balls, r: int) -> list:
+    """Greedy r-domination over the vertices' r-balls, given as vertex tuples.
+    Each pick is the vertex of largest gain, ties by least id.  Lazy gains:
+    a heap of (-gain, v) whose keys are upper bounds, since a vertex's gain
+    only shrinks, so a top entry whose key is its current gain is that pick.
+    Gains are kept current rather than recounted: w is in ball(x) exactly
+    when x is in ball(w), so covering w lowers the gain of each x in
+    ball(w).  Time and memory follow the balls' total size, not n squared."""
+    gain = [len(b) for b in balls]
+    heap = [(-k, v) for v, k in enumerate(gain)]
+    heapq.heapify(heap)
+    covered = [False] * len(balls)
+    left, out = len(balls), []
+    while left:
+        key, v = heap[0]
+        if gain[v] != -key:
+            heapq.heapreplace(heap, (-gain[v], v))
+            continue
+        if not key:
+            raise AlgorithmStallError(
+                "uncoverable vertex", state={"r": r, "chosen": out})
+        heapq.heappop(heap)
+        out.append(v)
+        for w in balls[v]:
+            if not covered[w]:
+                covered[w] = True
+                left -= 1
+                for x in balls[w]:
+                    gain[x] -= 1
+    return out
+
+
 def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
                             cap: int = 25) -> frozenset:
     """Minimum (exact) or greedy set D with every vertex within r of D."""
@@ -575,35 +607,13 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
         raise CapabilityError(
             f"exact dominating set capped at {cap} vertices, got {g.n}",
             "dominating_cap", cap)
-    adj = g.adjacency_masks()
-    full = (1 << g.n) - 1
-    balls = [mask_ball(adj, 1 << v, full, r)[0] for v in range(g.n)]
-
-    def greedy():
-        # Each pick is the vertex of largest gain, ties by least id.  Lazy
-        # gains: a heap of (-gain, v) whose keys are upper bounds, since a
-        # vertex's gain only shrinks as `covered` grows, so a popped entry
-        # whose recomputed gain equals its key is that pick.
-        covered, out = 0, []
-        heap = [(-balls[v].bit_count(), v) for v in range(g.n)]
-        heapq.heapify(heap)
-        while covered != full:
-            key, v = heapq.heappop(heap)
-            gain = (balls[v] & ~covered).bit_count()
-            if gain != -key:
-                heapq.heappush(heap, (-gain, v))
-                continue
-            if not gain:
-                raise AlgorithmStallError(
-                    "uncoverable vertex", state={"r": r, "chosen": out})
-            out.append(v)
-            covered |= balls[v]
-        return out
-
+    balls = [tuple(bfs_distances(g, (v,), r)) for v in range(g.n)]
     if mode == "greedy":
-        return frozenset(greedy())
+        return frozenset(_greedy_domination(balls, r))
 
-    best = greedy()
+    masks = [sum(1 << w for w in b) for b in balls]
+    full = (1 << g.n) - 1
+    best = _greedy_domination(balls, r)
 
     def search(chosen, covered):
         nonlocal best
@@ -612,19 +622,19 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
                 best = list(chosen)
             return
         uncovered = full & ~covered
-        max_gain = max((balls[v] & ~covered).bit_count() for v in range(g.n))
+        max_gain = max((masks[v] & ~covered).bit_count() for v in range(g.n))
         need = -(-uncovered.bit_count() // max_gain)
         if len(chosen) + need >= len(best):
             return
         # first-fail: branch on the vertex with the fewest coverers
         u, u_opts = -1, None
         for v in iter_bits(uncovered):
-            opts = [w for w in range(g.n) if balls[w] >> v & 1]
+            opts = [w for w in range(g.n) if masks[w] >> v & 1]
             if u_opts is None or len(opts) < len(u_opts):
                 u, u_opts = v, opts
         for w in sorted(u_opts,
-                        key=lambda x: (-(balls[x] & ~covered).bit_count(), x)):
-            search(chosen + [w], covered | balls[w])
+                        key=lambda x: (-(masks[x] & ~covered).bit_count(), x)):
+            search(chosen + [w], covered | masks[w])
 
     search([], 0)
     return frozenset(best)

@@ -131,36 +131,56 @@ class WReachTable:
     without it.  `delete` re-runs just those, at most wcol_r of them, and
     patches both maps.  A deleted vertex gets rank -1, so no search enters
     it again.
+
+    Each deletion is journaled, and `rollback` undoes every deletion since
+    the table was built or last rolled back, so one table serves any number
+    of trial deletion runs at the cost of the vertices they touch.
     """
-    __slots__ = ("g", "rank", "r", "sets", "clusters")
+    __slots__ = ("g", "rank", "r", "sets", "clusters", "_journal")
 
     def __init__(self, g: Graph, order: VertexOrder, r: int):
         self.g, self.rank, self.r = g, list(order.rank), r
         self.clusters = wreach_clusters(g, order, r)
         self.sets = _invert(self.clusters)
+        self._journal = []
 
     def wcol(self) -> int:
         """The largest set: wcol_r of the order on the alive vertices."""
         return max(map(len, self.sets.values()), default=0)
 
     def delete(self, u: int) -> None:
+        rank_u = self.rank[u]
         self.rank[u] = -1
-        for w in self.clusters.pop(u):
+        cluster = self.clusters.pop(u)
+        for w in cluster:
             self.sets[w].discard(u)
-        for x in self.sets.pop(u):  # WReach_r[u] minus u, dropped just above
+        reached = self.sets.pop(u)  # WReach_r[u] minus u, dropped just above
+        replaced = []
+        for x in reached:
             old = self.clusters[x]
             self.clusters[x] = new = _reach_above(self.g, self.rank, x, self.r)
+            replaced.append((x, old))
             for w in old - new:
                 if w != u:
                     self.sets[w].discard(x)
+        self._journal.append((u, rank_u, cluster, reached, replaced))
 
-    def copy(self) -> "WReachTable":
-        # cluster sets are replaced on update, never changed, so copies share them
-        out = WReachTable.__new__(WReachTable)
-        out.g, out.rank, out.r = self.g, list(self.rank), self.r
-        out.sets = {v: set(s) for v, s in self.sets.items()}
-        out.clusters = dict(self.clusters)
-        return out
+    def rollback(self) -> None:
+        """Undo the journaled deletions, last first.  Cluster sets are
+        replaced on update, never changed, so the journal keeps the old ones
+        as they were."""
+        while self._journal:
+            u, rank_u, cluster, reached, replaced = self._journal.pop()
+            for x, old in replaced:
+                for w in old - self.clusters[x]:
+                    if w != u:
+                        self.sets[w].add(x)
+                self.clusters[x] = old
+            self.sets[u] = reached
+            self.clusters[u] = cluster
+            for w in cluster:
+                self.sets[w].add(u)
+            self.rank[u] = rank_u
 
 
 # ------------------------------------------------------------ greedy orders

@@ -8,7 +8,9 @@ module return for it; they share no code with the constructions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import (AlgorithmStallError, CapabilityError, PreconditionError,
                      raise_if_invalid)
@@ -164,7 +166,8 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
 
 def _extract(g: Graph, A: frozenset, m: int,
              table: WReachTable) -> UqwCertificate:
-    """`uqw_extract` on a weak-reach table of all of G, changed in place;
+    """`uqw_extract` on a weak-reach table of all of G, changed in place
+    (every change is a journaled deletion, so the caller may roll it back);
     c is its largest set."""
     c = table.wcol()
     guarantee = len(A) >= 4 * (2 * c * m) ** c
@@ -172,10 +175,7 @@ def _extract(g: Graph, A: frozenset, m: int,
     S = []
     current = set(A)
     while True:
-        freq = {}
-        for a in current:
-            for u in sets[a]:
-                freq[u] = freq.get(u, 0) + 1
+        freq = Counter(chain.from_iterable(sets[a] for a in current))
         cands = [u for u, f in freq.items()
                  if f > len(current) / (2 * m) and f >= 2]
         if not cands:
@@ -259,8 +259,10 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
 
     Every extraction runs on G at radius 4r, so the weak-reach table of G at
     that radius is built once: its largest set is c, and each extraction
-    deletes from its own copy (see `uqw_extract` for why a deletion only
-    re-runs the searches from the sources in WReach_4r[u]).
+    deletes from it and is rolled back after (see `uqw_extract` for why a
+    deletion only re-runs the searches from the sources in WReach_4r[u]), so
+    a step costs what its fewer than c deletions touch, not a copy of the
+    table.
 
     The invariant is checked on every step, but a vertex's ball count is
     kept across steps: the r-ball of v in G-X can change only when a vertex
@@ -301,7 +303,8 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
             worst = max(worst, hit)
         if not X:
             break
-        uqw = _extract(g, X, m, table.copy())
+        uqw = _extract(g, X, m, table)
+        table.rollback()
         Y = set(uqw.S)
         keep = frozenset(range(g.n)) - Y
         X2 = set()

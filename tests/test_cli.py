@@ -326,18 +326,24 @@ def test_gen_writes_file_with_matching_digest(tmp_path):
 
 
 def test_digest_tells_apart_graphs_that_differ_in_isolated_vertices(tmp_path):
-    # vertex 7 of this graph is isolated, so its edge list names only 0..6
+    # vertex 7 of this graph is isolated; the file without its lone line
+    # names only 0..6, a different graph with the same edges
     spec = '{"family":"gnd","n":8,"d":1.0,"seed":2}'
     out = tmp_path / "g.el"
     code, doc, _ = run_cli("gen", spec, "--to", str(out))
     assert code == 0
+    assert out.read_text().splitlines()[-1] == "7"
+    edges_only = tmp_path / "edges.el"
+    edges_only.write_text("".join(line + "\n" for line in out.read_text().splitlines()
+                                  if len(line.split()) == 2))
     code, from_spec, _ = run_cli("col", spec)
     code2, from_file, _ = run_cli("col", str(out))
-    assert code == code2 == 0
-    assert (from_spec["input"]["n"], from_file["input"]["n"]) == (8, 7)
-    assert from_spec["input"]["m"] == from_file["input"]["m"]
-    assert from_spec["input"]["digest"] == doc["input"]["digest"]
-    assert from_spec["input"]["digest"] != from_file["input"]["digest"]
+    code3, from_edges, _ = run_cli("col", str(edges_only))
+    assert code == code2 == code3 == 0
+    assert [d["input"]["n"] for d in (from_spec, from_file, from_edges)] == [8, 8, 7]
+    assert from_spec["input"]["m"] == from_edges["input"]["m"]
+    assert from_spec["input"]["digest"] == doc["input"]["digest"] == from_file["input"]["digest"]
+    assert from_spec["input"]["digest"] != from_edges["input"]["digest"]
 
 
 def test_out_flag_duplicates_stdout(tmp_path):

@@ -403,6 +403,23 @@ def test_greedy_domination_pinned():
         assert hashlib.sha256(",".join(map(str, dom)).encode()).hexdigest() == want, (name, r)
 
 
+def test_greedy_domination_on_a_long_path_pinned():
+    # the answer the n-bit ball masks gave; lazy gains over BFS balls keep
+    # it while their peak memory stays linear (the masks peaked near 54 MB)
+    import tracemalloc
+    g = path_graph(20000)
+    tracemalloc.start()
+    try:
+        dom = sorted(distance_dominating_set(g, 1, mode="greedy"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom == list(range(1, 19997, 3)) + [19998]
+    assert hashlib.sha256(",".join(map(str, dom)).encode()).hexdigest() == \
+        "04dd64b9c3f70463ff8195a6505c1c0c7f7cdd83f0442801896525734aea281b"
+    assert peak < 16 * 2 ** 20
+
+
 def test_greedy_dominating_quality():
     for g in (path_graph(12), cycle_graph(9), grid_graph(3, 3), star_graph(10)):
         exact = distance_dominating_set(g, 1)

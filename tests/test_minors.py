@@ -8,8 +8,9 @@ from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
                                star_graph, subdivide)
-from sparsekit.minors import (MinorModel, density_report, find_depth_r_minor,
-                              verify_minor_model)
+from sparsekit.minors import (MinorModel, _prefix_quotient_edge_counts,
+                              _quotient_edge_count, density_report,
+                              find_depth_r_minor, verify_minor_model)
 
 K3 = complete_graph(3)
 
@@ -187,3 +188,29 @@ def test_density_report_rechecks_the_winning_score(monkeypatch):
     with pytest.raises(AlgorithmStallError) as e:
         density_report(grid_graph(4, 4), 1, budget=2, seed=0)
     assert e.value.state["scored"] == (e.value.state["edges"] + 1) / e.value.state["cells"]
+    # a degree-order prefix scored one edge too high wins and is caught the
+    # same way, although its score never came from `_quotient_edge_count`
+    monkeypatch.setattr(minors, "_quotient_edge_count", count)
+    prefixes = minors._prefix_quotient_edge_counts
+    monkeypatch.setattr(minors, "_prefix_quotient_edge_counts",
+                        lambda *a: [k + 1 for k in prefixes(*a)])
+    with pytest.raises(AlgorithmStallError) as e:
+        density_report(grid_graph(4, 4), 1, budget=2, seed=0)
+    assert e.value.state["scored"] == (e.value.state["edges"] + 1) / e.value.state["cells"]
+
+
+def test_prefix_scores_match_one_shot_scores(corpus_small):
+    # the incremental prefix scores equal scoring every prefix from scratch,
+    # on the degree order density_report uses and on a shuffled order
+    import random
+    rng = random.Random(16)
+    graphs = corpus_small[::9] + [gnd_graph(500, 3.0, seed=1), grid_graph(12, 12),
+                                  random_tree(300, seed=1)]
+    for g in graphs:
+        by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+        shuffled = rng.sample(range(g.n), g.n)
+        for seq in (by_degree, shuffled):
+            for r in (0, 1, 2):
+                want = [_quotient_edge_count(g, sorted(seq[:k]), r)
+                        for k in range(1, g.n + 1)]
+                assert _prefix_quotient_edge_counts(g, seq, r) == want, (g, r)

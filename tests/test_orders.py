@@ -68,20 +68,24 @@ def test_wreach_table_deletions_match_a_fresh_table(corpus_small):
         for order in (degeneracy_order(g), identity_order(g.n)):
             for r in range(1, 5):
                 table = WReachTable(g, order, r)
-                whole = table.copy()
                 sequence = list(range(g.n))
                 rng.shuffle(sequence)
                 for u in sequence:
                     table.delete(u)
                     _assert_table_is_fresh(table, g, order, r)
                 assert table.sets == {} and table.clusters == {}
-                # the copy taken before the deletions did not change with them,
-                # and it updates on its own
-                assert set(whole.sets) == set(range(g.n))
-                _assert_table_is_fresh(whole, g, order, r)
+                # a rollback restores the table as built, rank included,
+                # and it updates on its own again afterwards
+                table.rollback()
+                fresh = WReachTable(g, order, r)
+                assert (table.sets, table.clusters, table.rank) == \
+                    (fresh.sets, fresh.clusters, fresh.rank)
                 for u in sequence[:-4:-1]:
-                    whole.delete(u)
-                    _assert_table_is_fresh(whole, g, order, r)
+                    table.delete(u)
+                    _assert_table_is_fresh(table, g, order, r)
+                table.rollback()
+                assert (table.sets, table.clusters, table.rank) == \
+                    (fresh.sets, fresh.clusters, fresh.rank)
 
 
 def test_wcol_of_order_frozen_values():

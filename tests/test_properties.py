@@ -16,8 +16,8 @@ import sparsekit.cli as cli
 from sparsekit.games import ConnectorMove, GameConfig, GameRound, GameTranscript
 from sparsekit.graph import Graph
 from sparsekit.graphio import emit_json, parse_edge_list, read_dimacs, write_edge_list
-from sparsekit.logic import (And, DistLe, Edge, Eq, Lit, Not, Or, Pred, Quant,
-                             parse_formula, to_text)
+from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit, Not,
+                             Or, Pred, Quant, parse_formula, to_text)
 from sparsekit.minors import DensityReport, MinorModel
 from sparsekit.orders import EliminationForest, VertexOrder
 from sparsekit.wideness import Cover, PartitionCover, SeparatorCertificate, UqwCertificate
@@ -73,10 +73,9 @@ def graphs(draw, max_n=12):
 @bounded(50)
 @given(graphs())
 def test_edge_list_round_trip(g):
-    # an edge list names no isolated vertex past the largest endpoint
+    # an isolated vertex is written as a lone line, so nothing is lost
     back = parse_edge_list(write_edge_list(g))
-    assert back.n == 1 + max((v for e in g.edges() for v in e), default=-1)
-    assert sorted(back.edges()) == sorted(g.edges())
+    assert back == g
 
 
 @bounded(50)
@@ -142,6 +141,47 @@ TRANSCRIPTS = st.builds(GameTranscript, CONFIGS, st.lists(ROUNDS, max_size=4),
 @given(ORDERS | FORESTS | MODELS | REPORTS | TRANSCRIPTS)
 def test_certificate_json_round_trip(cert):
     json_round_trip(cert)
+
+
+@st.composite
+def local_formulas(draw, r, depths, height=3):
+    """Formulas that are r-local around x: `depths` maps each variable in
+    scope to how far from x it may lie, and every quantifier and distance
+    atom stays inside the r-ball."""
+    scope = sorted(depths)
+    if height == 0 or draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.sampled_from(scope)), draw(st.sampled_from(scope))
+        room = r - min(depths[a], depths[b])
+        return draw(st.sampled_from([Lit(True), Lit(False), Eq(a, b), Edge(a, b), Pred(a),
+                                     DistLe(a, b, draw(st.integers(0, room)))]))
+    kind = draw(st.sampled_from(["not", "and", "or", "quant"]))
+    if kind == "not":
+        return Not(draw(local_formulas(r, depths, height - 1)))
+    if kind in ("and", "or"):
+        node = And if kind == "and" else Or
+        return node(draw(local_formulas(r, depths, height - 1)),
+                    draw(local_formulas(r, depths, height - 1)))
+    near = [v for v in scope if depths[v] < r]
+    if not near:
+        return Not(draw(local_formulas(r, depths, height - 1)))
+    anchor = draw(st.sampled_from(near))
+    d = draw(st.integers(1, r - depths[anchor]))
+    var = draw(NAMES)
+    body = draw(local_formulas(r, {**depths, var: depths[anchor] + d}, height - 1))
+    return Quant(draw(st.sampled_from(["exists", "forall"])), var, anchor, d, body)
+
+
+SENTENCES = st.integers(1, 4).flatmap(lambda r: st.builds(
+    BasicLocalSentence, st.integers(1, 6), st.just(r), local_formulas(r, {"x": 0}),
+    st.just("x")))
+
+
+@bounded(100)
+@given(SENTENCES)
+def test_sentence_json_round_trip(s):
+    # the `--sentence` document of `eval` and the `sentence` key of the
+    # certificate it writes
+    json_round_trip(s)
 
 
 # ------------------------------------------------------------ CLI envelopes

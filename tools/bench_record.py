@@ -1,0 +1,128 @@
+"""Record a parent/change benchmark comparison as a BENCH file.
+
+    python3 tools/bench_record.py --parent ../parent --workloads sparse_large \
+        --seeds 1-10 --seconds 20 --out BENCH_16.json
+
+Runs each checkout's own `perfbench/run.py --trace 0`, unchanged, as a
+subprocess, one run at a time.  For each workload and seed it runs the
+parent and this checkout back to back, and alternates which goes first from
+seed to seed, so a slow stretch of the host falls on both sides alike.  The
+file records the commit and source hash of each side, the Python version,
+the CPU count, every run's end-to-end metrics and `output_digest`, and per
+workload and metric each side's median and quartiles and the number of
+pairs the change won.  `--parent` is a second checkout (a `git clone` or
+`git archive` of the parent commit); this checkout is the one the script
+lives in.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+
+
+def _seeds(text: str) -> list:
+    out = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        out += list(range(int(lo), int(hi or lo) + 1))
+    return out
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, timeout=1800)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or len(lines) < 2:
+        return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
+    detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "correct": result["correct"], "failed": result["failed"],
+            "attempted": result["attempted"], "output_digest": detail["output_digest"],
+            "git_sha": detail["meta"]["git_sha"], "src_sha256": detail["meta"]["src_sha256"]}
+
+
+def _spread(xs: list) -> dict:
+    med = statistics.median(xs)
+    q1, _, q3 = statistics.quantiles(xs, n=4) if len(xs) > 1 else (med, med, med)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def _summary(pairs: list, metrics: list) -> dict:
+    ok = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
+    out = {"pairs": len(ok), "errors": len(pairs) - len(ok),
+           "digests_equal": sum(p["parent"]["output_digest"] == p["change"]["output_digest"]
+                                for p in ok)}
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        if not ok or name not in ok[0]["parent"]["metrics"]:
+            continue
+        a = [p["parent"]["metrics"][name] for p in ok]
+        b = [p["change"]["metrics"][name] for p in ok]
+        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
+        out[name] = {"better": m["better"], "parent": _spread(a), "change": _spread(b),
+                     "change_better_pairs": wins}
+    return out
+
+
+def _git(checkout: Path, *args) -> str:
+    proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else ""
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
+    ap.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,6-8")
+    ap.add_argument("--seconds", type=float, default=20)
+    ap.add_argument("--out", required=True)
+    args = ap.parse_args(argv)
+
+    parent = Path(args.parent).resolve()
+    bench = json.loads((HERE / "BENCHMARK.json").read_text())
+    doc = {
+        "command": ["tools/bench_record.py", *(argv if argv is not None else sys.argv[1:])],
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+        "seconds": args.seconds,
+        "change": {"head": _git(HERE, "rev-parse", "HEAD"),
+                   "uncommitted": bool(_git(HERE, "status", "--porcelain", "src"))},
+        "parent": {"head": _git(parent, "rev-parse", "HEAD")},
+        "workloads": {},
+    }
+    for workload in args.workloads.split(","):
+        pairs = []
+        for i, seed in enumerate(_seeds(args.seeds)):
+            sides = [("parent", parent), ("change", HERE)]
+            if i % 2:
+                sides.reverse()
+            pair = {"seed": seed, "first": sides[0][0]}
+            for side, checkout in sides:
+                pair[side] = _run(checkout, workload, seed, args.seconds)
+            pairs.append(pair)
+            shown = {s: pair[s].get("metrics", {}).get("jobs_per_s", pair[s].get("error"))
+                     for s in ("parent", "change")}
+            same = pair["parent"].get("output_digest") == pair["change"].get("output_digest")
+            print(f"{workload} seed {seed}: jobs_per_s {shown} digests equal: {same}",
+                  file=sys.stderr, flush=True)
+        doc["workloads"][workload] = {"summary": _summary(pairs, bench["end_to_end"]),
+                                      "pairs": pairs}
+    Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    failed = any(s["errors"] for s in (w["summary"] for w in doc["workloads"].values()))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
