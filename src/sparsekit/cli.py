@@ -514,8 +514,39 @@ def cmd_sweep(args, g, meta):
 
 # ------------------------------------------------------------------ driver
 
+class _UsageError(PreconditionError):
+    """An argument the parser rejects; `command` is the subcommand whose
+    parser rejected it, None for the top-level parser."""
+
+    def __init__(self, message: str, command):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected argument as a `_UsageError` instead of exiting,
+    so `run()` answers it with the envelope; the usage text still goes to
+    stderr.  Subcommand parsers are built from the same class.  Arguments
+    left over after a subcommand parsed are rejected by the top-level
+    parser, which then knows the subcommand."""
+
+    def parse_args(self, args=None, namespace=None):
+        parsed, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self._reject(f"unrecognized arguments: {' '.join(extras)}", parsed.command)
+        return parsed
+
+    def error(self, message):
+        _, _, command = self.prog.partition(" ")
+        self._reject(message, command or None)
+
+    def _reject(self, message, command):
+        self.print_usage(sys.stderr)
+        raise _UsageError(message, command)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="sparsekit",
         description="sparse-graph toolbox: orders, games, wideness, covers, logic")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -630,11 +661,13 @@ _ERROR_CODES = (
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    t0 = time.perf_counter()
     meta = result = cert = error = None
     summary, code = "", 0
+    args = argparse.Namespace(command=None)  # stands in until argv parses
+    t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()  # wall_time_s times the command, not the parser
         g, got = load_graph(args.graph) if "graph" in vars(args) else (None, {})
         if "order" in vars(args):
             # some modes build no order, so the name is checked here, by
@@ -646,6 +679,8 @@ def run(argv=None) -> int:
         # a false answer exits 1, unless the command's --expect flag is unset
         code = 0 if ok or not getattr(args, "expect", True) else 1
     except SparsekitError as e:
+        if isinstance(e, _UsageError):  # the parser rejected argv, so nothing ran
+            args.command = e.command
         for klass, error_code, exit_code in _ERROR_CODES:
             if isinstance(e, klass):
                 error = {"code": error_code, "message": str(e)}
@@ -672,7 +707,8 @@ def run(argv=None) -> int:
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
-    print(f"sparsekit {args.command}: {summary}", file=sys.stderr)
+    prog = f"sparsekit {args.command}" if args.command else "sparsekit"
+    print(f"{prog}: {summary}", file=sys.stderr)
     return code
 
 

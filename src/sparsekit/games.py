@@ -17,7 +17,8 @@ from itertools import combinations
 
 from .errors import (CapabilityError, GraphInputError, PreconditionError,
                      StrategyBugError, raise_if_invalid)
-from .graph import Graph, bfs_distances, components, foreign_vertices
+from .graph import (Graph, bfs_distances, components, foreign_vertices,
+                    iter_bits, mask_ball)
 from .orders import VertexOrder
 from .rng import Rng
 
@@ -349,8 +350,20 @@ class ExhaustiveSplitter(SplitterStrategy):
 # ------------------------------------------------------------------ engine
 
 class _Engine:
-    """Minimax over residual vertex sets, memoized.  The connector only ever
-    needs the inclusion-maximal arenas (a bigger arena never hurts it)."""
+    """Minimax over residual vertex sets, kept as bitmasks and memoized.  The
+    connector only ever needs the inclusion-maximal arenas (a bigger arena
+    never hurts it).
+
+    Two cuts skip moves and batches that cannot change an answer.  A
+    splitter that deletes batch_limit arena vertices a round ends a move
+    within ceil(|arena| / batch_limit) rounds, and the moves come largest
+    first, so the connector stops at the first move whose bound is no more
+    than the best response so far.  No batch does better than the least
+    value any batch can reach, 1 when the whole arena fits in one batch and
+    2 otherwise, so the splitter stops at the first batch that reaches it.
+    Both sides keep the first strict improvement in the same order as a full
+    search, and a cut move or batch cannot strictly improve, so values,
+    moves and batches stay those of the full search."""
 
     def __init__(self, g: Graph, cfg: GameConfig):
         if g.n > GAME_CAP:
@@ -358,55 +371,86 @@ class _Engine:
                 f"game search capped at {GAME_CAP} vertices, graph has {g.n}",
                 "game_cap", GAME_CAP)
         self.g, self.cfg = g, cfg
-        self._memo = {frozenset(): 0}  # an empty residual: the game is over
+        self._masks = g.adjacency_masks()
+        self._memo = {0: 0}  # an empty residual: the game is over
 
-    def moves(self, residual: frozenset) -> list:
-        """Distinct inclusion-maximal arenas, largest first, then by center."""
-        arenas = {}
-        for c, arena in _arenas(self.g, self.cfg, residual):
-            arenas.setdefault(arena, c)
-        maximal = [
-            ConnectorMove(c, a)
-            for a, c in arenas.items()
-            if not any(a < other for other in arenas)
-        ]
-        return sorted(maximal, key=lambda m: (-len(m.vertices), m.center))
+    def _moves(self, residual: int) -> list:
+        """(center, arena) of the distinct inclusion-maximal arenas, largest
+        first, then by center; the center of an arena is its least one."""
+        masks, reach = self._masks, self.cfg.reach
+        if reach is None:  # components: disjoint, so each one is maximal
+            moves = []
+            rest = residual
+            while rest:
+                low = rest & -rest
+                comp = mask_ball(masks, low, residual)[0]
+                moves.append((low.bit_length() - 1, comp))
+                rest &= ~comp
+        else:
+            arenas = {}
+            for c in iter_bits(residual):
+                arenas.setdefault(mask_ball(masks, 1 << c, residual, reach)[0], c)
+            moves = [(c, a) for a, c in arenas.items()
+                     if not any(a | other == other != a for other in arenas)]
+        moves.sort(key=lambda ca: (-ca[1].bit_count(), ca[0]))
+        return moves
 
-    def batches(self, move: ConnectorMove):
-        verts = sorted(move.vertices)
-        top = min(self.cfg.batch_limit, len(verts))
-        for size in range(1, top + 1):
-            for combo in combinations(verts, size):
-                yield frozenset(combo)
+    def _value(self, residual: int) -> int:
+        got = self._memo.get(residual)
+        if got is None:
+            got = self._memo[residual] = self._best_move(residual)[2]
+        return got
+
+    def _best_move(self, residual: int):
+        limit = self.cfg.batch_limit
+        best = None
+        for c, arena in self._moves(residual):
+            if best is not None and -(-arena.bit_count() // limit) <= best[2]:
+                break  # the splitter ends this move and every later one in time
+            resp = self._best_batch(arena)[1]
+            if best is None or resp > best[2]:
+                best = (c, arena, resp)
+        return best
+
+    def _best_batch(self, arena: int):
+        """Batches by size, then as `combinations` of the arena's vertices in
+        increasing order."""
+        bits = []  # the arena's vertices as one-bit masks, lowest first
+        rest = arena
+        while rest:
+            low = rest & -rest
+            bits.append(low)
+            rest ^= low
+        limit = self.cfg.batch_limit
+        least = 1 if len(bits) <= limit else 2
+        best = None
+        for size in range(1, min(limit, len(bits)) + 1):
+            for combo in combinations(bits, size):
+                batch = sum(combo)
+                val = 1 + self._value(arena ^ batch)
+                if best is None or val < best[1]:
+                    best = (batch, val)
+                    if val <= least:
+                        return best
+        return best
 
     def value(self, residual: frozenset) -> int:
         """Rounds the splitter needs under optimal play on both sides."""
-        got = self._memo.get(residual)
-        if got is None:
-            got = self._memo[residual] = self.best_connector_move(residual)[1]
-        return got
+        return self._value(sum(1 << v for v in residual))
 
     def best_connector_move(self, residual: frozenset):
-        best = None
-        for move in self.moves(residual):
-            resp = self.best_splitter_batch(move)[1]
-            if best is None or resp > best[1]:
-                best = (move, resp)
-        return best
+        c, arena, resp = self._best_move(sum(1 << v for v in residual))
+        return ConnectorMove(c, frozenset(iter_bits(arena))), resp
 
     def best_splitter_batch(self, move: ConnectorMove):
-        best = None
-        for b in self.batches(move):
-            val = 1 + self.value(move.vertices - b)
-            if best is None or val < best[1]:
-                best = (b, val)
-        return best
+        batch, val = self._best_batch(sum(1 << v for v in move.vertices))
+        return frozenset(iter_bits(batch)), val
 
 
 def game_value(g: Graph, cfg: GameConfig) -> int:
     """Optimal number of rounds, ignoring the round cap.  Equals treedepth
     for the treedepth game."""
-    return _Engine(g, cfg).value(frozenset(range(g.n)))
+    return _Engine(g, cfg)._value((1 << g.n) - 1)
 
 
 # -------------------------------------------------------------------- play

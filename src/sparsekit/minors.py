@@ -99,6 +99,11 @@ def find_depth_r_minor(
         return None
 
     dist = [bfs_distances(g, (v,)) for v in range(g.n)]
+    # the vertices within r of each vertex, nearest first, ties by id: the
+    # order in which an edge's endpoint is tried around a root
+    near = [sorted((w for w, d in dv.items() if d <= r), key=lambda w, dv=dv: (dv[w], w))
+            for dv in dist]
+    within = [frozenset(vs) for vs in near]
     h_edges = sorted(h.edges())
     # roots of adjacent pattern vertices must lie within 2r+1 of each other
     limit = 2 * r + 1
@@ -107,6 +112,9 @@ def find_depth_r_minor(
     )
     # choose roots for high-degree pattern vertices first
     h_order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
+    # per position of h_order, the pattern neighbours whose roots come earlier
+    placed_nbrs = [[p for p in h_order[:i] if h.has_edge(hv, p)]
+                   for i, hv in enumerate(h_order)]
     owner = [-1] * g.n
     roots = {}
 
@@ -133,11 +141,12 @@ def find_depth_r_minor(
         if edge_idx == len(h_edges):
             return True
         hu, hv = h_edges[edge_idx]
-        for a in sorted(range(g.n), key=lambda v: dist[roots[hu]].get(v, g.n)):
-            if owner[a] not in (-1, hu) or dist[roots[hu]].get(a, g.n + 1) > r:
+        reach_b = within[roots[hv]]
+        for a in near[roots[hu]]:
+            if owner[a] not in (-1, hu):
                 continue
             for b in g.adj[a]:
-                if owner[b] not in (-1, hv) or dist[roots[hv]].get(b, g.n + 1) > r:
+                if owner[b] not in (-1, hv) or b not in reach_b:
                     continue
                 for claim_a in paths_from(roots[hu], a, hu):
                     for v in claim_a:
@@ -169,12 +178,7 @@ def find_depth_r_minor(
                 continue
             if h_is_clique and idx > 0 and c < roots[h_order[idx - 1]]:
                 continue  # interchangeable branch sets: force increasing roots
-            ok = True
-            for prev in h_order[:idx]:
-                if h.has_edge(hv, prev) and dist[c].get(roots[prev], g.n + 1) > limit:
-                    ok = False
-                    break
-            if not ok:
+            if any(dist[c].get(roots[p], g.n + 1) > limit for p in placed_nbrs[idx]):
                 continue
             owner[c] = hv
             roots[hv] = c

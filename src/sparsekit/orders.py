@@ -291,7 +291,7 @@ def build_order(g: Graph, name: str, r: int) -> VertexOrder:
 
 # ------------------------------------------------------------- exact search
 
-def _completion_floor(masks, counts, unplaced: int) -> int:
+def _completion_floor(masks, counts, unplaced: int, enough=None) -> int:
     """A lower bound, for r >= 1, on the largest final wreach count among
     the `unplaced` vertices over every way of placing them after the prefix
     that left `counts` (for each unplaced w, the placed vertices already
@@ -305,7 +305,9 @@ def _completion_floor(masks, counts, unplaced: int) -> int:
     a floor.  Removing the least-key vertex over and over (smallest last,
     weighted by the counts) and keeping the largest least key takes the best
     of these floors along the way.  Every w is the least at its own removal,
-    so the floor is never below counts[w] + 1."""
+    so the floor is never below counts[w] + 1.  Given `enough`, the removals
+    stop once the floor reaches it, and the value returned is then only some
+    floor of at least `enough`: all a search that cuts there needs."""
     floor = 0
     left = unplaced
     while left:
@@ -318,7 +320,10 @@ def _completion_floor(masks, counts, unplaced: int) -> int:
             if least is None or key < least:
                 least, last = key, low
             rest ^= low
-        floor = max(floor, least)
+        if least > floor:
+            floor = least
+            if enough is not None and floor >= enough:
+                break
         left ^= last
     return floor
 
@@ -333,7 +338,10 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     must still reach: a branch whose floor is at least the best value found
     is cut.  The floor is never below the largest unplaced count plus one,
     so it also cuts every branch where some unplaced vertex is already at
-    the limit.
+    the limit.  Within a node, a child whose vertex would start at the limit
+    is skipped, and once a child's improvement brings the best value down to
+    the node's floor, the remaining siblings are skipped too: none of them
+    can end below the floor.
 
     How a branch can still end depends only on its state: the unplaced set
     and the wreach counts of the unplaced vertices (placed vertices' counts
@@ -342,13 +350,13 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     was entered with; entering it again with a running maximum no smaller
     prunes, since every completion is the same and cannot end lower.
 
-    Neither prune changes the witness.  The search replaces the best order
+    No prune changes the witness.  The search replaces the best order
     only on a strict improvement, so it returns the first order, in search
     order, to strictly improve on every order before it.  A branch cut while
     the best value is B holds no order below B, and the best value only
     falls afterwards, so no cut branch holds an order that would have
     replaced the best one: the search visits the same improvements, in the
-    same order, as the search without either prune.  The heuristic start
+    same order, as the search without any prune.  The heuristic start
     takes the better of the degeneracy and greedy orders (the degeneracy
     order on a tie); the greedy order is built only when the degeneracy
     order misses the coloring number, since no order beats the coloring
@@ -393,9 +401,12 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
         if seen is not None and seen <= cur_max:
             return
         table[key] = cur_max
-        if _completion_floor(masks, counts, unplaced) >= best_val:
+        floor = _completion_floor(masks, counts, unplaced, best_val)
+        if floor >= best_val:
             return
         for u in sorted(iter_bits(unplaced), key=lambda w: (-counts[w], w)):
+            if counts[u] + 1 >= best_val:
+                continue  # the child would start at the limit and return at once
             bit = 1 << u
             rest = unplaced ^ bit
             reached = mask_ball(masks, bit, rest, r)[0] ^ bit
@@ -411,6 +422,8 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
             for w in touched:
                 counts[w] -= 1
             counts[u] -= 1
+            if best_val <= floor:
+                return  # no sibling can end below the floor
 
     if best_val > col:
         dfs((1 << n) - 1, 0, 0)
@@ -431,16 +444,12 @@ class EliminationForest:
 
     parent: tuple
 
-    def depth_of(self, v: int) -> int:
-        d = 0
-        while v != -1:
-            d += 1
-            v = self.parent[v]
-        return d
-
     @property
     def depth(self) -> int:
-        return max((self.depth_of(v) for v in range(len(self.parent))), default=0)
+        depth = _forest_tour(self.parent)[2]
+        if 0 in depth:
+            raise GraphInputError(f"parent cycle reached from {depth.index(0)}")
+        return max(depth, default=0)
 
     def to_json(self):
         return {"parent": list(self.parent)}
@@ -450,102 +459,192 @@ class EliminationForest:
         return cls(tuple(d["parent"]))
 
 
+def _forest_tour(parent) -> tuple[list, list, list]:
+    """One depth-first tour of a parent map down from its roots: each
+    vertex's entry and exit times and its depth (a root has depth 1).  A
+    vertex whose chain of parents runs into a cycle is never entered and
+    keeps depth 0."""
+    n = len(parent)
+    children = [[] for _ in range(n)]
+    stack = []  # the roots, then the tour: v on entry, ~v on exit
+    for v, p in enumerate(parent):
+        (stack if p == -1 else children[p]).append(v)
+    enter, leave, depth = [0] * n, [0] * n, [0] * n
+    for v in stack:
+        depth[v] = 1
+    clock = 0
+    while stack:
+        x = stack.pop()
+        if x < 0:
+            leave[~x] = clock
+            continue
+        enter[x] = clock
+        clock += 1
+        stack.append(~x)
+        below = children[x]
+        d = depth[x] + 1
+        for c in below:
+            depth[c] = d
+        stack += below
+    return enter, leave, depth
+
+
 def validate_elimination_forest(g: Graph, forest: EliminationForest, claimed=None) -> list:
     """Independent checks: acyclic parent map, every edge within an
-    ancestor chain, and (optionally) the claimed depth.  Returns violations."""
-    if len(forest.parent) != g.n:
-        return [f"forest covers {len(forest.parent)} vertices, graph has {g.n}"]
-    out = foreign_vertices(g, set(forest.parent) - {-1})
+    ancestor chain, and (optionally) the claimed depth.  Returns violations.
+
+    Linear, by one depth-first tour of the forest: a vertex the tour never
+    enters has a chain that runs into a cycle, and u is an ancestor of v, or
+    v itself, when v's entry time falls within u's span."""
+    parent = forest.parent
+    if len(parent) != g.n:
+        return [f"forest covers {len(parent)} vertices, graph has {g.n}"]
+    out = foreign_vertices(g, set(parent) - {-1})
     if out:
         return out
-    ancestors = {}
-    for v in range(g.n):
-        chain = []
-        x = v
-        while x != -1:
-            if x in chain or len(chain) > g.n:
-                out.append(f"parent cycle reached from {v}")
-                return out
-            chain.append(x)
-            x = forest.parent[x]
-        ancestors[v] = set(chain)
+    enter, leave, depths = _forest_tour(parent)
+    if 0 in depths:
+        return [f"parent cycle reached from {depths.index(0)}"]
     for u, v in g.edges():
-        if u not in ancestors[v] and v not in ancestors[u]:
+        eu, ev = enter[u], enter[v]
+        if not (eu <= ev < leave[u] or ev <= eu < leave[v]):
             out.append(f"edge ({u},{v}) joins unrelated branches")
-    if claimed is not None and forest.depth != claimed:
-        out.append(f"claimed depth {claimed}, forest depth {forest.depth}")
+    depth = max(depths, default=0)
+    if claimed is not None and depth != claimed:
+        out.append(f"claimed depth {claimed}, forest depth {depth}")
     return out
 
 
+class _TreedepthSearch:
+    """Memoized branch and bound for treedepth over vertex bitmasks.
+
+    td of a connected graph is 1 + the least td over single-vertex
+    deletions, and disconnected parts are independent.  `td(mask, ub)`
+    returns the exact td of the induced subgraph when it is below `ub`, and
+    otherwise a proven lower bound of at least `ub`.  Exact values go to
+    `exact` with the root each connected mask keeps; lower bounds go to
+    `lower`, which later calls start from.
+
+    A connected node tries roots in `by_degree` order, most neighbours
+    first, and keeps the first strict improvement.  Each child is searched
+    with bound min(best, ub) - 1, so it comes back exact exactly when it is a
+    strict improvement below `ub`; a child cut there cannot be one.  A node
+    stops once its best reaches its lower bound, the largest of a shortest
+    path's bound, degeneracy + 1 (td > treewidth >= degeneracy) and any
+    bound known from an earlier cut.  So an exact entry, value and root, is
+    the same for every `ub`, and the same as the uncut search keeps: the
+    root is the first vertex in `by_degree` order whose deletion reaches the
+    least td.  Components are searched largest first, and the first one to
+    reach `ub` ends the node."""
+
+    def __init__(self, g: Graph):
+        self.masks = g.adjacency_masks()
+        self.exact = {0: (0, None)}  # mask -> (td, root); root None when disconnected
+        self.lower = {}  # mask -> a proven lower bound on td, from a cut search
+
+    def comps_of(self, mask: int) -> list:
+        out = []
+        rest = mask
+        while rest:
+            comp = mask_ball(self.masks, rest & -rest, mask)[0]
+            out.append(comp)
+            rest ^= comp
+        return out
+
+    def degeneracy(self, mask: int) -> int:
+        """The largest least degree met while peeling least-degree vertices."""
+        masks = self.masks
+        out = 0
+        left = mask
+        while left:
+            least = None
+            rest = left
+            while rest:
+                low = rest & -rest
+                deg = (masks[low.bit_length() - 1] & left).bit_count()
+                if least is None or deg < least:
+                    least, pick = deg, low
+                rest ^= low
+            out = max(out, least)
+            left ^= pick
+        return out
+
+    def td(self, mask: int, ub: int) -> int:
+        got = self.exact.get(mask)
+        if got is not None:
+            return got[0]
+        known = self.lower.get(mask, 0)
+        if known >= ub:
+            return known
+        cs = self.comps_of(mask)
+        if len(cs) > 1:
+            d = 0
+            for c in sorted(cs, key=int.bit_count, reverse=True):
+                got = self.td(c, ub)
+                if got >= ub:
+                    got = self.lower[mask] = max(known, got)
+                    return got
+                d = max(d, got)
+            self.exact[mask] = (d, None)
+            return d
+        masks = self.masks
+        k = mask.bit_count()
+        low = mask & -mask
+        if k == 1:
+            self.exact[mask] = (1, low.bit_length() - 1)
+            return 1
+        # a shortest path is a path subgraph: td >= ceil(log2(length + 2))
+        lb = max(known, math.ceil(math.log2(mask_ball(masks, low, mask)[1] + 2)))
+        if lb < ub:
+            degen = self.degeneracy(mask)
+            if degen == k - 1:  # a clique
+                self.exact[mask] = (k, low.bit_length() - 1)
+                return k
+            lb = max(lb, degen + 1)
+        if lb >= ub:
+            self.lower[mask] = lb
+            return lb
+        by_degree = sorted(iter_bits(mask), key=lambda v: (-(masks[v] & mask).bit_count(), v))
+        best, best_root = k + 1, None
+        bound = k + 1  # least 1 + child result; a lower bound when best stays above ub
+        for v in by_degree:
+            cut = min(best, ub) - 1
+            got = self.td(mask ^ (1 << v), cut)
+            if got < cut:
+                best, best_root = 1 + got, v
+                if best <= lb:
+                    break
+            else:
+                bound = min(bound, 1 + got)
+        if best < ub:
+            self.exact[mask] = (best, best_root)
+            return best
+        self.lower[mask] = bound
+        return bound
+
+
 def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
-    """Memoized recursion: td of a connected graph is 1 + the best td over
-    single-vertex deletions; disconnected parts are independent."""
+    """Exact treedepth and an elimination forest of that depth, by
+    `_TreedepthSearch`; each node's root is the one the uncut search keeps."""
     if g.n > cap:
         raise CapabilityError(
             f"treedepth_exact capped at {cap} vertices, graph has {g.n}",
             "treedepth_exact",
             cap,
         )
-    masks = g.adjacency_masks()
-    memo = {}
-
-    def comps_of(mask: int) -> list:
-        out = []
-        rest = mask
-        for v in iter_bits(mask):
-            if rest >> v & 1:
-                comp = mask_ball(masks, 1 << v, mask)[0]
-                out.append(comp)
-                rest ^= comp
-        return out
-
-    def is_clique(vs: list) -> bool:
-        return all(masks[u] & (1 << v) for i, u in enumerate(vs) for v in vs[i + 1:])
-
-    def td(mask: int) -> int:
-        if mask == 0:
-            return 0
-        got = memo.get(mask)
-        if got is not None:
-            return got[0]
-        cs = comps_of(mask)
-        if len(cs) > 1:
-            d = max(td(c) for c in cs)
-            memo[mask] = (d, None)
-            return d
-        vs = list(iter_bits(mask))
-        k = len(vs)
-        if k == 1:
-            memo[mask] = (1, vs[0])
-            return 1
-        if is_clique(vs):
-            memo[mask] = (k, vs[0])
-            return k
-        # a shortest path is a path subgraph: td >= ceil(log2(length + 2))
-        lb = math.ceil(math.log2(mask_ball(masks, 1 << vs[0], mask)[1] + 2))
-        by_degree = sorted(vs, key=lambda v: (-(masks[v] & mask).bit_count(), v))
-        best, best_root = k + 1, vs[0]
-        for v in by_degree:
-            d = 1 + td(mask ^ (1 << v))
-            if d < best:
-                best, best_root = d, v
-            if best <= lb:
-                break
-        memo[mask] = (best, best_root)
-        return best
-
-    value = td((1 << g.n) - 1) if g.n else 0
+    search = _TreedepthSearch(g)
+    full = (1 << g.n) - 1
+    value = search.td(full, g.n + 1)
     parent = [-1] * g.n
 
     def build(mask: int, up: int) -> None:
-        for comp in comps_of(mask):
-            td(comp)
-            _, root = memo[comp]
+        for comp in search.comps_of(mask):
+            search.td(comp, g.n + 1)
+            root = search.exact[comp][1]
             parent[root] = up
             build(comp ^ (1 << root), root)
 
-    if g.n:
-        build((1 << g.n) - 1, -1)
+    build(full, -1)
     forest = EliminationForest(tuple(parent))
     raise_if_invalid(validate_elimination_forest(g, forest, value),
                      "witness forest invalid", claimed=value)

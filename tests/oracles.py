@@ -141,6 +141,29 @@ def brute_treedepth(g: Graph) -> int:
     return td((1 << g.n) - 1)
 
 
+def naive_forest_violations(g: Graph, parent, claimed=None) -> list:
+    """The elimination-forest checks by walking every vertex's whole chain:
+    the least v whose chain repeats a vertex, then each edge, in
+    `g.edges()` order, whose ends are not on one chain, then the depth.
+    Ids are assumed to be vertices or -1."""
+    chains = []
+    for v in range(g.n):
+        chain = []
+        x = v
+        while x != -1:
+            if x in chain:
+                return [f"parent cycle reached from {v}"]
+            chain.append(x)
+            x = parent[x]
+        chains.append(chain)
+    out = [f"edge ({u},{v}) joins unrelated branches" for u, v in g.edges()
+           if u not in chains[v] and v not in chains[u]]
+    depth = max(map(len, chains), default=0)
+    if claimed is not None and depth != claimed:
+        out.append(f"claimed depth {claimed}, forest depth {depth}")
+    return out
+
+
 def dfs_preorder(g: Graph, root: int = 0):
     """DFS preorder over the whole graph, restarting at the smallest
     unvisited vertex; neighbors in increasing order."""

@@ -216,11 +216,27 @@ def test_usage_errors_exit_2():
     assert code == 2 and doc["error"]["code"] == "precondition"
     code, doc, _ = run_cli("wcol", "no_such_file.el", "--r", "1")
     assert code == 2 and doc["error"]["code"] == "graph_input"
-    # argparse handles a missing required flag itself
-    proc = subprocess.run([sys.executable, "-m", "sparsekit.cli",
-                           "density", K5, "--r", "1"],
+    # an argument the parser rejects gets the envelope too, naming the
+    # subcommand when argv names one
+    for argv, command, message in [
+        (("density", K5, "--r", "1"), "density",
+         "the following arguments are required: --seed"),
+        (("treedepth", PATH8, "--mode", "exact"), "treedepth",
+         "unrecognized arguments: --mode exact"),
+        (("wcol", PATH5, "--r", "x"), "wcol", "argument --r: invalid int value: 'x'"),
+        (("nosuch", PATH5), None, None),
+        ((), None, "the following arguments are required: command"),
+    ]:
+        code, doc, err = run_cli(*argv)
+        assert code == 2 and doc["command"] == command, argv
+        assert doc["error"]["code"] == "precondition"
+        assert message is None or doc["error"]["message"] == message
+        assert doc["input"] is None and doc["result"] is None and doc["params"] == {}
+        assert "usage:" in err
+    # --help still prints the help and exits 0
+    proc = subprocess.run([sys.executable, "-m", "sparsekit.cli", "wcol", "--help"],
                           capture_output=True, text=True)
-    assert proc.returncode == 2
+    assert proc.returncode == 0 and proc.stdout.startswith("usage: sparsekit wcol")
 
 
 @pytest.mark.parametrize("m", ["0", "-2"])

@@ -272,3 +272,26 @@ def test_random_connector_names_the_drawn_vertex_in_the_treedepth_game():
     second = t.rounds[1].connector
     assert second.center == 5
     assert second.vertices == frozenset({4, 5, 6})
+
+
+# sha256 of the repr of the list of game values over corpus_small, per
+# (kind, radius, batch_limit), round_cap = n.  Taken before the engine moved
+# to bitmasks and cut its search; no cut may change a value.
+PINNED_GAME_VALUES = {
+    ("treedepth", 0, 1): "56f748e4529c3babcb58abc1a86babc12aa8ae118bb39bc3ecfb73db1b01da6d",
+    ("splitter", 1, 1): "64524b1ab32212b1e1cc98ad0475578183ed9fa66407847ee82dfda2551f7641",
+    ("splitter", 1, 2): "5618fb7fcf701adc049f32c8a0f915c30ed8fb31a48f00412d405a322d5f1834",
+    ("splitter", 1, 3): "6450e5a52f0904b96f673cf3884db072a3d2d0fc78d008d5ba1d56e836299275",
+    ("splitter", 2, 1): "525227b68390940ef99d91fb0245b65dc99e8fe11c1ef7b43a0414964d247106",
+    ("splitter", 2, 2): "1bf4fe5556125ad17f44efafedb2b9605f34ccb1ed1bee3163009057d4f85dd0",
+    ("splitter", 2, 3): "a3d80b9b19b5c89516b35a3875b10c1e3933816423edf4c05a7f660fc8c6c50f",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_GAME_VALUES), ids=lambda k: "-".join(map(str, k)))
+def test_game_values_pinned(key, corpus_small):
+    kind, radius, batch = key
+    values = [game_value(g, GameConfig(kind=kind, radius=radius, round_cap=max(g.n, 1),
+                                       batch_limit=batch))
+              for g in corpus_small]
+    assert hashlib.sha256(repr(values).encode()).hexdigest() == PINNED_GAME_VALUES[key]

@@ -214,3 +214,30 @@ def test_prefix_scores_match_one_shot_scores(corpus_small):
                 want = [_quotient_edge_count(g, sorted(seq[:k]), r)
                         for k in range(1, g.n + 1)]
                 assert _prefix_quotient_edge_counts(g, seq, r) == want, (g, r)
+
+
+# sha256 of the emit_json of find_depth_r_minor's model ("null" when there is
+# none) over corpus_small, one line per graph, per (pattern, r).  Taken before
+# the search precomputed its candidate lists; the models must not change.
+PINNED_MINOR_PATTERNS = {"K3": complete_graph(3), "K4": complete_graph(4), "C4": cycle_graph(4)}
+PINNED_MINOR_MODELS = {
+    ("K3", 0): "6393ed25ae0147965716585a1b3a6b8bfbaa3799e4edc6954fc0d2e441d3e717",
+    ("K3", 1): "d0661a41bb9fada6d34cf6839372d59ef299d5bffeb89460ce830a6c35dc6c85",
+    ("K3", 2): "da29413bbd7808ea54d1b02df34540c4c4b8df32682fcafcd07e3440b2509cfd",
+    ("K4", 0): "43944afc4dbe03f4bf9721f9cfade61fc73d198c310ed2cfbc20b45415f2779a",
+    ("K4", 1): "e95d758a9d97b434890070320d5939154e45a1cf3bda14a3c989a30e781a93c3",
+    ("K4", 2): "bd47d2fca6c1444a787ce3e39b90f9d81eb64c04441bf7ce3866be035335c3b4",
+    ("C4", 0): "d26d54b48a33f81f90a2676c733149f2430c0c159e8cafaf8f72ebd8eae3d0f5",
+    ("C4", 1): "831bbe71ff41a16061cb3020837c2987d9791c56c4e1e144261c37680ed9004f",
+    ("C4", 2): "517066b6c8528104ad45457c375b915d6b41e2e3b9884433681e34493806e563",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_MINOR_MODELS), ids=lambda k: f"{k[0]}-r{k[1]}")
+def test_minor_models_pinned(key, corpus_small):
+    h = PINNED_MINOR_PATTERNS[key[0]]
+    lines = []
+    for g in corpus_small:
+        model = find_depth_r_minor(g, h, key[1])
+        lines.append(emit_json(model.to_json()) if model is not None else "null")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_MINOR_MODELS[key]

@@ -16,7 +16,8 @@ from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
                                grid_graph, path_graph, random_tree, star_graph,
                                subdivide)
 from sparsekit.orders import (ORDER_NAMES, EliminationForest, VertexOrder,
-                              WReachTable, _completion_floor, build_order,
+                              WReachTable, _completion_floor, _TreedepthSearch,
+                              build_order,
                               coloring_number, degeneracy_order,
                               greedy_wreach_order, identity_order,
                               treedepth_exact, validate_elimination_forest,
@@ -154,6 +155,24 @@ def test_completion_floor_never_exceeds_the_best_completion():
     assert tight > 120 and above_counts > 50, (tight, above_counts)
 
 
+def test_completion_floor_stops_at_enough():
+    # below `enough` the floor is the full one; at or above it, the early
+    # stop returns some floor between `enough` and the full one
+    rng = random.Random(2020)
+    for case in range(300):
+        n = rng.randint(1, 9)
+        g = gnp_graph(n, rng.choice((0.3, 0.5, 0.7)), seed=case)
+        unplaced = rng.randrange(1, 1 << n)
+        counts = [rng.randint(0, 3) for _ in range(n)]
+        full = _completion_floor(g.adjacency_masks(), counts, unplaced)
+        for enough in range(1, full + 3):
+            got = _completion_floor(g.adjacency_masks(), counts, unplaced, enough)
+            if full < enough:
+                assert got == full
+            else:
+                assert enough <= got <= full
+
+
 def test_wcol_exact_cap():
     with pytest.raises(CapabilityError) as e:
         wcol_exact(path_graph(12), 2, cap=10)
@@ -280,6 +299,34 @@ def test_treedepth_exact_frozen_and_brute():
         assert validate_elimination_forest(g, forest, claimed=value) == []
 
 
+def test_treedepth_search_is_exact_below_its_bound_and_a_lower_bound_above():
+    # td(mask, ub) against brute force, for every ub, on fresh searches and on
+    # one search whose memos carry over from bound to bound in random order;
+    # every memo entry then holds for its own induced subgraph
+    rng = random.Random(4)
+    graphs = ([gnp_graph(n, p, seed=40 + n) for n in range(3, 9) for p in (0.3, 0.6)]
+              + [path_graph(8), cycle_graph(7), grid_graph(2, 4), star_graph(6)])
+    for g in graphs:
+        want = brute_treedepth(g)
+        full = (1 << g.n) - 1
+        shared = _TreedepthSearch(g)
+        ubs = list(range(1, g.n + 2))
+        rng.shuffle(ubs)
+        for ub in ubs:
+            for search in (_TreedepthSearch(g), shared):
+                got = search.td(full, ub)
+                if want < ub:
+                    assert got == want, (g, ub)
+                else:
+                    assert ub <= got <= want, (g, ub)
+        for mask, (value, root) in shared.exact.items():
+            sub = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])[0]
+            assert value == brute_treedepth(sub), (g, mask)
+        for mask, bound in shared.lower.items():
+            sub = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])[0]
+            assert bound <= brute_treedepth(sub), (g, mask)
+
+
 def test_treedepth_cap():
     with pytest.raises(CapabilityError):
         treedepth_exact(grid_graph(4, 4), cap=15)
@@ -297,6 +344,45 @@ def test_validate_elimination_forest_rejects_bad_witnesses():
     value, forest = treedepth_exact(g)
     assert validate_elimination_forest(g, forest, claimed=value - 1) != []
     assert EliminationForest.from_json(forest.to_json()) == forest
+
+
+def test_forest_validator_matches_the_chain_walk():
+    # forged parent maps (cycles, self-loops, unrelated branches, wrong
+    # depths) and valid forests get the messages, in the order, of the
+    # whole-chain walk in oracles.naive_forest_violations
+    rng = random.Random(453)
+    seen_cycle = seen_edge = seen_depth = 0
+    for case in range(400):
+        n = rng.randint(1, 9)
+        g = gnp_graph(n, rng.choice((0.2, 0.4, 0.7)), seed=case)
+        if case % 3:
+            parent = [rng.choice([-1] + list(range(n))) for _ in range(n)]
+        else:
+            parent = list(treedepth_exact(g)[1].parent)
+            if case % 2 and n > 1:
+                parent[rng.randrange(n)] = rng.choice([-1] + list(range(n)))
+        claimed = rng.choice((None, rng.randint(0, n + 1)))
+        got = validate_elimination_forest(g, EliminationForest(tuple(parent)), claimed)
+        assert got == oracles.naive_forest_violations(g, parent, claimed), (g, parent)
+        seen_cycle += any("cycle" in m for m in got)
+        seen_edge += any("unrelated" in m for m in got)
+        seen_depth += any("claimed depth" in m for m in got)
+    assert min(seen_cycle, seen_edge, seen_depth) > 20, (seen_cycle, seen_edge, seen_depth)
+
+
+def test_forest_validator_and_depth_are_linear_on_a_deep_forest():
+    # a 20000-vertex path eliminated from one end: depth 20000, one chain
+    n = 20000
+    g = path_graph(n)
+    forest = EliminationForest((-1,) + tuple(range(n - 1)))
+    assert forest.depth == n
+    assert validate_elimination_forest(g, forest, claimed=n) == []
+    assert validate_elimination_forest(g, forest, claimed=15) == [
+        f"claimed depth 15, forest depth {n}"]
+    looped = EliminationForest((n - 1,) + tuple(range(n - 1)))
+    assert validate_elimination_forest(g, looped) == ["parent cycle reached from 0"]
+    with pytest.raises(GraphInputError):
+        looped.depth
 
 
 def test_check_separation():
@@ -529,3 +615,46 @@ def test_wcol_exact_witness_digests_pinned(name, request):
     if graphs is None:
         graphs = request.getfixturevalue(name)
     assert _witness_digest(graphs) == PINNED_WITNESS_DIGESTS[name]
+
+
+def _exact_small_gnp(seed: int) -> list:
+    """The G(n, p) graphs of the `exact_small` benchmark corpus for a seed,
+    drawn as perfbench/exact_small.py draws them."""
+    rng = random.Random(seed)
+    out = []
+    for n in range(5, 8):
+        for p in (0.3, 0.5):
+            for _ in range({5: 10, 6: 50, 7: 60}[n]):
+                out.append(Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                     if rng.random() < p]))
+    return out
+
+
+FOREST_SETS = {
+    "exact_small": lambda: [g for s in (1, 2, 3) for g in _exact_small_gnp(s)],
+    "grids": lambda: [grid_graph(3, c) for c in (3, 4, 5)],
+    "trees": lambda: [random_tree(n, seed=300 + n) for n in range(2, 16)],
+    "gnp": lambda: [gnp_graph(n, p, seed=800 + 10 * n)
+                    for n in range(10, 16) for p in (0.2, 0.35, 0.5)],
+}
+
+# sha256 of the repr of (value, forest parents) from treedepth_exact, one line
+# per graph.  Taken before the search was given its bounds; no cut may change
+# which root a node keeps.
+PINNED_FORESTS = {
+    "corpus_small": "5459bbe982dcbba0249ebcfa0324fe790a8cf3e965c70a41ba3bcdad2817b7f3",
+    "exact_small": "afa3a826fdbb022a715ebed201eb8c534697b568ae5d04c05a759f577ab9c540",
+    "grids": "418861a68a1b397dfc8f31d984d9eea94d3e29165725b667b583ee74fecee326",
+    "trees": "475242a718e00d78ec79399e2863da00dd13d16e006630d24645068956ba63d8",
+    "gnp": "43baa7c392b379c6d9f57d150985af7c8d8497b0197b1b6b9fa3313a35a585cc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FORESTS))
+def test_treedepth_forests_pinned(name, request):
+    graphs = FOREST_SETS[name]() if name in FOREST_SETS else request.getfixturevalue(name)
+    lines = []
+    for g in graphs:
+        value, forest = treedepth_exact(g)
+        lines.append(repr((value, forest.parent)))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_FORESTS[name]

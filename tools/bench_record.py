@@ -37,6 +37,13 @@ def _seeds(text: str) -> list:
     return out
 
 
+def _bytecode_caches(checkout: Path) -> list:
+    """The `__pycache__` directories under a checkout's `src/`.  The harness
+    writes no bytecode, but Python still reads a valid cache, so a side with
+    one skips compiling and its start-up looks faster than the other's."""
+    return sorted(str(p) for p in (checkout / "src").rglob("__pycache__"))
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -90,6 +97,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     parent = Path(args.parent).resolve()
+    caches = _bytecode_caches(parent) + _bytecode_caches(HERE)
+    if caches:
+        print("bench_record: remove the bytecode caches first, so neither side "
+              "starts from compiled modules:\n  " + "\n  ".join(caches), file=sys.stderr)
+        return 2
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
     doc = {
         "command": ["tools/bench_record.py", *(argv if argv is not None else sys.argv[1:])],
