@@ -15,16 +15,19 @@ _EXPORTS = {name: module for module, names in (
     ("errors", "AlgorithmStallError CapabilityError EdgeListParseError FormulaParseError "
                "FormulaScopeError GraphInputError LocalityError PreconditionError "
                "SparsekitError StrategyBugError"),
-    ("graph", "Graph ball bfs_distances components induced_subgraph set_radius"),
+    ("graph", "DistanceSet Graph ball bfs_distances components induced_subgraph "
+              "set_radius validate_distance_set"),
     ("graphio", "apex_graph complete_graph cycle_graph emit_json generate gnd_graph "
                 "graph_from_json grid_graph parse_edge_list path_graph random_tree "
                 "read_dimacs star_graph subdivide to_jsonable write_edge_list"),
-    ("orders", "ORDER_NAMES EliminationForest VertexOrder build_order coloring_number "
-               "degeneracy_order greedy_wreach_order identity_order treedepth_exact "
-               "validate_elimination_forest wcol_exact wcol_of_order wreach_clusters "
-               "wreach_sets"),
-    ("minors", "DensityReport MinorModel density_report find_depth_r_minor "
-               "verify_minor_model"),
+    ("orders", "ORDER_NAMES EliminationForest ForestCertificate OrderWitness VertexOrder "
+               "build_order coloring_number degeneracy_order greedy_wreach_order "
+               "identity_order treedepth_exact validate_elimination_forest "
+               "validate_forest_certificate validate_order_witness wcol_exact "
+               "wcol_of_order wreach_clusters wreach_sets"),
+    ("minors", "DensityCertificate DensityReport MinorCertificate MinorModel "
+               "density_report find_depth_r_minor validate_density_certificate "
+               "validate_minor_certificate verify_minor_model"),
     ("games", "ConnectorMove ExhaustiveConnector ExhaustiveSplitter GameConfig GameRound "
               "GameTranscript GreedyBallConnector RandomConnector UqwBatchSplitter "
               "WcolSplitter connector_move_violations game_value play "

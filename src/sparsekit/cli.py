@@ -29,9 +29,9 @@ from . import __version__
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
                      FormulaScopeError, GraphInputError, LocalityError,
                      PreconditionError, SparsekitError, StrategyBugError)
-from .graph import Graph, ball, bfs_distances, foreign_vertices
-from .graphio import (emit_json, generate, graph_from_json, parse_edge_list,
-                      read_dimacs, to_jsonable, write_edge_list)
+from .graph import DistanceSet, Graph, foreign_vertices
+from .graphio import (emit_json, generate, parse_edge_list, read_dimacs, to_jsonable,
+                      write_edge_list)
 
 # ----------------------------------------------------------------- loading
 
@@ -106,62 +106,50 @@ def _vertex_list(text, g: Graph):
 # ---------------------------------------------------------------- handlers
 # Each takes the parsed arguments, the input graph and its metadata (None and
 # {} for `gen` and `sweep`, which read their own input), and may add to the
-# metadata.  It returns (result, certificate, summary line, ok); `run` owns
-# the exit code.
-
-def _order_witness(r: int, value: int, order, optimal: bool) -> dict:
-    return {"kind": "order_witness", "r": r, "value": value, "optimal": optimal,
-            **order.to_json()}
-
-
-def _distance_set(problem: str, r: int, vertices, **extra) -> dict:
-    return {"kind": "distance_set", "problem": problem, "r": r,
-            "vertices": sorted(vertices), **extra}
-
+# metadata.  It returns (result, certificate object or None, summary line,
+# ok); `run` owns the exit code and writes the certificate's document.
 
 def cmd_wcol(args, g, meta):
-    from .orders import build_order, wcol_exact, wcol_of_order
+    from .orders import OrderWitness, build_order, wcol_exact, wcol_of_order
     if args.mode == "exact":
         value, order = wcol_exact(g, args.r, cap=args.cap)
     else:
         order = build_order(g, args.order, args.r)
         value = wcol_of_order(g, order, args.r)
     result = {"r": args.r, "mode": args.mode, "value": value}
-    cert = _order_witness(args.r, value, order, args.mode == "exact")
+    cert = OrderWitness(args.r, value, order.perm, args.mode == "exact")
     return result, cert, f"wcol_{args.r} = {value} ({args.mode})", True
 
 
 def cmd_col(args, g, meta):
-    from .orders import coloring_number
+    from .orders import OrderWitness, coloring_number
     value, order = coloring_number(g)
-    return {"value": value}, _order_witness(1, value, order, True), f"col = {value}", True
+    return {"value": value}, OrderWitness(1, value, order.perm, True), f"col = {value}", True
 
 
 def cmd_treedepth(args, g, meta):
-    from .orders import treedepth_exact
+    from .orders import ForestCertificate, treedepth_exact
     value, forest = treedepth_exact(g, cap=args.cap)
-    cert = {"kind": "elimination_forest", "value": value, **forest.to_json()}
-    return {"value": value}, cert, f"treedepth = {value}", True
+    return {"value": value}, ForestCertificate(value, forest), f"treedepth = {value}", True
 
 
 def cmd_minor(args, g, meta):
-    from .minors import find_depth_r_minor
+    from .minors import MinorCertificate, find_depth_r_minor
     h, meta["pattern"] = load_graph(args.pattern)
     model = find_depth_r_minor(g, h, args.r, max_h=args.max_h, max_g=args.max_g)
     found = model is not None
-    cert = {"kind": "minor_model", "h": to_jsonable(h), **model.to_json()} if found else None
+    cert = MinorCertificate(h, model) if found else None
     word = "found" if found else "absent"
     return {"r": args.r, "found": found}, cert, f"depth-{args.r} minor {word}", found
 
 
 def cmd_density(args, g, meta):
-    from .minors import density_report
+    from .minors import DensityCertificate, density_report
     rep = density_report(g, args.r, budget=args.budget, seed=args.seed)
     h = Graph(len(rep.model.branch_sets), list(rep.model.edge_witness))
-    cert = {"kind": "density", "h": to_jsonable(h), **rep.to_json()}
-    result = {k: cert[k] for k in
-              ("depth", "density", "minor_n", "minor_m", "attempts", "lower_bound")}
-    return result, cert, f"depth-{args.r} density >= {rep.density:.3f}", True
+    result = {k: v for k, v in rep.to_json().items() if k != "model"}
+    return (result, DensityCertificate(h, rep),
+            f"depth-{args.r} density >= {rep.density:.3f}", True)
 
 
 def cmd_game(args, g, meta):
@@ -181,7 +169,7 @@ def cmd_game(args, g, meta):
         result = {"winner": t.winner, "rounds": len(t.rounds),
                   "residual_sizes": t.residual_sizes}
         summary, ok = f"{t.winner} wins after {len(t.rounds)} rounds", True
-    return result, {"kind": "transcript", **t.to_json()}, summary, ok
+    return result, t, summary, ok
 
 
 def _play(args, g: Graph):
@@ -227,7 +215,7 @@ def cmd_uqw(args, g, meta):
               "s_size": len(cert_obj.S), "b_size": len(cert_obj.B),
               "guarantee_applies": cert_obj.guarantee_applies}
     s = f"|S| = {len(cert_obj.S)}, |B| = {len(cert_obj.B)} at distance > {args.r}"
-    return result, cert_obj.to_json(), s, True
+    return result, cert_obj, s, True
 
 
 def cmd_separator(args, g, meta):
@@ -242,7 +230,7 @@ def cmd_separator(args, g, meta):
               "iterations": cert_obj.iterations}
     s = (f"|S| = {len(cert_obj.S)}, worst ball fraction "
          f"{cert_obj.worst_ball_fraction:.3f} <= {args.eps}")
-    return result, cert_obj.to_json(), s, True
+    return result, cert_obj, s, True
 
 
 def cmd_cover(args, g, meta):
@@ -253,7 +241,7 @@ def cmd_cover(args, g, meta):
     result = {"r": args.r, "clusters": len(cov.clusters),
               "radius_bound": cov.radius_bound, "max_degree": cov.max_degree}
     s = f"{len(cov.clusters)} clusters, degree {cov.max_degree}, radius <= {cov.radius_bound}"
-    return result, cov.to_json(), s, True
+    return result, cov, s, True
 
 
 def cmd_partition(args, g, meta):
@@ -261,7 +249,7 @@ def cmd_partition(args, g, meta):
     from .wideness import partition_cover
     pi = build_order(g, args.order, 4 * args.r + 1)
     pc = partition_cover(g, args.r, pi)
-    return {"r": args.r, "n_parts": pc.n_parts}, pc.to_json(), f"{pc.n_parts} parts", True
+    return {"r": args.r, "n_parts": pc.n_parts}, pc, f"{pc.n_parts} parts", True
 
 
 def _parse_env(text) -> dict:
@@ -301,9 +289,8 @@ def cmd_eval(args, g, meta):
               "witnesses": list(witnesses) if witnesses is not None else None}
     cert = None
     if value:
-        extra = {"marked": sorted(marked)} if args.marked is not None else {}
-        cert = _distance_set("independent", 2 * s.r, witnesses, k=s.k,
-                             sentence=s.to_json(), **extra)
+        cert = DistanceSet("independent", 2 * s.r, witnesses, k=s.k, sentence=s.to_json(),
+                           marked=sorted(marked) if args.marked is not None else None)
     return result, cert, f"value = {value}", value
 
 
@@ -317,13 +304,13 @@ def cmd_solve(args, g, meta):
         found = sol is not None
         result = {"problem": "independent", "r": args.r, "k": args.k, "found": found,
                   "vertices": sorted(sol) if found else None}
-        cert = _distance_set("independent", args.r, sol, k=args.k) if found else None
+        cert = DistanceSet("independent", args.r, sol, k=args.k) if found else None
         word = "found" if found else "absent"
         return result, cert, f"distance-{args.r} independent {args.k}-set {word}", found
     sol = distance_dominating_set(g, args.r, mode=args.mode, cap=args.cap)
     result = {"problem": "dominating", "r": args.r, "mode": args.mode,
               "size": len(sol), "vertices": sorted(sol)}
-    cert = _distance_set("dominating", args.r, sol, mode=args.mode)
+    cert = DistanceSet("dominating", args.r, sol, mode=args.mode)
     return result, cert, f"distance-{args.r} dominating set of size {len(sol)}", True
 
 
@@ -337,71 +324,6 @@ def cmd_gen(args, g, meta):
     return result, None, f"generated n={g.n} m={g.m}", True
 
 
-def _check_order_witness(g: Graph, doc: dict) -> list:
-    from .orders import VertexOrder, wcol_of_order
-    if len(doc["order"]) != g.n:
-        return [f"order on {len(doc['order'])} vertices, graph has {g.n}"]
-    got = wcol_of_order(g, VertexOrder.from_json(doc), doc["r"])
-    return ([] if got == doc["value"]
-            else [f"order achieves wcol_{doc['r']} = {got}, claimed {doc['value']}"])
-
-
-def _check_forest(g: Graph, doc: dict) -> list:
-    from .orders import EliminationForest, validate_elimination_forest
-    return validate_elimination_forest(g, EliminationForest.from_json(doc),
-                                       claimed=doc["value"])
-
-
-def _check_minor(g: Graph, doc: dict) -> list:
-    from .minors import MinorModel, verify_minor_model
-    return verify_minor_model(g, graph_from_json(doc["h"]), MinorModel.from_json(doc))
-
-
-def _check_density(g: Graph, doc: dict) -> list:
-    from .minors import MinorModel, verify_minor_model
-    h = graph_from_json(doc["h"])
-    out = verify_minor_model(g, h, MinorModel.from_json(doc["model"]))
-    if h.n != doc["minor_n"] or h.m != doc["minor_m"]:
-        out.append(f"model is on {h.n} vertices / {h.m} edges, "
-                   f"report says {doc['minor_n']} / {doc['minor_m']}")
-    if h.n and abs(doc["density"] - h.m / h.n) > 1e-12:
-        out.append(f"density {doc['density']} != {h.m}/{h.n}")
-    return out
-
-
-def _check_distance_set(g: Graph, doc: dict) -> list:
-    vs = doc["vertices"]
-    marked = doc.get("marked", [])
-    out = foreign_vertices(g, vs) + foreign_vertices(g, marked)
-    if out:
-        return out
-    if doc["problem"] == "independent":
-        if len(set(vs)) != doc["k"]:
-            out.append(f"{len(set(vs))} distinct vertices, claimed k = {doc['k']}")
-        for i, u in enumerate(vs):
-            dist = bfs_distances(g, (u,), doc["r"])
-            for v in vs[i + 1:]:
-                if v in dist:
-                    out.append(f"{u} and {v} are within distance {doc['r']}")
-        if "sentence" in doc:
-            from .logic import BasicLocalSentence, eval_naive, free_vars
-            s = BasicLocalSentence.from_json(doc["sentence"])
-            for v in vs:
-                env = {s.var: v} if s.var in free_vars(s.chi) else {}
-                if not eval_naive(g, s.chi, env, marked):
-                    out.append(f"witness {v} does not satisfy the local property")
-    elif doc["problem"] == "dominating":
-        covered = set()
-        for v in vs:
-            covered |= ball(g, v, doc["r"])
-        missing = sorted(set(range(g.n)) - covered)
-        if missing:
-            out.append(f"vertices {missing} not dominated within {doc['r']}")
-    else:
-        out.append(f"unknown distance-set problem {doc['problem']!r}")
-    return out
-
-
 def _validator(module: str, cls: str, validate: str):
     """The check validate(graph, cls.from_json(certificate)), with both names
     taken from the library module `module` when the check first runs."""
@@ -413,16 +335,17 @@ def _validator(module: str, cls: str, validate: str):
 
 # certificate kind -> validator(graph, certificate document) -> violations
 CERTIFICATES = {
-    "order_witness": _check_order_witness,
-    "elimination_forest": _check_forest,
-    "minor_model": _check_minor,
-    "density": _check_density,
+    "order_witness": _validator("orders", "OrderWitness", "validate_order_witness"),
+    "elimination_forest": _validator("orders", "ForestCertificate",
+                                     "validate_forest_certificate"),
+    "minor_model": _validator("minors", "MinorCertificate", "validate_minor_certificate"),
+    "density": _validator("minors", "DensityCertificate", "validate_density_certificate"),
     "transcript": _validator("games", "GameTranscript", "validate_transcript"),
     "uqw": _validator("wideness", "UqwCertificate", "validate_uqw"),
     "separator": _validator("wideness", "SeparatorCertificate", "validate_separator"),
     "cover": _validator("wideness", "Cover", "validate_cover"),
     "partition": _validator("wideness", "PartitionCover", "validate_partition"),
-    "distance_set": _check_distance_set,
+    "distance_set": _validator("graph", "DistanceSet", "validate_distance_set"),
 }
 
 
@@ -435,7 +358,7 @@ def _read_certificate(path: str, default_kind=None) -> tuple[str, dict]:
     if not isinstance(doc, dict):
         raise PreconditionError(f"{path!r} holds no certificate object")
     kind = doc.get("kind", default_kind)
-    if kind not in CERTIFICATES:
+    if not isinstance(kind, str) or kind not in CERTIFICATES:
         raise PreconditionError(f"unknown certificate kind {kind!r}")
     return kind, doc
 

@@ -75,6 +75,7 @@ class GameRound:
 
 @dataclass
 class GameTranscript:
+    kind = "transcript"
     config: GameConfig
     rounds: list
     winner: str
@@ -433,10 +434,6 @@ class _Engine:
                     if val <= least:
                         return best
         return best
-
-    def value(self, residual: frozenset) -> int:
-        """Rounds the splitter needs under optimal play on both sides."""
-        return self._value(sum(1 << v for v in residual))
 
     def best_connector_move(self, residual: frozenset):
         c, arena, resp = self._best_move(sum(1 << v for v in residual))

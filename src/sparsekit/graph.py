@@ -160,7 +160,10 @@ def least_independent(conflicts, cand: int, k: int):
 def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
     """Hop distances from a set of sources, optionally capped and restricted
     to an `active` vertex set (sources outside it are ignored).  Level by
-    level, so the keys come in the order a FIFO queue would reach them."""
+    level, so the keys come in the order a FIFO queue would reach them.  A
+    radius need not be an integer: 1.5 reaches what 1 does."""
+    if radius is not None and radius < 0:
+        raise GraphInputError(f"radius must be >= 0, got {radius}")
     dist = {}
     frontier = []
     for s in sources:
@@ -169,7 +172,7 @@ def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
             frontier.append(s)
     adj = g.adj
     d = 0
-    while frontier and d != radius:
+    while frontier and (radius is None or d + 1 <= radius):
         d += 1
         nxt = []
         if active is None:
@@ -191,8 +194,6 @@ def bfs_distances(g: Graph, sources, radius=None, active=None) -> dict:
 def ball(g: Graph, v: int, r: int) -> frozenset:
     """Closed r-neighborhood of v (always contains v)."""
     _check_vertex(g, v)
-    if r < 0:
-        raise GraphInputError(f"radius must be >= 0, got {r}")
     return frozenset(bfs_distances(g, (v,), r))
 
 
@@ -249,3 +250,66 @@ def foreign_vertices(g: Graph, vs) -> list:
 def _check_vertex(g: Graph, v: int) -> None:
     if not (type(v) is int and 0 <= v < g.n):
         raise GraphInputError(f"vertex {v!r} not in range(0, {g.n})")
+
+
+class DistanceSet:
+    """Vertices claimed pairwise more than r apart ("independent", with their
+    number k, and for a basic-local sentence the sentence's JSON and the
+    marked set it reads) or dominating within r ("dominating", with the mode
+    that found them).  It lives here, not in `logic`, so that checking a set
+    without a sentence loads only the graph."""
+    __slots__ = ("problem", "r", "vertices", "k", "mode", "sentence", "marked")
+    kind = "distance_set"
+
+    def __init__(self, problem, r, vertices, k=None, mode=None, sentence=None,
+                 marked=None):
+        self.problem, self.r, self.vertices, self.k = problem, r, vertices, k
+        self.mode, self.sentence, self.marked = mode, sentence, marked
+
+    def to_json(self):  # the optional keys are left out when None
+        d = {key: v for key in self.__slots__ if (v := getattr(self, key)) is not None}
+        return {**d, "vertices": sorted(self.vertices)}
+
+    @classmethod
+    def from_json(cls, d):
+        problem = d["problem"]
+        k = d["k"] if problem == "independent" else d.get("k")
+        return cls(problem, d["r"], d["vertices"], k, d.get("mode"), d.get("sentence"),
+                   d.get("marked"))
+
+
+def validate_distance_set(g: Graph, cert: DistanceSet) -> list:
+    """Independent checks of the claim, plus, for a sentence, its k and 2r,
+    and its local property at every member.  Returns violations."""
+    vs = cert.vertices
+    marked = cert.marked if cert.marked is not None else []
+    out = foreign_vertices(g, vs) + foreign_vertices(g, marked)
+    if out:
+        return out
+    if cert.problem == "independent":
+        if len(set(vs)) != cert.k:
+            out.append(f"{len(set(vs))} distinct vertices, claimed k = {cert.k}")
+        for i, u in enumerate(vs):
+            near = ball(g, u, cert.r)
+            out += [f"{u} and {v} are within distance {cert.r}"
+                    for v in vs[i + 1:] if v in near]
+        if cert.sentence is not None:  # only a sentence needs `logic`
+            from .logic import BasicLocalSentence, eval_naive, free_vars
+            s = BasicLocalSentence.from_json(cert.sentence)
+            if cert.k != s.k or cert.r != 2 * s.r:
+                out.append(f"the sentence asks for {s.k} witnesses at distance > {2 * s.r}, "
+                           f"the certificate claims k = {cert.k} at distance > {cert.r}")
+            for v in vs:
+                env = {s.var: v} if s.var in free_vars(s.chi) else {}
+                if not eval_naive(g, s.chi, env, marked):
+                    out.append(f"witness {v} does not satisfy the local property")
+    elif cert.problem == "dominating":
+        covered = set()
+        for v in vs:
+            covered |= ball(g, v, cert.r)
+        missing = sorted(set(range(g.n)) - covered)
+        if missing:
+            out.append(f"vertices {missing} not dominated within {cert.r}")
+    else:
+        out.append(f"unknown distance-set problem {cert.problem!r}")
+    return out

@@ -322,7 +322,11 @@ def to_jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if hasattr(obj, "to_json"):
-        return to_jsonable(obj.to_json())
+        # a certificate class whose to_json leaves out its kind names it in
+        # a class attribute `kind`, added here; the others write their own
+        kind = getattr(type(obj), "kind", None)
+        d = obj.to_json()
+        return to_jsonable({"kind": kind, **d} if isinstance(kind, str) else d)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError, raise_if_invalid)
 from .graph import Graph, bfs_distances, foreign_vertices, set_radius
+from .graphio import graph_from_json, to_jsonable
 from .rng import Rng
 
 
@@ -75,6 +76,26 @@ def verify_minor_model(g: Graph, h: Graph, model: MinorModel) -> list:
         elif not g.has_edge(a, b):
             out.append(f"witness {w} for ({hu},{hv}) is not an edge of g")
     return out
+
+
+class MinorCertificate:
+    """A model claimed to be a depth-`model.depth` minor model of `h`."""
+    __slots__ = ("h", "model")
+    kind = "minor_model"
+
+    def __init__(self, h: Graph, model: MinorModel):
+        self.h, self.model = h, model
+
+    def to_json(self):
+        return {"h": to_jsonable(self.h), **self.model.to_json()}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(graph_from_json(d["h"]), MinorModel.from_json(d))
+
+
+def validate_minor_certificate(g: Graph, cert: MinorCertificate) -> list:
+    return verify_minor_model(g, cert.h, cert.model)
 
 
 def find_depth_r_minor(
@@ -225,7 +246,41 @@ class DensityReport:
     @classmethod
     def from_json(cls, d):
         return cls(d["depth"], d["density"], d["minor_n"], d["minor_m"],
-                   MinorModel.from_json(d["model"]), d["attempts"], d["lower_bound"])
+                   MinorModel.from_json(d["model"]), d.get("attempts"),
+                   d.get("lower_bound", True))
+
+
+class DensityCertificate:
+    """A density report and the minor `h` its model claims to contract to."""
+    __slots__ = ("h", "report")
+    kind = "density"
+
+    def __init__(self, h: Graph, report: DensityReport):
+        self.h, self.report = h, report
+
+    def to_json(self):
+        return {"h": to_jsonable(self.h), **self.report.to_json()}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(graph_from_json(d["h"]), DensityReport.from_json(d))
+
+
+def validate_density_certificate(g: Graph, cert: DensityCertificate) -> list:
+    """The model is one of h; h has the claimed size and density (an empty h
+    has none); the report's depth is its model's.  Returns violations."""
+    h, rep = cert.h, cert.report
+    out = verify_minor_model(g, h, rep.model)
+    if h.n != rep.minor_n or h.m != rep.minor_m:
+        out.append(f"model is on {h.n} vertices / {h.m} edges, "
+                   f"report says {rep.minor_n} / {rep.minor_m}")
+    if not h.n:
+        out.append(f"density {rep.density} claimed for an empty model")
+    elif abs(rep.density - h.m / h.n) > 1e-12:
+        out.append(f"density {rep.density} != {h.m}/{h.n}")
+    if rep.depth != rep.model.depth:
+        out.append(f"report depth {rep.depth}, model depth {rep.model.depth}")
+    return out
 
 
 def _claim(g: Graph, centers: list, r: int):

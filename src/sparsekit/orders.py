@@ -183,6 +183,58 @@ class WReachTable:
             self.rank[u] = rank_u
 
 
+class OrderWitness:
+    """An order claimed to reach wcol_r = value, kept as given, so that the
+    validator measures its length before it parses it.  Whether an exact
+    search found it (`optimal`) is not checked, and may be left out."""
+    __slots__ = ("r", "value", "order", "optimal")
+    kind = "order_witness"
+
+    def __init__(self, r, value, order, optimal=None):
+        self.r, self.value, self.order, self.optimal = r, value, order, optimal
+
+    def to_json(self):
+        d = {"r": self.r, "value": self.value, "order": list(self.order)}
+        return d if self.optimal is None else {**d, "optimal": self.optimal}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(d["r"], d["value"], d["order"], d.get("optimal"))
+
+
+def validate_order_witness(g: Graph, cert: OrderWitness) -> list:
+    """Independent check of the claimed wcol_r: a breadth-first search from
+    each u through the vertices ranked above u reaches the v whose weak-reach
+    set holds u, and those memberships are counted per v.  A search stops
+    once it reaches nothing new, so a radius far above n costs no more than
+    n.  Returns violations."""
+    if len(cert.order) != g.n:
+        return [f"order on {len(cert.order)} vertices, graph has {g.n}"]
+    rank = VertexOrder(cert.order).rank
+    r = cert.r
+    if r < 0:
+        raise GraphInputError(f"radius must be >= 0, got {r}")
+    adj = g.adj
+    counts = [1] * g.n  # each set holds its own vertex
+    seen_by = list(range(g.n))  # seen_by[w] == u: u's search has reached w
+    for u in range(g.n):
+        ru = rank[u]
+        frontier = [u]
+        for _ in range(r):
+            nxt = []
+            for x in frontier:
+                for w in adj[x]:
+                    if seen_by[w] != u and rank[w] > ru:
+                        seen_by[w] = u
+                        counts[w] += 1
+                        nxt.append(w)
+            if not nxt:
+                break
+            frontier = nxt
+    got = max(counts, default=0)
+    return [] if got == cert.value else [f"order achieves wcol_{r} = {got}, claimed {cert.value}"]
+
+
 # ------------------------------------------------------------ greedy orders
 
 def degeneracy_order(g: Graph) -> VertexOrder:
@@ -513,6 +565,26 @@ def validate_elimination_forest(g: Graph, forest: EliminationForest, claimed=Non
     if claimed is not None and depth != claimed:
         out.append(f"claimed depth {claimed}, forest depth {depth}")
     return out
+
+
+class ForestCertificate:
+    """An elimination forest claimed to have depth `value`."""
+    __slots__ = ("value", "forest")
+    kind = "elimination_forest"
+
+    def __init__(self, value, forest: EliminationForest):
+        self.value, self.forest = value, forest
+
+    def to_json(self):
+        return {"value": self.value, **self.forest.to_json()}
+
+    @classmethod
+    def from_json(cls, d):
+        return cls(d["value"], EliminationForest.from_json(d))
+
+
+def validate_forest_certificate(g: Graph, cert: ForestCertificate) -> list:
+    return validate_elimination_forest(g, cert.forest, claimed=cert.value)
 
 
 class _TreedepthSearch:

@@ -31,6 +31,23 @@ def naive_wreach(g: Graph, order, r: int, v: int) -> frozenset:
     return frozenset(out)
 
 
+def naive_wreach_radii(g: Graph, order, v: int) -> dict:
+    """u -> the least r with u in WReach_r[v], by enumerating every simple
+    path from v, as `naive_wreach` does at r = n."""
+    rank = order.rank
+    out = {v: 0}
+    stack = [(v, (v,))]
+    while stack:
+        last, path = stack.pop()
+        for w in g.adj[last]:
+            if w not in path:
+                stack.append((w, path + (w,)))
+        u = path[-1]
+        if rank[u] <= rank[v] and all(rank[x] > rank[u] for x in path[1:-1]):
+            out[u] = min(out.get(u, len(path)), len(path) - 1)
+    return out
+
+
 def greedy_wreach_order(g: Graph, r: int) -> VertexOrder:
     """The greedy order by full rescans: fill positions right to left, and
     at every step score every unplaced vertex x afresh, by the largest

@@ -78,6 +78,8 @@ REQUIRED_KEY = {
     (("solve", PATH8, "--problem", "independent", "--r", "2", "--k", "3"), PATH8),
     (("solve", PATH8, "--problem", "dominating", "--r", "1"), PATH8),
     (("eval", CYCLE7, "--sentence", '{"k":2,"r":1,"chi":"true"}'), CYCLE7),
+    # a radius far above n: writing and checking stop once nothing new is reached
+    (("wcol", CYCLE7, "--r", "1000000000"), CYCLE7),
 ])
 def test_certificates_survive_verify(tmp_path, argv, graph):
     code, doc, _ = run_cli(*argv)
@@ -168,6 +170,44 @@ def test_independent_search_depth_stays_below_k():
     code, doc, _ = run_cli("solve", '{"family":"star","n":3000}', "--problem",
                            "independent", "--r", "2", "--k", "2")
     assert code == 0 and doc["result"]["found"] is False
+
+
+@pytest.mark.parametrize("cert,graph,violation", [
+    # a fractional radius once left the BFS without a cap
+    ({"kind": "distance_set", "problem": "dominating", "r": 1.5, "vertices": [0]}, PATH8,
+     "vertices [2, 3, 4, 5, 6, 7] not dominated within 1.5"),
+    # the report's depth must be its model's
+    ({"kind": "density", "h": {"n": 1, "edges": []}, "depth": 0,
+      "model": {"depth": 1, "branch_sets": {"0": [0, 1]}, "edge_witness": {}},
+      "minor_n": 1, "minor_m": 0, "density": 0.0}, PATH8, "report depth 0, model depth 1"),
+    # an empty model has no density
+    ({"kind": "density", "h": {"n": 0, "edges": []}, "depth": 0,
+      "model": {"depth": 0, "branch_sets": {}, "edge_witness": {}},
+      "minor_n": 0, "minor_m": 0, "density": 9.0}, PATH8,
+     "density 9.0 claimed for an empty model"),
+    # one witness for a sentence that asks for five
+    ({"kind": "distance_set", "problem": "independent", "r": 1, "k": 1, "vertices": [3],
+      "sentence": {"k": 5, "r": 1, "chi": "true"}}, PATH8,
+     "the sentence asks for 5 witnesses at distance > 2, "
+     "the certificate claims k = 1 at distance > 1"),
+])
+def test_verify_refuses_forgeries_it_once_passed(tmp_path, cert, graph, violation):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc, _ = run_cli("verify", str(path), "--graph", graph)
+    assert code == 1 and doc["result"]["violations"] == [violation]
+
+
+@pytest.mark.parametrize("cert", [
+    {"kind": "distance_set", "problem": "independent", "r": "x", "k": 1, "vertices": [0]},
+    {"kind": [], "vertices": [0]},
+])
+def test_verify_refuses_a_malformed_radius_or_kind(tmp_path, cert):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc, err = run_cli("verify", str(path), "--graph", PATH8)
+    assert code == 2 and doc["error"]["code"] == "precondition"
+    assert "Traceback" not in err
 
 
 def test_verify_accepts_full_out_document(tmp_path):

@@ -45,6 +45,18 @@ def test_bfs_distances_and_restriction():
     assert bfs_distances(p, (0, 5), 1) == {0: 0, 1: 1, 5: 0, 4: 1}
 
 
+def test_bfs_radius_caps_at_every_value():
+    # the cap once stopped only at a level equal to the radius, so a
+    # fractional radius searched the whole graph
+    p = path_graph(6)
+    assert bfs_distances(p, (0,), 1.5) == {0: 0, 1: 1}
+    assert bfs_distances(p, (0,), 0.5) == bfs_distances(p, (0,), 0) == {0: 0}
+    with pytest.raises(GraphInputError, match="radius must be >= 0, got -1"):
+        bfs_distances(p, (0,), -1)
+    with pytest.raises(TypeError):
+        bfs_distances(p, (0,), "x")
+
+
 def test_balls():
     c = cycle_graph(8)
     assert ball(c, 0, 0) == {0}

@@ -43,8 +43,9 @@ def test_no_unused_imports():
     assert [hit for p in files for hit in unused_imports(p)] == []
 
 
-# the names `sparsekit` exported when its `__init__` imported every submodule
-PUBLIC_API = [
+# the names `sparsekit` exported when its `__init__` imported every submodule,
+# and the certificate classes and validators added since
+PUBLIC_API = sorted([
     "AlgorithmStallError", "BasicLocalSentence", "CapabilityError", "ConnectorMove",
     "Cover", "DensityReport", "EdgeListParseError", "EliminationForest",
     "ExhaustiveConnector", "ExhaustiveSplitter", "FormulaParseError",
@@ -68,7 +69,10 @@ PUBLIC_API = [
     "validate_separator", "validate_transcript", "validate_uqw",
     "verify_minor_model", "wcol_exact", "wcol_of_order", "wcol_splitter_strategy",
     "wreach_clusters", "wreach_sets", "write_edge_list",
-]
+    "DensityCertificate", "DistanceSet", "ForestCertificate", "MinorCertificate",
+    "OrderWitness", "validate_density_certificate", "validate_distance_set",
+    "validate_forest_certificate", "validate_minor_certificate", "validate_order_witness",
+])
 
 
 def _loaded(code: str) -> set:
@@ -108,3 +112,14 @@ def test_each_command_loads_only_its_modules(tmp_path):
     run("cover", p5, "--r", "1", "--out", cert)
     assert (run("verify", cert, "--graph", p5)
             == base | {"sparsekit.orders", "sparsekit.wideness"})
+    # the kinds checked by library validators since they left the CLI load
+    # no more than their checks did there: a distance set without a
+    # sentence needs only the graph
+    for name, argv, extra in (
+            ("order", ("wcol", p5, "--r", "2"), {"sparsekit.orders"}),
+            ("dominating", ("solve", p5, "--problem", "dominating", "--r", "1"), set()),
+            ("minor", ("minor", p5, "--pattern", '{"family":"path","n":2}', "--r", "0"),
+             {"sparsekit.minors"})):
+        cert = str(tmp_path / f"{name}.json")
+        run(*argv, "--out", cert)
+        assert run("verify", cert, "--graph", p5) == base | extra

@@ -9,19 +9,20 @@ import pytest
 import oracles
 from conftest import gnp_graph
 from oracles import (brute_treedepth, brute_wcol, check_separation,
-                     dfs_preorder, naive_wreach)
+                     dfs_preorder, naive_wreach, naive_wreach_radii)
 from sparsekit.errors import CapabilityError, GraphInputError, PreconditionError
 from sparsekit.graph import Graph, induced_subgraph
 from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
                                grid_graph, path_graph, random_tree, star_graph,
                                subdivide)
-from sparsekit.orders import (ORDER_NAMES, EliminationForest, VertexOrder,
-                              WReachTable, _completion_floor, _TreedepthSearch,
-                              build_order,
+from sparsekit.orders import (ORDER_NAMES, EliminationForest, OrderWitness,
+                              VertexOrder, WReachTable, _completion_floor,
+                              _TreedepthSearch, build_order,
                               coloring_number, degeneracy_order,
                               greedy_wreach_order, identity_order,
                               treedepth_exact, validate_elimination_forest,
-                              wcol_exact, wcol_of_order, wreach_sets)
+                              validate_order_witness, wcol_exact, wcol_of_order,
+                              wreach_sets)
 
 
 def test_vertex_order_validation():
@@ -658,3 +659,37 @@ def test_treedepth_forests_pinned(name, request):
         value, forest = treedepth_exact(g)
         lines.append(repr((value, forest.parent)))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == PINNED_FORESTS[name]
+
+
+def test_order_witness_validator_recounts_wcol_on_its_own(corpus_small):
+    # validate_order_witness counts weak reach with its own searches; it
+    # must agree with wcol_of_order and with path enumeration, on every
+    # graph, order and radius.  The enumeration runs once per vertex, at
+    # r = n, and keeps each member's least radius
+    for g in corpus_small:
+        for perm in {build_order(g, name, 2).perm for name in ORDER_NAMES}:
+            order = VertexOrder(perm)
+            radii = [naive_wreach_radii(g, order, v) for v in range(g.n)]
+            for r in range(1, g.n + 1):
+                value = wcol_of_order(g, order, r)
+                naive = max(sum(d <= r for d in rv.values()) for rv in radii)
+                assert naive == value, (g, perm, r)
+                assert validate_order_witness(g, OrderWitness(r, value, perm)) == []
+                assert validate_order_witness(g, OrderWitness(r, value + 1, perm)) == [
+                    f"order achieves wcol_{r} = {value}, claimed {value + 1}"]
+            # a radius far above n costs what r = n does: each search stops
+            # once it reaches nothing new
+            top = wcol_of_order(g, order, g.n)
+            assert validate_order_witness(g, OrderWitness(10**9, top, perm)) == []
+
+
+def test_order_witness_of_another_length_is_a_violation_before_parsing():
+    # the length is measured first, so an order that is no permutation of
+    # range(its length) still fails verification rather than parsing
+    g = path_graph(4)
+    assert validate_order_witness(g, OrderWitness.from_json(
+        {"r": 1, "value": 2, "order": [0, 5]})) == ["order on 2 vertices, graph has 4"]
+    with pytest.raises(GraphInputError):
+        validate_order_witness(g, OrderWitness(1, 2, [0, 1, 2, 2]))
+    doc = {"r": 2, "value": 2, "order": [3, 2, 1, 0]}
+    assert OrderWitness.from_json(doc).to_json() == doc  # `optimal` may be absent

@@ -10,9 +10,9 @@ seed to seed, so a slow stretch of the host falls on both sides alike.  The
 file records the commit and source hash of each side, the Python version,
 the CPU count, every run's end-to-end metrics and `output_digest`, and per
 workload and metric each side's median and quartiles and the number of
-pairs the change won.  `--parent` is a second checkout (a `git clone` or
-`git archive` of the parent commit); this checkout is the one the script
-lives in.  Standard library only.
+pairs the change won.  `--parent` is a second checkout, a `git clone` of the
+parent commit, so that the file can name its commit; this checkout is the
+one the script lives in.  Standard library only.
 """
 
 from __future__ import annotations
@@ -101,6 +101,11 @@ def main(argv=None) -> int:
     if caches:
         print("bench_record: remove the bytecode caches first, so neither side "
               "starts from compiled modules:\n  " + "\n  ".join(caches), file=sys.stderr)
+        return 2
+    if _git(parent, "rev-parse", "--show-toplevel") != str(parent):
+        print(f"bench_record: {parent} is not the top of a git checkout, so its "
+              "commit cannot be recorded; make the parent side with `git clone`",
+              file=sys.stderr)
         return 2
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
     doc = {
