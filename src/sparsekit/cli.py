@@ -15,6 +15,7 @@ Randomized operations insist on an explicit seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import operator
@@ -425,7 +426,7 @@ def cmd_sweep(args, g, meta):
                     op_args = parser.parse_args(argv)
                     if "order" in cfg and "order" in vars(op_args):
                         op_args.order = cfg["order"]  # build_order rejects a bad name
-                    row["value"] = op_args.fn(op_args, g, {})[0][SWEEP_KEYS[op]]
+                    row["value"] = globals()["cmd_" + op](op_args, g, {})[0][SWEEP_KEYS[op]]
                 except SparsekitError as e:
                     row["error"] = str(e)
                 rows.append(row)
@@ -468,43 +469,43 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message, command)
 
 
+@functools.cache  # one parser per process: `run()` and `sweep` rows share it
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="sparsekit",
         description="sparse-graph toolbox: orders, games, wideness, covers, logic")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, graph=True):
+    def add(name, help_, graph=True):  # the handler is `cmd_<name>`, found per run
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
         if graph:
             p.add_argument("graph", help="edge-list/DIMACS path or inline generator spec")
         p.add_argument("--out", help="also write the JSON document to this path")
         return p
 
-    p = add("wcol", cmd_wcol, "weak r-coloring number")
+    p = add("wcol", "weak r-coloring number")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "heuristic"), default="heuristic")
     p.add_argument("--cap", type=int, default=10)
 
-    add("col", cmd_col, "coloring number (degeneracy + 1)")
+    add("col", "coloring number (degeneracy + 1)")
 
-    p = add("treedepth", cmd_treedepth, "exact treedepth with elimination forest")
+    p = add("treedepth", "exact treedepth with elimination forest")
     p.add_argument("--cap", type=int, default=15)
 
-    p = add("minor", cmd_minor, "search for a depth-r minor model of a pattern")
+    p = add("minor", "search for a depth-r minor model of a pattern")
     p.add_argument("--pattern", required=True,
                    help="pattern graph (path or generator spec)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--max-h", type=int, default=5)
     p.add_argument("--max-g", type=int, default=20)
 
-    p = add("density", cmd_density, "best depth-r minor density found (lower bound)")
+    p = add("density", "best depth-r minor density found (lower bound)")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, required=True)
 
-    p = add("game", cmd_game, "play or replay a vertex-deletion game")
+    p = add("game", "play or replay a vertex-deletion game")
     p.add_argument("--kind", choices=("treedepth", "splitter"), default="splitter")
     p.add_argument("--r", type=int, default=1, help="radius for the splitter kind")
     p.add_argument("--splitter", choices=("wcol", "uqw", "exhaustive"), default="wcol")
@@ -517,31 +518,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="required with --connector random")
     p.add_argument("--replay", help="validate a stored transcript instead of playing")
 
-    p = add("uqw", cmd_uqw, "far-apart subset after deleting few vertices")
+    p = add("uqw", "far-apart subset after deleting few vertices")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--a", help="target set as comma-separated ids (default: all)")
     p.add_argument("--mode", choices=("extract", "brute"), default="extract")
     p.add_argument("--smax", type=int, default=3, help="brute mode: max |S|")
 
-    p = add("separator", cmd_separator, "balanced neighborhood separator")
+    p = add("separator", "balanced neighborhood separator")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--a", help="target set (default: all vertices)")
 
-    p = add("cover", cmd_cover, "sparse neighborhood cover")
+    p = add("cover", "sparse neighborhood cover")
     p.add_argument("--r", type=int, required=True)
 
-    p = add("partition", cmd_partition, "partition into unions of far-apart clusters")
+    p = add("partition", "partition into unions of far-apart clusters")
     p.add_argument("--r", type=int, required=True)
 
-    p = add("eval", cmd_eval, "evaluate a formula or a basic-local sentence")
+    p = add("eval", "evaluate a formula or a basic-local sentence")
     p.add_argument("--formula", help="formula text; free variables come from --env")
     p.add_argument("--env", help="assignment var=vertex,var=vertex")
     p.add_argument("--sentence", help="basic-local sentence: JSON path or inline")
     p.add_argument("--marked", help="extension of the unary predicate P")
 
-    p = add("solve", cmd_solve, "distance-r independent or dominating set")
+    p = add("solve", "distance-r independent or dominating set")
     p.add_argument("--problem", choices=("independent", "dominating"), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--k", type=int, help="independent: required size")
@@ -549,17 +550,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     p.add_argument("--cap", type=int, default=25)
 
-    p = add("gen", cmd_gen, "materialize a generator spec", graph=False)
+    p = add("gen", "materialize a generator spec", graph=False)
     p.add_argument("spec", help="JSON generator spec")
     p.add_argument("--to", help="write the edge list to this path")
 
-    p = add("verify", cmd_verify, "re-run independent validators on a certificate",
-            graph=False)
+    p = add("verify", "re-run independent validators on a certificate", graph=False)
     p.add_argument("certificate", help="certificate JSON path")
     p.add_argument("--graph", required=True, dest="graph",
                    help="the graph the certificate talks about")
 
-    p = add("sweep", cmd_sweep, "tabulate values across graph families", graph=False)
+    p = add("sweep", "tabulate values across graph families", graph=False)
     p.add_argument("config", help="JSON config: families, r, operations")
 
     for name in ("wcol", "game", "uqw", "separator", "cover", "partition"):
@@ -597,7 +597,7 @@ def run(argv=None) -> int:
             # build_order's own rule on the empty graph
             from .orders import build_order
             build_order(Graph(0, ()), args.order, 1)
-        result, cert, summary, ok = args.fn(args, g, got)
+        result, cert, summary, ok = globals()["cmd_" + args.command](args, g, got)
         meta = got
         # a false answer exits 1, unless the command's --expect flag is unset
         code = 0 if ok or not getattr(args, "expect", True) else 1
@@ -636,7 +636,7 @@ def run(argv=None) -> int:
 
 
 def _public_params(args) -> dict:
-    skip = {"fn", "command", "graph", "out", "seed"}
+    skip = {"command", "graph", "out", "seed"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 from .errors import (CapabilityError, GraphInputError, PreconditionError,
                      StrategyBugError, raise_if_invalid)
 from .graph import (Graph, bfs_distances, components, foreign_vertices,
-                    iter_bits, mask_ball)
+                    iter_bits, mask_ball, mask_components)
 from .orders import VertexOrder
 from .rng import Rng
 
@@ -380,13 +380,7 @@ class _Engine:
         first, then by center; the center of an arena is its least one."""
         masks, reach = self._masks, self.cfg.reach
         if reach is None:  # components: disjoint, so each one is maximal
-            moves = []
-            rest = residual
-            while rest:
-                low = rest & -rest
-                comp = mask_ball(masks, low, residual)[0]
-                moves.append((low.bit_length() - 1, comp))
-                rest &= ~comp
+            moves = [((a & -a).bit_length() - 1, a) for a in mask_components(masks, residual)]
         else:
             arenas = {}
             for c in iter_bits(residual):
@@ -416,12 +410,7 @@ class _Engine:
     def _best_batch(self, arena: int):
         """Batches by size, then as `combinations` of the arena's vertices in
         increasing order."""
-        bits = []  # the arena's vertices as one-bit masks, lowest first
-        rest = arena
-        while rest:
-            low = rest & -rest
-            bits.append(low)
-            rest ^= low
+        bits = [1 << v for v in iter_bits(arena)]
         limit = self.cfg.batch_limit
         least = 1 if len(bits) <= limit else 2
         best = None

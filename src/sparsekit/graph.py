@@ -91,10 +91,11 @@ def iter_bits(mask: int):
 def mask_ball(masks, seed: int, within: int, radius=None) -> tuple[int, int]:
     """Breadth-first search over bitmasks: the vertices of `within` reachable
     from the `seed` mask through `within` in at most `radius` steps (no cap
-    when None), seed included, and the number of steps to the farthest."""
+    when None), seed included, and the number of steps to the farthest.  The
+    radius caps as in `bfs_distances`: 1.5 reaches what 1 does."""
     ball = frontier = seed
     depth = 0
-    while depth != radius:
+    while radius is None or depth + 1 <= radius:
         nxt = 0
         f = frontier
         while f:  # iter_bits inlined: this loop is the exact searches' hot path
@@ -107,6 +108,17 @@ def mask_ball(masks, seed: int, within: int, radius=None) -> tuple[int, int]:
         ball |= frontier
         depth += 1
     return ball, depth
+
+
+def mask_components(masks, mask: int) -> list:
+    """Connected components of the `mask` vertices as masks, by least vertex."""
+    out = []
+    rest = mask
+    while rest:
+        comp = mask_ball(masks, rest & -rest, mask)[0]
+        out.append(comp)
+        rest ^= comp
+    return out
 
 
 def least_independent(conflicts, cand: int, k: int):

@@ -629,7 +629,7 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
         # first-fail: branch on the vertex with the fewest coverers
         u, u_opts = -1, None
         for v in iter_bits(uncovered):
-            opts = [w for w in range(g.n) if masks[w] >> v & 1]
+            opts = list(iter_bits(masks[v]))  # balls are symmetric
             if u_opts is None or len(opts) < len(u_opts):
                 u, u_opts = v, opts
         for w in sorted(u_opts,

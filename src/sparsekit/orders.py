@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
                      PreconditionError, raise_if_invalid)
-from .graph import Graph, bfs_distances, foreign_vertices, iter_bits, mask_ball
+from .graph import (Graph, bfs_distances, foreign_vertices, iter_bits, mask_ball,
+                    mask_components)
 
 
 class VertexOrder:
@@ -359,7 +360,9 @@ def _completion_floor(masks, counts, unplaced: int, enough=None) -> int:
     of these floors along the way.  Every w is the least at its own removal,
     so the floor is never below counts[w] + 1.  Given `enough`, the removals
     stop once the floor reaches it, and the value returned is then only some
-    floor of at least `enough`: all a search that cuts there needs."""
+    floor of at least `enough`: all a search that cuts there needs.  With all
+    counts 0 a key is 1 + a degree in L, and the removals are the smallest-last
+    peel, ties to the least id, so `_TreedepthSearch` reads degeneracy + 1 here."""
     floor = 0
     left = unplaced
     while left:
@@ -613,33 +616,7 @@ class _TreedepthSearch:
         self.masks = g.adjacency_masks()
         self.exact = {0: (0, None)}  # mask -> (td, root); root None when disconnected
         self.lower = {}  # mask -> a proven lower bound on td, from a cut search
-
-    def comps_of(self, mask: int) -> list:
-        out = []
-        rest = mask
-        while rest:
-            comp = mask_ball(self.masks, rest & -rest, mask)[0]
-            out.append(comp)
-            rest ^= comp
-        return out
-
-    def degeneracy(self, mask: int) -> int:
-        """The largest least degree met while peeling least-degree vertices."""
-        masks = self.masks
-        out = 0
-        left = mask
-        while left:
-            least = None
-            rest = left
-            while rest:
-                low = rest & -rest
-                deg = (masks[low.bit_length() - 1] & left).bit_count()
-                if least is None or deg < least:
-                    least, pick = deg, low
-                rest ^= low
-            out = max(out, least)
-            left ^= pick
-        return out
+        self.zeros = [0] * g.n  # no counts: `_completion_floor` is degeneracy + 1
 
     def td(self, mask: int, ub: int) -> int:
         got = self.exact.get(mask)
@@ -648,7 +625,7 @@ class _TreedepthSearch:
         known = self.lower.get(mask, 0)
         if known >= ub:
             return known
-        cs = self.comps_of(mask)
+        cs = mask_components(self.masks, mask)
         if len(cs) > 1:
             d = 0
             for c in sorted(cs, key=int.bit_count, reverse=True):
@@ -668,11 +645,11 @@ class _TreedepthSearch:
         # a shortest path is a path subgraph: td >= ceil(log2(length + 2))
         lb = max(known, math.ceil(math.log2(mask_ball(masks, low, mask)[1] + 2)))
         if lb < ub:
-            degen = self.degeneracy(mask)
-            if degen == k - 1:  # a clique
+            peel = _completion_floor(masks, self.zeros, mask)
+            if peel == k:  # a clique
                 self.exact[mask] = (k, low.bit_length() - 1)
                 return k
-            lb = max(lb, degen + 1)
+            lb = max(lb, peel)
         if lb >= ub:
             self.lower[mask] = lb
             return lb
@@ -710,7 +687,7 @@ def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
     parent = [-1] * g.n
 
     def build(mask: int, up: int) -> None:
-        for comp in search.comps_of(mask):
+        for comp in mask_components(search.masks, mask):
             search.td(comp, g.n + 1)
             root = search.exact[comp][1]
             parent[root] = up

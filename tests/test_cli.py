@@ -616,6 +616,11 @@ def test_sweep_unknown_order_name_is_a_row_error(tmp_path):
          "error": "unknown order strategy 'bogus'"} for op in ("wcol", "cover")]
 
 
+def test_one_parser_per_process():
+    # run() and the sweep rows parse with the same parser, built once
+    assert cli.build_parser() is cli.build_parser()
+
+
 @pytest.mark.parametrize("text", ["null", "[1, 2]", "7"])
 def test_verify_rejects_non_object_certificate(tmp_path, text):
     doc = tmp_path / "doc.json"

@@ -41,9 +41,12 @@ def test_splitter_game_values_frozen():
         (complete_graph(5), 5), (cycle_graph(4), 2), (cycle_graph(6), 2),
         (path_graph(7), 2), (star_graph(8), 2), (grid_graph(3, 3), 2),
     ]
+    # radius 1.5 plays as 1 does; the arenas' BFS once ran it uncapped,
+    # which played the treedepth game (3 on P7)
     for g, want in cases:
-        assert game_value(g, GameConfig(kind="splitter", radius=1,
-                                        round_cap=g.n)) == want
+        for radius in (1, 1.5):
+            assert game_value(g, GameConfig(kind="splitter", radius=radius,
+                                            round_cap=g.n)) == want, (g, radius)
 
 
 def test_game_value_cap():

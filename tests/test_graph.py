@@ -3,7 +3,7 @@ import pytest
 from sparsekit.errors import GraphInputError
 from sparsekit.graph import (Graph, ball, bfs_distances, components,
                              induced_subgraph, iter_bits, mask_ball,
-                             set_radius)
+                             mask_components, set_radius)
 from sparsekit.graphio import cycle_graph, grid_graph, path_graph
 
 
@@ -96,10 +96,19 @@ def test_mask_ball_matches_bfs_distances(corpus_small):
         for v in range(g.n):
             for active in (set(range(g.n)),
                            {w for w in range(g.n) if w % 3 != 2 or w == v}):
-                for radius in (None, 0, 1, 2):
+                for radius in (None, 0, 0.5, 1, 1.5, 2):
                     dist = bfs_distances(g, (v,), radius, active)
                     got = mask_ball(masks, 1 << v, _mask(active), radius)
                     assert got == (_mask(dist), max(dist.values())), (g, v, radius)
+
+
+def test_mask_components_match_components(corpus_small):
+    # on the whole graph and with every third vertex removed
+    for g in corpus_small:
+        masks = g.adjacency_masks()
+        for active in (set(range(g.n)), {w for w in range(g.n) if w % 3 != 2}):
+            got = mask_components(masks, _mask(active))
+            assert got == [_mask(c) for c in components(g, active)], (g, active)
 
 
 def test_mask_ball_from_a_seed_set():

@@ -308,6 +308,8 @@ def test_distance_independent_set_pins():
     assert distance_independent_set(path_graph(5), 2, 3, [0, 1]) is None
     # candidate restriction matters
     assert distance_independent_set(path_graph(7), 2, 2, [2, 3, 4]) is None
+    # radius 1.5 reaches what 1 does (it once made every ball the whole path)
+    assert distance_independent_set(path_graph(8), 1.5, 2, range(8)) == frozenset({0, 2})
 
 
 def test_distance_independent_set_is_lex_least():

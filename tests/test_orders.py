@@ -11,7 +11,7 @@ from conftest import gnp_graph
 from oracles import (brute_treedepth, brute_wcol, check_separation,
                      dfs_preorder, naive_wreach, naive_wreach_radii)
 from sparsekit.errors import CapabilityError, GraphInputError, PreconditionError
-from sparsekit.graph import Graph, induced_subgraph
+from sparsekit.graph import Graph, induced_subgraph, iter_bits
 from sparsekit.graphio import (complete_graph, cycle_graph, gnd_graph,
                                grid_graph, path_graph, random_tree, star_graph,
                                subdivide)
@@ -154,6 +154,18 @@ def test_completion_floor_never_exceeds_the_best_completion():
         above_counts += floor > max(counts[w] + 1 for w in unplaced)
     # the floor is often exact, and often above the bound the search had before
     assert tight > 120 and above_counts > 50, (tight, above_counts)
+
+
+def test_completion_floor_without_counts_is_degeneracy_plus_one(corpus_small):
+    # the treedepth search takes its degeneracy bound from the floor; the
+    # coloring number comes from the heap-based degeneracy order instead
+    rng = random.Random(19)
+    for g in corpus_small:
+        masks, zeros = g.adjacency_masks(), [0] * g.n
+        for _ in range(4):
+            mask = rng.getrandbits(g.n)
+            sub = induced_subgraph(g, iter_bits(mask))[0]
+            assert _completion_floor(masks, zeros, mask) == coloring_number(sub)[0], (g, mask)
 
 
 def test_completion_floor_stops_at_enough():

@@ -67,6 +67,9 @@ def test_uqw_brute_frozen():
     assert uqw_brute(complete_graph(5), range(5), 1, 2, s_max=3) is None
     cert = uqw_brute(cycle_graph(12), range(12), 2, 4, s_max=1)
     assert sorted(cert.S) == [] and sorted(cert.B) == [0, 3, 6, 9]
+    # radius 1.5 reaches what 1 does (it once made every ball the whole path)
+    cert = uqw_brute(path_graph(8), range(8), 1.5, 3, s_max=1)
+    assert sorted(cert.S) == [] and sorted(cert.B) == [0, 2, 4, 6]
 
 
 def test_uqw_brute_caps():
