@@ -44,40 +44,43 @@ def _input_meta(src: str, g: Graph) -> dict:
     return {"source": src, "digest": digest, "n": g.n, "m": g.m}
 
 
-def _spec_graph(text: str) -> Graph:
-    """Inline JSON generator spec -> graph."""
+def _read(path: str, label: str = "") -> str:
+    """The file's bytes as UTF-8 text; one that cannot be read or decoded is an input error."""
     try:
-        spec = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GraphInputError(f"bad generator spec: {e}")
-    return generate(spec)
+        with open(path, "rb") as fh:
+            return fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise GraphInputError(f"cannot read {label}{path!r}: {e}")
+
+
+def _json(text: str, what: str):
+    """The one JSON decoder; text it cannot decode is an input error."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise GraphInputError(f"{what} is not valid JSON: {e}")
+
+
+def _write(path: str, text: str, mode: str = "w") -> None:
+    """Mode "a" with no text only checks that `path` can be written."""
+    try:
+        with open(path, mode) as fh:
+            fh.write(text)
+    except OSError as e:
+        raise PreconditionError(f"cannot write {path!r}: {e}")
 
 
 def load_graph(src: str):
     """Path or inline generator spec -> (graph, input metadata)."""
     if src.lstrip().startswith("{"):
-        g = _spec_graph(src)
+        g = generate(_json(src, "generator spec"))
     else:
-        try:
-            with open(src, encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise GraphInputError(f"cannot read graph {src!r}: {e}")
+        text = _read(src, "graph ")
         if any(line.split() and line.split()[0] == "p" for line in text.splitlines()):
             g = read_dimacs(text)
         else:
             g = parse_edge_list(text)
     return g, _input_meta(src, g)
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as e:
-        raise GraphInputError(f"cannot read {path!r}: {e}")
-    except json.JSONDecodeError as e:
-        raise GraphInputError(f"{path!r} is not valid JSON: {e}")
 
 
 @contextmanager
@@ -281,9 +284,10 @@ def cmd_eval(args, g, meta):
         f = parse_formula(args.formula, free=tuple(env))
         value = eval_naive(g, f, env, marked)
         return {"value": value}, None, f"value = {value}", value
-    text = args.sentence
+    text = args.sentence  # inline JSON or a path, as the graph argument
+    inline = text.lstrip().startswith("{")
+    doc = _json(text if inline else _read(text), "sentence" if inline else repr(text))
     with _malformed("sentence"):
-        doc = _load_json(text) if not text.lstrip().startswith("{") else json.loads(text)
         s = BasicLocalSentence.from_json(doc)
     value, witnesses = eval_basic_local(g, s, marked)
     result = {"value": value,
@@ -316,11 +320,10 @@ def cmd_solve(args, g, meta):
 
 
 def cmd_gen(args, g, meta):
-    g = _spec_graph(args.spec)
+    g = generate(_json(args.spec, "generator spec"))
     meta.update(_input_meta(args.spec, g))
     if args.to:
-        with open(args.to, "w") as fh:
-            fh.write(write_edge_list(g))
+        _write(args.to, write_edge_list(g))
     result = {"n": g.n, "m": g.m, "graph": to_jsonable(g)}
     return result, None, f"generated n={g.n} m={g.m}", True
 
@@ -353,7 +356,7 @@ CERTIFICATES = {
 def _read_certificate(path: str, default_kind=None) -> tuple[str, dict]:
     """(kind, certificate) from a certificate file or a full --out document;
     `default_kind` stands in for a missing "kind" key."""
-    doc = _load_json(path)
+    doc = _json(_read(path), repr(path))
     if isinstance(doc, dict) and "certificate" in doc and "command" in doc:
         doc = doc["certificate"]
     if not isinstance(doc, dict):
@@ -393,7 +396,9 @@ SWEEP_KEYS = {"wcol": "value", "cover": "max_degree", "partition": "n_parts",
 
 
 def cmd_sweep(args, g, meta):
-    cfg = _load_json(args.config)
+    text = _read(args.config)  # the digest is of the file's bytes
+    meta.update(source=args.config, digest="sha256:" + hashlib.sha256(text.encode()).hexdigest())
+    cfg = _json(text, repr(args.config))
     with _malformed("sweep config"):
         families = [(fam.get("name", json.dumps(fam["spec"], sort_keys=True)), fam["spec"])
                     for fam in cfg.get("families", [])]
@@ -430,9 +435,6 @@ def cmd_sweep(args, g, meta):
                 except SparsekitError as e:
                     row["error"] = str(e)
                 rows.append(row)
-    with open(args.config, "rb") as fh:
-        digest = "sha256:" + hashlib.sha256(fh.read()).hexdigest()
-    meta.update(source=args.config, digest=digest)
     return {"rows": rows}, None, f"{len(rows)} rows", True
 
 
@@ -584,13 +586,16 @@ _ERROR_CODES = (
 
 
 def run(argv=None) -> int:
-    meta = result = cert = error = None
+    meta = result = cert = error = out = None
     summary, code = "", 0
     args = argparse.Namespace(command=None)  # stands in until argv parses
     t0 = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
         t0 = time.perf_counter()  # wall_time_s times the command, not the parser
+        if getattr(args, "out", None):
+            _write(args.out, "", "a")  # an unwritable --out stops the command
+            out = args.out
         g, got = load_graph(args.graph) if "graph" in vars(args) else (None, {})
         if "order" in vars(args):
             # some modes build no order, so the name is checked here, by
@@ -627,9 +632,11 @@ def run(argv=None) -> int:
     }
     text = emit_json(doc)
     sys.stdout.write(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    if out:
+        try:
+            _write(out, text)
+        except PreconditionError as e:  # the path was writable, the write failed
+            summary, code = f"error: {e}", 2
     prog = f"sparsekit {args.command}" if args.command else "sparsekit"
     print(f"{prog}: {summary}", file=sys.stderr)
     return code

@@ -20,6 +20,7 @@ cumulative radii stay within r of the free variable.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
@@ -90,40 +91,28 @@ _KEYWORDS = {"exists", "forall", "within", "of", "dist", "E", "P", "true", "fals
 
 # --------------------------------------------------------------- parsing
 
+# a name, a number, an operator, or (group 2) a stray character
+_TOKEN = re.compile(r"([^\W\d]\w*|\d+|<=|[()=&|!.,>])|(\S)")
+
+# the longest formula text read; it also bounds how deep the parser and every
+# walk over a parsed formula recurse
+MAX_FORMULA_TOKENS = 256
+
+
 def _tokens(text: str):
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append((text[i:j], i))
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append((text[i:j], i))
-            i = j
-        elif text.startswith("<=", i):
-            out.append(("<=", i))
-            i += 2
-        elif ch in "()=&|!.,>":
-            out.append((ch, i))
-            i += 1
-        else:
-            raise FormulaParseError(f"unexpected character {ch!r}", i)
-    out.append((None, n))
+    for m in _TOKEN.finditer(text):
+        if m[2]:
+            raise FormulaParseError(f"unexpected character {m[2]!r}", m.start())
+        if len(out) == MAX_FORMULA_TOKENS:
+            raise FormulaParseError(f"formula longer than {MAX_FORMULA_TOKENS} tokens", m.start())
+        out.append((m[1], m.start()))
+    out.append((None, len(text)))
     return out
 
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.toks = _tokens(text)
         self.i = 0
 
@@ -149,11 +138,24 @@ class _Parser:
             raise FormulaParseError(f"{tok!r} is a reserved word", pos)
         return tok
 
+    def names(self, k):
+        """`(a)`, `(a,b)`: k variable names in parentheses."""
+        self.expect("(")
+        out = [self.name()]
+        while len(out) < k:
+            self.expect(",")
+            out.append(self.name())
+        self.expect(")")
+        return out
+
     def number(self):
         tok, pos = self.next()
-        if tok is None or not tok.isdigit():
-            raise FormulaParseError(f"expected a number, got {tok!r}", pos)
-        return int(tok)
+        if tok is not None and tok.isdecimal():
+            try:
+                return int(tok)
+            except ValueError:  # more digits than int() reads
+                pass
+        raise FormulaParseError(f"expected a number, got {tok!r}", pos)
 
     def formula(self):
         out = self.and_expr()
@@ -198,30 +200,16 @@ class _Parser:
         if tok == "false":
             return Lit(False)
         if tok == "E":
-            self.expect("(")
-            a = self.name()
-            self.expect(",")
-            b = self.name()
-            self.expect(")")
-            return Edge(a, b)
+            return Edge(*self.names(2))
         if tok == "P":
-            self.expect("(")
-            a = self.name()
-            self.expect(")")
-            return Pred(a)
+            return Pred(*self.names(1))
         if tok == "dist":
-            self.expect("(")
-            a = self.name()
-            self.expect(",")
-            b = self.name()
-            self.expect(")")
+            a, b = self.names(2)
             op, oppos = self.next()
-            d = self.number()
-            if op == "<=":
-                return DistLe(a, b, d)
-            if op == ">":
-                return Not(DistLe(a, b, d))
-            raise FormulaParseError(f"expected <= or >, got {op!r}", oppos)
+            if op not in ("<=", ">"):  # checked first: at the end of the text no bound follows
+                raise FormulaParseError(f"expected <= or >, got {op!r}", oppos)
+            atom = DistLe(a, b, self.number())
+            return atom if op == "<=" else Not(atom)
         if tok is not None and (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
             self.expect("=")
             return Eq(tok, self.name())
@@ -247,7 +235,7 @@ def parse_formula(text: str, free=()) -> object:
 # ------------------------------------------------------------- rendering
 
 def to_text(f) -> str:
-    """Concrete syntax; parse_formula(to_text(f), free=None) == f."""
+    """Concrete syntax; parse_formula(to_text(f), free=None) == f within the token bound."""
 
     def paren(child, tight):
         s = render(child)
@@ -376,6 +364,7 @@ class BasicLocalSentence:
     @classmethod
     def from_json(cls, d):
         chi = parse_formula(d["chi"], free=None)
+        _tokens(to_text(chi))  # certificates carry chi as canonical text: it must read back
         fv = sorted(free_vars(chi))
         if len(fv) > 1:
             raise FormulaScopeError(f"chi has several free variables: {fv}")

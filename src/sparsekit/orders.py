@@ -393,10 +393,10 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     must still reach: a branch whose floor is at least the best value found
     is cut.  The floor is never below the largest unplaced count plus one,
     so it also cuts every branch where some unplaced vertex is already at
-    the limit.  Within a node, a child whose vertex would start at the limit
-    is skipped, and once a child's improvement brings the best value down to
-    the node's floor, the remaining siblings are skipped too: none of them
-    can end below the floor.
+    the limit, and no child of a node whose floor is below the best value
+    can start at the limit.  Once a child's improvement brings the best
+    value down to the node's floor, the remaining siblings are skipped: none
+    of them can end below the floor.
 
     How a branch can still end depends only on its state: the unplaced set
     and the wreach counts of the unplaced vertices (placed vertices' counts
@@ -460,8 +460,6 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
         if floor >= best_val:
             return
         for u in sorted(iter_bits(unplaced), key=lambda w: (-counts[w], w)):
-            if counts[u] + 1 >= best_val:
-                continue  # the child would start at the limit and return at once
             bit = 1 << u
             rest = unplaced ^ bit
             reached = mask_ball(masks, bit, rest, r)[0] ^ bit

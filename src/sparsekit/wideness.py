@@ -367,14 +367,10 @@ def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
     n_colors = 1 + max(color.values()) if color else 0
 
     clusters = wreach_clusters(g, pi, 2 * r)
-    parts = []
-    for i in range(n_colors):
-        vs = set()
-        for u in range(g.n):
-            if color[u] == i:
-                vs |= clusters[u]
-        parts.append(frozenset(vs))
-    pc = PartitionCover(r, parts)
+    parts = [set() for _ in range(n_colors)]
+    for u in range(g.n):
+        parts[color[u]] |= clusters[u]
+    pc = PartitionCover(r, [frozenset(p) for p in parts])
     raise_if_invalid(validate_partition(g, pc),
                      "construction produced an invalid partition cover", r=r)
     return pc

@@ -86,6 +86,8 @@ DECLARED = (
      "with its model's, and needs the depth"),
     (r"^eval_\w+/(sentence\.)?(k|r)\W", "a sentence witness's k and r must be the "
      "sentence's k and 2r"),
+    (r"^eval_\w+/sentence\.chi=\[\]", "the tokenizer read an empty list as empty "
+     "text (formula_parse); a chi that is no string is malformed (precondition)"),
 )
 
 

@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -686,10 +689,11 @@ def test_eval_certificate_keeps_its_marked_set(tmp_path):
 
 
 _SWEEP_FAMILY = {"spec": {"family": "path", "n": 4}}
+_NOT_JSON = "{bad"
 
 
 @pytest.mark.parametrize("argv,config", [
-    (("eval", PATH8, "--sentence", "{bad"), None),
+    (("eval", PATH8, "--sentence", _NOT_JSON), None),
     (("eval", PATH8, "--sentence", '{"k":1}'), None),
     (("eval", PATH8, "--sentence", '{"k":"a","r":1,"chi":"true"}'), None),
     (("eval", PATH8, "--sentence", '{"k":1,"r":1,"chi":7}'), None),
@@ -714,7 +718,9 @@ def test_malformed_inputs_exit_2(tmp_path, argv, config):
         path.write_text(json.dumps(config))
         argv = (*argv, str(path))
     code, doc, err = run_cli(*argv)
-    assert code == 2 and doc["error"]["code"] == "precondition"
+    # text that is not JSON cannot be read; JSON of the wrong shape is malformed
+    want = "graph_input" if _NOT_JSON in argv else "precondition"
+    assert code == 2 and doc["error"]["code"] == want
     assert "Traceback" not in err
 
 
@@ -730,3 +736,77 @@ def test_stray_exception_exit_4(monkeypatch, capsys):
     assert doc["error"] == {"code": "runtime", "message": "RuntimeError: boom"}
     assert doc["command"] == "col" and doc["result"] is None
     assert "RuntimeError: boom" in captured.err
+
+
+def run_in_process(*argv):
+    """Like run_cli, in this process: an inline argument 200,000 characters
+    long is past what the operating system passes to a new process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv))
+    return code, json.loads(out.getvalue()), err.getvalue()
+
+
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("where", ["spec", "sentence", "certificate", "replay", "sweep"])
+def test_json_nested_too_deep_is_an_input_error(tmp_path, where):
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    argv = {"spec": ("col", '{"family": %s}' % _DEEP),
+            "sentence": ("eval", PATH8, "--sentence", '{"k": 1, "r": 1, "chi": %s}' % _DEEP),
+            "certificate": ("verify", str(path), "--graph", PATH8),
+            "replay": ("game", PATH8, "--replay", str(path)),
+            "sweep": ("sweep", str(path))}[where]
+    code, doc, err = run_in_process(*argv)
+    assert code == 2 and doc["error"]["code"] == "graph_input"
+    assert "Traceback" not in err
+
+
+_FORMULAS = {"3000-negations": "!" * 3000 + "true",
+             "3000-parentheses": "(" * 3000 + "true" + ")" * 3000,
+             "3000-conjuncts": " & ".join(["true"] * 3000),
+             "superscript-bound": "exists y . dist(x,y) <= ²",
+             "5000-digit-bound": "exists y . dist(x,y) <= " + "9" * 5000}
+
+
+@pytest.mark.parametrize("via", ["formula", "chi"])
+@pytest.mark.parametrize("name", sorted(_FORMULAS))
+def test_formula_past_what_the_parser_reads_is_a_parse_error(name, via):
+    text = _FORMULAS[name]
+    if via == "formula":
+        argv = ("eval", PATH8, "--formula", text, "--env", "x=0")
+    else:
+        argv = ("eval", PATH8, "--sentence", json.dumps({"k": 1, "r": 1, "chi": text}))
+    code, doc, err = run_in_process(*argv)
+    assert code == 2 and doc["error"]["code"] == "formula_parse"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [("col", PATH5, "--out"), ("gen", PATH5, "--to")],
+                         ids=["out", "gen-to"])
+def test_unwritable_output_path_is_a_precondition_error(tmp_path, argv):
+    code, doc, err = run_cli(*argv, str(tmp_path / "missing" / "file"))
+    assert code == 2 and doc["error"]["code"] == "precondition"
+    assert doc["error"]["message"].startswith("cannot write ")
+    assert doc["result"] is None and "Traceback" not in err
+
+
+def test_out_path_may_be_the_certificate_it_verifies(tmp_path):
+    # the --out check must not empty the file before the command reads it
+    cert = tmp_path / "cert.json"
+    assert run_cli("col", PATH5, "--out", str(cert))[0] == 0
+    code, doc, _ = run_cli("verify", str(cert), "--graph", PATH5, "--out", str(cert))
+    assert code == 0 and doc["result"]["ok"] is True
+    assert json.loads(cert.read_text())["command"] == "verify"
+
+
+def test_sweep_digest_is_of_the_file_bytes(tmp_path):
+    path = tmp_path / "sweep.json"
+    data = json.dumps({"families": [_SWEEP_FAMILY], "operations": ["wcol"]},
+                      indent=1).replace("\n", "\r\n").encode()
+    path.write_bytes(data)
+    code, doc, _ = run_cli("sweep", str(path))
+    assert code == 0 and len(doc["result"]["rows"]) == 1
+    assert doc["input"]["digest"] == "sha256:" + hashlib.sha256(data).hexdigest()

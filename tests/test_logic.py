@@ -18,7 +18,7 @@ from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit,
                              distance_independent_set, eval_basic_local,
                              eval_naive, expand_basic_local, free_vars,
                              INDEPENDENT_K_CAP, locality_violations,
-                             parse_formula, satisfying_set, to_text)
+                             MAX_FORMULA_TOKENS, parse_formula, satisfying_set, to_text)
 from sparsekit.rng import Rng
 
 
@@ -72,6 +72,31 @@ def test_parse_errors_carry_positions():
         with pytest.raises(FormulaParseError) as e:
             parse_formula(text, free=None)
         assert e.value.pos >= 0
+
+
+@pytest.mark.parametrize("text", [
+    "!" * 255 + "true",
+    "(" * 127 + "!true" + ")" * 127,
+    "!" + " & ".join(["true"] * 128),
+], ids=["negations", "parentheses", "conjuncts"])
+def test_formula_token_bound(text):
+    # each text is exactly MAX_FORMULA_TOKENS tokens long
+    f = parse_formula(text)
+    assert eval_naive(path_graph(3), f, {}) is False
+    assert parse_formula(to_text(f)) == f
+    longer = "!" + text
+    with pytest.raises(FormulaParseError, match=f"longer than {MAX_FORMULA_TOKENS} tokens") as e:
+        parse_formula(longer)
+    assert e.value.pos == max(longer.rfind(")"), longer.rfind("true"))  # its last token
+
+
+def test_sentence_whose_text_is_past_the_token_bound_is_refused():
+    # the text has 256 tokens; its canonical text brackets the quantifier
+    # (258 tokens), and a certificate carrying that text could not be read back
+    chi = "true & exists y within 1 of x . " + "!" * 246 + "true"
+    assert parse_formula(chi, free=None)
+    with pytest.raises(FormulaParseError, match="longer than"):
+        BasicLocalSentence.from_json({"k": 1, "r": 1, "chi": chi})
 
 
 def test_reserved_words_are_not_variables():

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import sparsekit.cli as cli
+from sparsekit.errors import SparsekitError
 from sparsekit.games import ConnectorMove, GameConfig, GameRound, GameTranscript
 from sparsekit.graph import Graph
 from sparsekit.graphio import emit_json, parse_edge_list, read_dimacs, write_edge_list
@@ -60,6 +61,24 @@ def formulas(draw, scope=(), depth=3):
 @given(formulas(scope=("x", "y")))
 def test_formula_text_round_trip(f):
     assert parse_formula(to_text(f), free=None) == f
+
+
+# formula text from pieces of the grammar, odd characters, long digit runs
+# and nesting far past the token bound, or from any characters at all
+FORMULA_PIECES = st.sampled_from(
+    ["exists x", "forall y", "within", "of", ".", "dist(x,y)", "<=", ">", "E(x,y)", "P(x)",
+     "x = y", "true", "&", "|", "!", "(", ")", ",", "2", "²", "٣", "½", "#", "9" * 5000,
+     "!" * 300, "(" * 300, "true & " * 150])
+FORMULA_TEXTS = st.lists(FORMULA_PIECES, max_size=10).map(" ".join) | st.text(max_size=30)
+
+
+@bounded(200)
+@given(FORMULA_TEXTS)
+def test_any_formula_text_parses_or_raises_a_sparsekit_error(text):
+    try:
+        parse_formula(text, free=None)
+    except SparsekitError:
+        pass
 
 
 @st.composite
