@@ -111,6 +111,20 @@ def _tokens(text: str):
     return out
 
 
+def _shown(tok) -> str:
+    """A token as an error message quotes it: at most 32 of its characters,
+    and its length when it has more, so a message stays short whatever the
+    input."""
+    if tok is None or len(tok) <= 32:
+        return repr(tok)
+    return f"{tok[:32]!r}... ({len(tok)} characters)"
+
+
+def _shown_names(names) -> str:
+    """Variable names, sorted and printed as a list, each quoted by `_shown`."""
+    return f"[{', '.join(map(_shown, sorted(names)))}]"
+
+
 class _Parser:
     def __init__(self, text):
         self.toks = _tokens(text)
@@ -127,13 +141,13 @@ class _Parser:
     def expect(self, want):
         tok, pos = self.next()
         if tok != want:
-            raise FormulaParseError(f"expected {want!r}, got {tok!r}", pos)
+            raise FormulaParseError(f"expected {want!r}, got {_shown(tok)}", pos)
         return pos
 
     def name(self):
         tok, pos = self.next()
         if tok is None or not (tok[0].isalpha() or tok[0] == "_"):
-            raise FormulaParseError(f"expected a variable name, got {tok!r}", pos)
+            raise FormulaParseError(f"expected a variable name, got {_shown(tok)}", pos)
         if tok in _KEYWORDS:
             raise FormulaParseError(f"{tok!r} is a reserved word", pos)
         return tok
@@ -155,7 +169,7 @@ class _Parser:
                 return int(tok)
             except ValueError:  # more digits than int() reads
                 pass
-        raise FormulaParseError(f"expected a number, got {tok!r}", pos)
+        raise FormulaParseError(f"expected a number, got {_shown(tok)}", pos)
 
     def formula(self):
         out = self.and_expr()
@@ -207,13 +221,13 @@ class _Parser:
             a, b = self.names(2)
             op, oppos = self.next()
             if op not in ("<=", ">"):  # checked first: at the end of the text no bound follows
-                raise FormulaParseError(f"expected <= or >, got {op!r}", oppos)
+                raise FormulaParseError(f"expected <= or >, got {_shown(op)}", oppos)
             atom = DistLe(a, b, self.number())
             return atom if op == "<=" else Not(atom)
         if tok is not None and (tok[0].isalpha() or tok[0] == "_") and tok not in _KEYWORDS:
             self.expect("=")
             return Eq(tok, self.name())
-        raise FormulaParseError(f"unexpected token {tok!r}", pos)
+        raise FormulaParseError(f"unexpected token {_shown(tok)}", pos)
 
 
 def parse_formula(text: str, free=()) -> object:
@@ -224,11 +238,11 @@ def parse_formula(text: str, free=()) -> object:
     out = p.formula()
     tok, pos = p.toks[p.i]
     if tok is not None:
-        raise FormulaParseError(f"trailing input {tok!r}", pos)
+        raise FormulaParseError(f"trailing input {_shown(tok)}", pos)
     if free is not None:
         stray = free_vars(out) - frozenset(free)
         if stray:
-            raise FormulaScopeError(f"variable or anchor {min(stray)!r} is not in scope")
+            raise FormulaScopeError(f"variable or anchor {_shown(min(stray))} is not in scope")
     return out
 
 
@@ -352,8 +366,8 @@ class BasicLocalSentence:
             raise PreconditionError("need k >= 1 and r >= 1")
         if free_vars(self.chi) - {self.var}:
             raise FormulaScopeError(
-                f"chi must have only {self.var!r} free, has "
-                f"{sorted(free_vars(self.chi))}")
+                f"chi must have only {_shown(self.var)} free, has "
+                f"{_shown_names(free_vars(self.chi))}")
         bad = locality_violations(self.chi, self.var, self.r)
         if bad:
             raise LocalityError("; ".join(bad))
@@ -365,10 +379,10 @@ class BasicLocalSentence:
     def from_json(cls, d):
         chi = parse_formula(d["chi"], free=None)
         _tokens(to_text(chi))  # certificates carry chi as canonical text: it must read back
-        fv = sorted(free_vars(chi))
+        fv = free_vars(chi)
         if len(fv) > 1:
-            raise FormulaScopeError(f"chi has several free variables: {fv}")
-        var = fv[0] if fv else "x"
+            raise FormulaScopeError(f"chi has several free variables: {_shown_names(fv)}")
+        var = min(fv, default="x")
         return cls(d["k"], d["r"], chi, var)
 
 

@@ -66,11 +66,21 @@ def wreach_clusters(g: Graph, order: VertexOrder, r: int) -> dict:
     reachability is derived: cluster(u) = the vertices u is weakly
     r-reachable from (u included), each a fresh set.  A cluster is connected
     with radius <= r around u, since weak-reach paths stay inside it."""
+    return dict(_stream_clusters(g, order, r))
+
+
+def _stream_clusters(g: Graph, order: VertexOrder, r: int, sources=None):
+    """Yield (u, cluster(u)) for each u of `sources` (every vertex, by id,
+    when None), one backward search at a time, so a caller that folds each
+    cluster in as it arrives never holds more than one.  The order and the
+    radius are checked before `sources` is first read, so `sources` may be
+    a generator that looks up ranks."""
     _check_order(g, order)
     if r < 0:
         raise GraphInputError(f"radius must be >= 0, got {r}")
     rank = order.rank
-    return {u: _reach_above(g, rank, u, r) for u in range(g.n)}
+    for u in (range(g.n) if sources is None else sources):
+        yield u, _reach_above(g, rank, u, r)
 
 
 def _invert(clusters: dict) -> dict:
@@ -90,9 +100,10 @@ def wreach_sets(g: Graph, order: VertexOrder, r: int) -> dict:
 
 
 def wcol_of_order(g: Graph, order: VertexOrder, r: int) -> int:
-    """The largest weak-reach set, counted as cluster memberships."""
+    """The largest weak-reach set, counted as cluster memberships, each
+    cluster as its search finishes."""
     counts = [0] * g.n
-    for reach in wreach_clusters(g, order, r).values():
+    for _, reach in _stream_clusters(g, order, r):
         for w in reach:
             counts[w] += 1
     return max(counts, default=0)

@@ -16,7 +16,7 @@ from .errors import (AlgorithmStallError, CapabilityError, PreconditionError,
                      raise_if_invalid)
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     least_independent, mask_ball, set_radius)
-from .orders import VertexOrder, WReachTable, wreach_clusters, wreach_sets
+from .orders import VertexOrder, WReachTable, _stream_clusters
 
 # Caps of the exhaustive uqw_brute: graph size, and size of the deletion sets.
 UQW_BRUTE_N_CAP = 18
@@ -334,12 +334,10 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
 def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
     """Clusters are the weak-2r-reach clusters of the order-minimum m(v) of
     each r-ball; the ball around v then sits inside the cluster of m(v), and
-    a vertex belongs to at most wcol_of_order(g, pi, 2r) clusters."""
-    all_clusters = wreach_clusters(g, pi, 2 * r)
-    centers = set()
-    for v in range(g.n):
-        centers.add(min(ball(g, v, r), key=lambda u: pi.rank[u]))
-    clusters = {u: frozenset(all_clusters[u]) for u in sorted(centers)}
+    a vertex belongs to at most wcol_of_order(g, pi, 2r) clusters.  Only the
+    centers are searched from."""
+    clusters = {u: frozenset(c)
+                for u, c in _stream_clusters(g, pi, 2 * r, _ball_minima(g, pi, r))}
     degree = [0] * g.n
     for vs in clusters.values():
         for v in vs:
@@ -349,27 +347,44 @@ def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
     return cover
 
 
+def _ball_minima(g: Graph, pi: VertexOrder, r: int):
+    """The order-minima of the r-balls, by id, each once.  After k rounds
+    of every vertex taking the least rank among itself and its neighbours,
+    low[v] is the least rank within distance k of v; a round that changes
+    nothing ends them, as a ball stops growing.  A generator, so that
+    nothing runs until `_stream_clusters` has checked the order."""
+    adj = g.adj
+    low = list(pi.rank)
+    for _ in range(r):
+        nxt = [min(low[w] for w in (v, *adj[v])) for v in range(g.n)]
+        if nxt == low:
+            break
+        low = nxt
+    yield from sorted({pi.perm[k] for k in low})
+
+
 def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
     """Color vertices greedily along the order so that no vertex shares a
     color with anything in its weak-(4r+1)-reach set; collect the
     weak-2r-reach clusters of each color class into one part.  Same-colored
     clusters are disjoint and non-adjacent, so every component of a part is
     a single cluster of radius <= 2r, and every r-ball lands in the part
-    colored like the ball's order-minimum."""
-    sets = wreach_sets(g, pi, 4 * r + 1)
-    color = {}
-    for v in pi.perm:
-        seen = {color[u] for u in sets[v] if u != v}
-        k = 0
-        while k in seen:
-            k += 1
-        color[v] = k
-    n_colors = 1 + max(color.values()) if color else 0
+    colored like the ball's order-minimum.
 
-    clusters = wreach_clusters(g, pi, 2 * r)
-    parts = [set() for _ in range(n_colors)]
-    for u in range(g.n):
-        parts[color[u]] |= clusters[u]
+    WReach[v] minus v is the set of earlier u whose (4r+1)-cluster holds v,
+    so the coloring walks the order and, once u has its color, marks it in
+    `taken[w]` for every w in u's cluster: each v finds the colors it must
+    avoid already marked, and no weak-reach set is built."""
+    taken = [0] * g.n  # taken[v], bit k: a vertex of WReach[v] before v has color k
+    color = [0] * g.n
+    for u, cluster in _stream_clusters(g, pi, 4 * r + 1, pi.perm):
+        free = ~taken[u] & (taken[u] + 1)  # the lowest clear bit
+        color[u] = free.bit_length() - 1
+        for w in cluster:
+            taken[w] |= free
+    parts = [set() for _ in range(max(color, default=-1) + 1)]
+    for u, cluster in _stream_clusters(g, pi, 2 * r):
+        parts[color[u]] |= cluster
     pc = PartitionCover(r, [frozenset(p) for p in parts])
     raise_if_invalid(validate_partition(g, pc),
                      "construction produced an invalid partition cover", r=r)

@@ -9,9 +9,10 @@ import itertools
 from functools import lru_cache
 
 from sparsekit.errors import PreconditionError
-from sparsekit.graph import Graph, bfs_distances, induced_subgraph
+from sparsekit.graph import Graph, ball, bfs_distances, induced_subgraph
 from sparsekit.logic import DistLe, Edge, Eq, Or, Quant
-from sparsekit.orders import VertexOrder
+from sparsekit.orders import VertexOrder, wreach_clusters, wreach_sets
+from sparsekit.wideness import Cover, PartitionCover
 
 
 def naive_wreach(g: Graph, order, r: int, v: int) -> frozenset:
@@ -104,6 +105,43 @@ def check_separation(g: Graph, order, r: int, u: int, v: int) -> bool:
 
 def naive_wcol_of_order(g: Graph, order, r: int) -> int:
     return max((len(naive_wreach(g, order, r, v)) for v in range(g.n)), default=0)
+
+
+def sets_wcol_of_order(g: Graph, order, r: int) -> int:
+    """wcol_r of an order as the largest of all its weak-reach sets, built
+    at once by `wreach_sets`."""
+    return max(map(len, wreach_sets(g, order, r).values()), default=0)
+
+
+def ball_minimum_cover(g: Graph, r: int, order) -> Cover:
+    """The neighborhood cover by its rule, without the self-check: each
+    r-ball, found by `ball`, names its order-minimum as a center, and a
+    center's cluster is its weak-2r-reach cluster."""
+    clusters = wreach_clusters(g, order, 2 * r)
+    centers = {min(ball(g, v, r), key=order.rank.__getitem__) for v in range(g.n)}
+    chosen = {u: frozenset(clusters[u]) for u in sorted(centers)}
+    degree = [0] * g.n
+    for vs in chosen.values():
+        for v in vs:
+            degree[v] += 1
+    return Cover(r, chosen, 2 * r, max(degree, default=0))
+
+
+def sets_partition_cover(g: Graph, r: int, order) -> PartitionCover:
+    """The partition cover by its rule, without the self-check: along the
+    order, each v takes the least color that no other member of its
+    weak-(4r+1)-reach set, from `wreach_sets`, has; a color's part is the
+    union of its vertices' weak-2r-reach clusters."""
+    sets = wreach_sets(g, order, 4 * r + 1)
+    color = {}
+    for v in order.perm:
+        seen = {color[u] for u in sets[v] if u != v}
+        color[v] = min(k for k in range(len(seen) + 1) if k not in seen)
+    clusters = wreach_clusters(g, order, 2 * r)
+    parts = [set() for _ in range(max(color.values(), default=-1) + 1)]
+    for u in range(g.n):
+        parts[color[u]] |= clusters[u]
+    return PartitionCover(r, [frozenset(p) for p in parts])
 
 
 def brute_wcol(g: Graph, r: int) -> int:

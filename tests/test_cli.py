@@ -768,7 +768,8 @@ _FORMULAS = {"3000-negations": "!" * 3000 + "true",
              "3000-parentheses": "(" * 3000 + "true" + ")" * 3000,
              "3000-conjuncts": " & ".join(["true"] * 3000),
              "superscript-bound": "exists y . dist(x,y) <= ²",
-             "5000-digit-bound": "exists y . dist(x,y) <= " + "9" * 5000}
+             "5000-digit-bound": "exists y . dist(x,y) <= " + "9" * 5000,
+             "5000-letter-trailing-name": "true " + "a" * 5000}
 
 
 @pytest.mark.parametrize("via", ["formula", "chi"])
@@ -782,6 +783,18 @@ def test_formula_past_what_the_parser_reads_is_a_parse_error(name, via):
     code, doc, err = run_in_process(*argv)
     assert code == 2 and doc["error"]["code"] == "formula_parse"
     assert "Traceback" not in err
+    # the message quotes a bounded prefix of an overlong token, and its length
+    assert len(doc["error"]["message"]) < 200
+    if name.startswith("5000"):
+        assert "(5000 characters)" in doc["error"]["message"]
+
+
+def test_scope_error_quotes_a_bounded_name():
+    sentence = {"k": 1, "r": 1, "chi": "E(x," + "b" * 5000 + ")"}
+    code, doc, err = run_in_process("eval", PATH8, "--sentence", json.dumps(sentence))
+    assert code == 2 and doc["error"]["code"] == "formula_scope"
+    assert doc["error"]["message"] == (
+        "chi has several free variables: ['" + "b" * 32 + "'... (5000 characters), 'x']")
 
 
 @pytest.mark.parametrize("argv", [("col", PATH5, "--out"), ("gen", PATH5, "--to")],

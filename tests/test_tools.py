@@ -33,3 +33,53 @@ def test_bench_record_refuses_a_parent_that_is_no_git_checkout(tmp_path):
     assert proc.returncode == 2
     assert "git clone" in proc.stderr
     assert not out.exists()
+
+
+def _bench_record():
+    import importlib.util
+    spec = importlib.util.spec_from_file_location("bench_record",
+                                                  ROOT / "tools" / "bench_record.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _side(digest, **metrics):
+    return {"metrics": metrics, "output_digest": digest}
+
+
+def test_bench_record_summary_counts_wins_by_each_metrics_direction():
+    summary = _bench_record()._summary
+    metrics = [{"name": "peak_rss_mb", "better": "lower"},
+               {"name": "jobs_per_s", "better": "higher"},
+               {"name": "setup_s", "better": "lower"}]
+    pairs = [
+        # the change uses less memory and runs more jobs: a win on both
+        {"parent": _side("a", peak_rss_mb=40.0, jobs_per_s=10.0),
+         "change": _side("a", peak_rss_mb=30.0, jobs_per_s=12.0)},
+        # more memory and fewer jobs: a loss on both
+        {"parent": _side("b", peak_rss_mb=40.0, jobs_per_s=10.0),
+         "change": _side("c", peak_rss_mb=41.0, jobs_per_s=9.0)},
+        # a tie counts for neither side
+        {"parent": _side("d", peak_rss_mb=35.0, jobs_per_s=11.0),
+         "change": _side("d", peak_rss_mb=35.0, jobs_per_s=11.0)},
+        # a failed run leaves its pair out of every count
+        {"parent": {"error": "exit 1"},
+         "change": _side("e", peak_rss_mb=1.0, jobs_per_s=99.0)},
+    ]
+    out = summary(pairs, metrics)
+    assert (out["pairs"], out["errors"], out["digests_equal"]) == (3, 1, 2)
+    assert out["peak_rss_mb"]["better"] == "lower"
+    assert out["peak_rss_mb"]["change_better_pairs"] == 1
+    assert out["jobs_per_s"]["change_better_pairs"] == 1
+    assert out["peak_rss_mb"]["parent"] == {"median": 40.0, "q1": 35.0, "q3": 40.0}
+    assert out["jobs_per_s"]["change"]["median"] == 11.0
+    assert "setup_s" not in out  # a metric no run reported is left out
+
+    # the two directions are read separately: lower memory and fewer jobs
+    mixed = [{"parent": _side("x", peak_rss_mb=40.0, jobs_per_s=10.0),
+              "change": _side("y", peak_rss_mb=30.0, jobs_per_s=9.0)}]
+    out = summary(mixed, metrics)
+    assert out["peak_rss_mb"]["change_better_pairs"] == 1
+    assert out["jobs_per_s"]["change_better_pairs"] == 0
+    assert out["digests_equal"] == 0

@@ -2,15 +2,17 @@ import hashlib
 
 import pytest
 
-from oracles import brute_uqw
+from oracles import (ball_minimum_cover, brute_uqw, sets_partition_cover,
+                     sets_wcol_of_order)
 from sparsekit.errors import (AlgorithmStallError, CapabilityError,
-                              PreconditionError)
+                              GraphInputError, PreconditionError)
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
                                star_graph)
-from sparsekit.orders import (degeneracy_order, identity_order, wcol_of_order,
-                              wreach_clusters, wreach_sets)
+from sparsekit.orders import (ORDER_NAMES, build_order, degeneracy_order,
+                              identity_order, wcol_of_order, wreach_clusters,
+                              wreach_sets)
 from sparsekit.rng import Rng
 from sparsekit.wideness import (Cover, PartitionCover, SeparatorCertificate,
                                 UqwCertificate, balanced_separator,
@@ -538,3 +540,50 @@ def test_partition_json_round_trip():
     back = PartitionCover.from_json(pc.to_json())
     assert back.to_json() == pc.to_json()
     assert validate_partition(g, back) == []
+
+
+# ------------------------------------------- streamed weak-reach searches
+
+@pytest.mark.parametrize("name", ORDER_NAMES)
+def test_covers_and_wcol_match_the_rules_over_all_weak_reach_sets(corpus_small, name):
+    # centers from `ball`, colors from `wreach_sets` and wcol as the largest
+    # set give the same certificates and values as the streamed searches
+    graphs = corpus_small + [gnd_graph(400, 3.0, seed=21), gnd_graph(200, 3.0, seed=22),
+                             grid_graph(15, 20), random_tree(500, seed=23)]
+    for g in graphs:
+        for r in (1, 2):
+            pi = build_order(g, name, 2 * r)
+            assert neighborhood_cover(g, r, pi).to_json() == \
+                ball_minimum_cover(g, r, pi).to_json(), (g, r)
+            assert partition_cover(g, r, pi).to_json() == \
+                sets_partition_cover(g, r, pi).to_json(), (g, r)
+            for k in (r, 2 * r, 4 * r + 1):
+                assert wcol_of_order(g, pi, k) == sets_wcol_of_order(g, pi, k), (g, k)
+
+
+def test_partition_cover_builds_no_weak_reach_sets():
+    # the coloring folds each (4r+1)-cluster in as its search ends; holding
+    # every weak-reach set at once took about ten times the memory
+    import tracemalloc
+    g = gnd_graph(2000, 3.0, seed=1)
+    pi = degeneracy_order(g)
+    peaks = []
+    for build in (lambda: partition_cover(g, 1, pi), lambda: wreach_sets(g, pi, 5)):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < peaks[1] / 2, peaks
+
+
+@pytest.mark.parametrize("build, searched", [(neighborhood_cover, -2), (partition_cover, -3)])
+def test_covers_check_the_order_and_radius_before_searching(build, searched):
+    # the radius named is the one searched at: 2r for the cover, 4r+1 for
+    # the coloring
+    g = path_graph(5)
+    with pytest.raises(GraphInputError, match="order on 4 vertices, graph has 5"):
+        build(g, 1, identity_order(4))
+    with pytest.raises(GraphInputError, match=f"radius must be >= 0, got {searched}$"):
+        build(g, -1, identity_order(5))
