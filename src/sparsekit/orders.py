@@ -83,20 +83,10 @@ def _stream_clusters(g: Graph, order: VertexOrder, r: int, sources=None):
         yield u, _reach_above(g, rank, u, r)
 
 
-def _invert(clusters: dict) -> dict:
-    """Weak-reach sets from clusters: WReach_r[v] holds the u whose cluster
-    holds v."""
-    sets = {v: set() for v in clusters}
-    for u, reach in clusters.items():
-        for w in reach:
-            sets[w].add(u)
-    return sets
-
-
 def wreach_sets(g: Graph, order: VertexOrder, r: int) -> dict:
-    """Weak-r-reachability sets for every vertex, the inversion of the
-    clusters."""
-    return {v: frozenset(s) for v, s in _invert(wreach_clusters(g, order, r)).items()}
+    """Weak-r-reachability sets for every vertex: the sets of a fresh
+    `WReachTable`, frozen."""
+    return {v: frozenset(s) for v, s in WReachTable(g, order, r).sets.items()}
 
 
 def wcol_of_order(g: Graph, order: VertexOrder, r: int) -> int:
@@ -136,24 +126,27 @@ class WReachTable:
 
     `sets[v]` is WReach_r[v] (v included) for every alive v, taken in the
     subgraph induced on the alive vertices under the order restricted to
-    them; `clusters[u]` is its inversion, the vertices whose set contains u,
-    which is what the backward search from u reaches.  Deleting u changes
-    only the backward searches that reached u, the ones from the sources in
-    WReach_r[u] minus u: a search that never met u takes the same steps
-    without it.  `delete` re-runs just those, at most wcol_r of them, and
-    patches both maps.  A deleted vertex gets rank -1, so no search enters
-    it again.
+    them.  It is the one map kept: each backward search is folded into the
+    sets as it ends.  Deleting u changes only the backward searches that
+    reached u, the ones from the sources in WReach_r[u], and it only shrinks
+    them: a search that never met u takes the same steps without it.
+    `delete` runs each of those searches (at most wcol_r) once before and
+    once after u's rank becomes -1, so no search enters u again, and drops
+    the source from the sets of the vertices it no longer reaches.
 
-    Each deletion is journaled, and `rollback` undoes every deletion since
-    the table was built or last rolled back, so one table serves any number
-    of trial deletion runs at the cost of the vertices they touch.
+    Each dropped membership (w, x) is journaled with u's rank, and
+    `rollback` undoes every deletion since the table was built or last
+    rolled back, last first, so one table serves any number of trial
+    deletion runs at the cost of the vertices they touch.
     """
-    __slots__ = ("g", "rank", "r", "sets", "clusters", "_journal")
+    __slots__ = ("g", "rank", "r", "sets", "_journal")
 
     def __init__(self, g: Graph, order: VertexOrder, r: int):
         self.g, self.rank, self.r = g, list(order.rank), r
-        self.clusters = wreach_clusters(g, order, r)
-        self.sets = _invert(self.clusters)
+        self.sets = sets = {v: set() for v in range(g.n)}
+        for u, reach in _stream_clusters(g, order, r):
+            for w in reach:
+                sets[w].add(u)
         self._journal = []
 
     def wcol(self) -> int:
@@ -161,38 +154,31 @@ class WReachTable:
         return max(map(len, self.sets.values()), default=0)
 
     def delete(self, u: int) -> None:
-        rank_u = self.rank[u]
-        self.rank[u] = -1
-        cluster = self.clusters.pop(u)
-        for w in cluster:
-            self.sets[w].discard(u)
-        reached = self.sets.pop(u)  # WReach_r[u] minus u, dropped just above
-        replaced = []
-        for x in reached:
-            old = self.clusters[x]
-            self.clusters[x] = new = _reach_above(self.g, self.rank, x, self.r)
-            replaced.append((x, old))
-            for w in old - new:
+        g, rank, r, sets = self.g, self.rank, self.r, self.sets
+        # the searches from the sources in WReach_r[u], while u is alive
+        before = [(x, _reach_above(g, rank, x, r)) for x in sets.pop(u)]
+        dropped = []
+        self._journal.append((u, rank[u], dropped))
+        rank[u] = -1
+        for x, reach in before:
+            # u's own search is gone: every vertex it reached loses u
+            lost = reach if x == u else reach - _reach_above(g, rank, x, r)
+            for w in lost:
                 if w != u:
-                    self.sets[w].discard(x)
-        self._journal.append((u, rank_u, cluster, reached, replaced))
+                    sets[w].discard(x)
+                dropped.append((w, x))
 
     def rollback(self) -> None:
-        """Undo the journaled deletions, last first.  Cluster sets are
-        replaced on update, never changed, so the journal keeps the old ones
-        as they were."""
+        """Undo the journaled deletions, last first.  A deleted u's set comes
+        back from its dropped pairs (u, x): every search that reached u lost
+        it."""
+        sets = self.sets
         while self._journal:
-            u, rank_u, cluster, reached, replaced = self._journal.pop()
-            for x, old in replaced:
-                for w in old - self.clusters[x]:
-                    if w != u:
-                        self.sets[w].add(x)
-                self.clusters[x] = old
-            self.sets[u] = reached
-            self.clusters[u] = cluster
-            for w in cluster:
-                self.sets[w].add(u)
+            u, rank_u, dropped = self._journal.pop()
             self.rank[u] = rank_u
+            sets[u] = set()
+            for w, x in dropped:
+                sets[w].add(x)
 
 
 class OrderWitness:

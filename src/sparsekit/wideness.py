@@ -8,6 +8,7 @@ module return for it; they share no code with the constructions.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
@@ -151,8 +152,9 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
 
     The weak-reach sets are built once, as a `WReachTable` of G, and c is
     its largest set.  Deleting u is then an update, not a recomputation:
-    only the backward searches from the sources in WReach_r[u] minus u
-    passed through u, so only those (at most c of them) are re-run.
+    only the backward searches from the sources in WReach_r[u] reached u,
+    so only those (at most c of them) are run, once with u and once
+    without, and each source leaves the sets its search no longer reaches.
     """
     A = frozenset(A)
     if not A:
@@ -260,9 +262,9 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     Every extraction runs on G at radius 4r, so the weak-reach table of G at
     that radius is built once: its largest set is c, and each extraction
     deletes from it and is rolled back after (see `uqw_extract` for why a
-    deletion only re-runs the searches from the sources in WReach_4r[u]), so
-    a step costs what its fewer than c deletions touch, not a copy of the
-    table.
+    deletion only runs the searches from the sources in WReach_4r[u]), so
+    a step costs what its fewer than c deletions touch, and the rollback
+    what they dropped, not a copy of the table.
 
     The invariant is checked on every step, but a vertex's ball count is
     kept across steps: the r-ball of v in G-X can change only when a vertex
@@ -273,6 +275,8 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         raise PreconditionError("A must be nonempty")
     if not 0 < eps <= 1:
         raise PreconditionError("eps must be in (0, 1]")
+    if 1 / eps == math.inf:
+        raise PreconditionError(f"eps {eps!r} is too small: 1/eps overflows a float")
     if r < 1:
         raise PreconditionError("r must be >= 1")
 

@@ -317,6 +317,18 @@ def test_radius_below_the_minimum_is_a_precondition_error(argv, message):
     assert doc["error"]["message"] == message
 
 
+def test_an_eps_whose_reciprocal_overflows_is_a_precondition_error():
+    # m = int(1 / eps) once raised OverflowError here: exit 4, "runtime"
+    for eps in ("5e-324", "1e-309"):
+        code, doc, _ = run_cli("separator", PATH5, "--r", "1", "--eps", eps)
+        assert code == 2 and doc["error"]["code"] == "precondition", eps
+        assert doc["error"]["message"] == \
+            f"eps {float(eps)!r} is too small: 1/eps overflows a float"
+    # a tiny eps with a finite reciprocal still separates
+    code, doc, _ = run_cli("separator", PATH5, "--r", "1", "--eps", "1e-300")
+    assert code == 0 and doc["result"]["eps"] == 1e-300
+
+
 def test_cap_exit_3():
     code, doc, _ = run_cli("treedepth", '{"family":"grid","rows":5,"cols":5}')
     assert code == 3

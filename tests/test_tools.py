@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -44,8 +45,8 @@ def _bench_record():
     return module
 
 
-def _side(digest, **metrics):
-    return {"metrics": metrics, "output_digest": digest}
+def _side(digest, correct=True, failed=0, **metrics):
+    return {"metrics": metrics, "output_digest": digest, "correct": correct, "failed": failed}
 
 
 def test_bench_record_summary_counts_wins_by_each_metrics_direction():
@@ -83,3 +84,56 @@ def test_bench_record_summary_counts_wins_by_each_metrics_direction():
     assert out["peak_rss_mb"]["change_better_pairs"] == 1
     assert out["jobs_per_s"]["change_better_pairs"] == 0
     assert out["digests_equal"] == 0
+
+
+def test_bench_record_fails_a_run_that_reports_wrong_outputs(tmp_path, monkeypatch, capsys):
+    # `perfbench/run.py` exits 0 with "correct": false when jobs fail; the
+    # recorder once counted only runs that exited non-zero, and returned 0
+    module = _bench_record()
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    subprocess.run(["git", "init", "-q", str(parent)], check=True)
+    wrong = set()
+
+    def run(checkout, workload, seed, seconds):
+        bad = ("change" if checkout == module.HERE else "parent", seed) in wrong
+        return {**_side("d", correct=not bad, failed=3 * bad, jobs_per_s=10.0),
+                "attempted": 9, "git_sha": "", "src_sha256": ""}
+
+    monkeypatch.setattr(module, "_run", run)
+    monkeypatch.setattr(module, "_bytecode_caches", lambda checkout: [])
+    argv = ["--parent", str(parent), "--workloads", "exact_small", "--seeds", "1-3",
+            "--out", str(tmp_path / "bench.json")]
+
+    def summary():
+        doc = json.loads((tmp_path / "bench.json").read_text())
+        return doc["workloads"]["exact_small"]["summary"]
+
+    assert module.main(argv) == 0
+    assert summary()["incorrect"] == {"parent": 0, "change": 0}
+
+    wrong.add(("change", 2))  # the change's run on seed 2 fails three jobs
+    assert module.main(argv) == 1
+    assert "not correct" in capsys.readouterr().err
+    out = summary()
+    assert (out["errors"], out["pairs"]) == (0, 3)
+    assert out["incorrect"] == {"parent": 0, "change": 1}
+    assert out["failed_jobs"] == {"parent": 0, "change": 3}
+
+
+def test_bench_record_summary_counts_incorrect_runs_per_side():
+    metrics = [{"name": "jobs_per_s", "better": "higher"}]
+    pairs = [
+        {"parent": _side("a", correct=False, failed=2, jobs_per_s=10.0),
+         "change": _side("a", jobs_per_s=10.0)},
+        {"parent": _side("b", jobs_per_s=10.0),
+         "change": _side("b", correct=False, failed=1, jobs_per_s=10.0)},
+        # the parent's run did not finish: the pair is an error, and only
+        # the change's run is counted
+        {"parent": {"error": "exit 1"},
+         "change": _side("c", correct=False, failed=5, jobs_per_s=10.0)},
+    ]
+    out = _bench_record()._summary(pairs, metrics)
+    assert (out["pairs"], out["errors"]) == (2, 1)
+    assert out["incorrect"] == {"parent": 1, "change": 2}
+    assert out["failed_jobs"] == {"parent": 2, "change": 6}

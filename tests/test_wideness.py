@@ -326,6 +326,55 @@ def test_separator_on_the_40_grid_pinned():
     assert _digest(cert) == "9b2dc2b0fce2a2bc63ec31b9ace719518dc1056230fc7a65c9b36f51ae0464d1"
 
 
+# sha256 of emit_json(cert.to_json()) under the greedy and identity orders,
+# built as the `separator` command builds them (`build_order(g, name, 4r)`),
+# with A = all vertices and eps = 0.1; a "uqw" case is the separator's first
+# extraction, as in PINNED_CERTIFICATES.  Taken while `WReachTable` kept a
+# cluster map beside its sets: they check that its deletions and rollbacks
+# give the same certificates with the sets alone.
+PINNED_ORDER_CERTIFICATES = {
+    ("grid12", "greedy", "uqw", 1): "3d3097c8781319e88452cff8498ef168c8cb0253ddabc0cc2c0d242953794ace",
+    ("grid12", "greedy", "separator", 1): "b676acf56a9c4b14ad9a1bfa6c2531d5f9e267152499b7f8c2b63c27c3aba419",
+    ("grid12", "greedy", "uqw", 2): "459b649a72a3a0a610d10c1e87d6347a5b64516c5eb09cdeae5c9c72b08cf418",
+    ("grid12", "greedy", "separator", 2): "5ec362643db41de764375a3a61be1765e26cec31dca605082924dd72d1b691f9",
+    ("grid12", "identity", "uqw", 1): "c1635c0e57f7b1730510978b3eb823c9a6ef5f4b7dae22303848374474a71a09",
+    ("grid12", "identity", "separator", 1): "1997d25be3c39687e6dcd48164465768606bccef0c349f17fcaf3d93ac120664",
+    ("grid12", "identity", "uqw", 2): "a7cacdf0ed20ca4c4e910fd92ca054ffacc32c113c98db775553b8259900e3d1",
+    ("grid12", "identity", "separator", 2): "5ec362643db41de764375a3a61be1765e26cec31dca605082924dd72d1b691f9",
+    ("tree300", "greedy", "uqw", 1): "5a061edb7f374dcd77c3473c19b40a52fcd9281b6edfcd7a060983c50ce1f0f6",
+    ("tree300", "greedy", "separator", 1): "638df6d3a1a06550ee2ec58c5fc071c7c73ddecca8f444cb0ff3900c98cc5d75",
+    ("tree300", "greedy", "uqw", 2): "f13c9eaa9fabc45f351248b4752c1ca8540000be8422cf3a1f0501a49b9e9d33",
+    ("tree300", "greedy", "separator", 2): "0b142e84c0af8fd4c6861d6617e7b805887f838a6acde86981b6a0881f659b1f",
+    ("tree300", "identity", "uqw", 1): "a2719f48353a71f5e44c9672858372f73c5907f14d70bb72a9964f0718580fc6",
+    ("tree300", "identity", "separator", 1): "a07669897e27324b0759ff3ec061446031745c3aa198a2f445ea95354a60799a",
+    ("tree300", "identity", "uqw", 2): "336333e55093f71f136bbd993ac112634477d14509c175f478f078321e0c966e",
+    ("tree300", "identity", "separator", 2): "2d2df454da25b9c6245df527b1a6a95223f39f1defdefe2379598ac342c89890",
+    ("gnd300", "greedy", "uqw", 1): "53637e6cc1cace3ec7e82e8fa62642e7951410f846b68eccfd8f4ac7ebf76f5e",
+    ("gnd300", "greedy", "separator", 1): "b7e728fe7fff5d9c8921b8b1f44a775a17e90edc9ad0343e92d8f7743a6a2ec5",
+    ("gnd300", "greedy", "uqw", 2): "58c8463f8994e3122d48c86cef5e5cf1b01bf98e5d05c0b897f65d5dfe090dfc",
+    ("gnd300", "greedy", "separator", 2): "4495177ffbf3c931e1dc91aa09ab8655d9a5883ada9599053e4c6187e3a6b8cb",
+    ("gnd300", "identity", "uqw", 1): "3652ecbf6a2f64cf69f0c9e3d82029e6a84e2a8d390ea42e2e088af1ce7b0bcb",
+    ("gnd300", "identity", "separator", 1): "66de7a09b95c8f927fe0d5c3ebef2a5ad2397be37993a4b219dabcf239b16765",
+    ("gnd300", "identity", "uqw", 2): "aa253156828756799570b7df93e3bfe5bf24eaf3a580e88d0676da3ada23defc",
+    ("gnd300", "identity", "separator", 2): "4495177ffbf3c931e1dc91aa09ab8655d9a5883ada9599053e4c6187e3a6b8cb",
+}
+
+
+@pytest.mark.parametrize("name", ["grid12", "tree300", "gnd300"])
+def test_certificates_under_other_orders_pinned(name):
+    g = PIN_GRAPHS[name]()
+    for (graph, order, kind, r), want in PINNED_ORDER_CERTIFICATES.items():
+        if graph != name:
+            continue
+        pi = build_order(g, order, 4 * r)
+        if kind == "uqw":
+            m = int(1 / 0.1) + wcol_of_order(g, pi, 4 * r) + 1
+            cert = uqw_extract(g, range(g.n), 4 * r, m, pi)
+        else:
+            cert = balanced_separator(g, range(g.n), r, 0.1, pi)
+        assert _digest(cert) == want, (graph, order, kind, r)
+
+
 def test_separator_recounts_balls_near_vertices_entering_x():
     # the deletion set Y holds vertices outside X here; a ball count kept
     # from before Y entered X reads high, and the recorded worst with it

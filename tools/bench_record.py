@@ -66,10 +66,20 @@ def _spread(xs: list) -> dict:
 
 
 def _summary(pairs: list, metrics: list) -> dict:
+    """Per-metric spreads and wins over the pairs where both runs finished.
+    `errors` counts the pairs with a run that did not finish; `incorrect`
+    and `failed_jobs` count, per side, the finished runs that reported a
+    wrong output and the jobs those runs failed."""
     ok = [p for p in pairs if "error" not in p["parent"] and "error" not in p["change"]]
     out = {"pairs": len(ok), "errors": len(pairs) - len(ok),
            "digests_equal": sum(p["parent"]["output_digest"] == p["change"]["output_digest"]
                                 for p in ok)}
+    finished = {side: [p[side] for p in pairs if "error" not in p[side]]
+                for side in ("parent", "change")}
+    out["incorrect"] = {side: sum(not run["correct"] for run in runs)
+                        for side, runs in finished.items()}
+    out["failed_jobs"] = {side: sum(run["failed"] for run in runs)
+                          for side, runs in finished.items()}
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
         if not ok or name not in ok[0]["parent"]["metrics"]:
@@ -137,7 +147,14 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {"summary": _summary(pairs, bench["end_to_end"]),
                                       "pairs": pairs}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    failed = any(s["errors"] for s in (w["summary"] for w in doc["workloads"].values()))
+    failed = {}
+    for name, w in doc["workloads"].items():
+        s = w["summary"]
+        if s["errors"] or any(s["incorrect"].values()):  # a failed job makes its run incorrect
+            failed[name] = {k: s[k] for k in ("errors", "incorrect", "failed_jobs")}
+    if failed:
+        print(f"bench_record: runs that did not finish or were not correct: {failed}",
+              file=sys.stderr)
     return 1 if failed else 0
 
 
