@@ -336,4 +336,5 @@ def emit_json(obj) -> str:
 
 
 def graph_from_json(d: dict) -> Graph:
+    _check_vertex_count(d["n"])
     return Graph(d["n"], [tuple(e) for e in d["edges"]], d.get("labels"))

@@ -556,6 +556,9 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates):
         raise CapabilityError(
             f"distance independent set capped at k = {INDEPENDENT_K_CAP}, got {k}",
             "independent_k", INDEPENDENT_K_CAP)
+    candidates = tuple(candidates)
+    if bad := foreign_vertices(g, candidates):
+        raise PreconditionError("; ".join(bad))
     # masks[c] = the vertices within distance r of candidate c, c excluded;
     # candidate bits are vertex ids, so bit order is id order
     adj = g.adjacency_masks()

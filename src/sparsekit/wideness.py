@@ -163,16 +163,22 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
         raise PreconditionError("r must be >= 1")
     if m < 1:
         raise PreconditionError("m must be >= 1")
-    return _extract(g, A, m, WReachTable(g, pi, r))
-
-
-def _extract(g: Graph, A: frozenset, m: int,
-             table: WReachTable) -> UqwCertificate:
-    """`uqw_extract` on a weak-reach table of all of G, changed in place
-    (every change is a journaled deletion, so the caller may roll it back);
-    c is its largest set."""
+    if bad := foreign_vertices(g, A):
+        raise PreconditionError("; ".join(bad))
+    table = WReachTable(g, pi, r)
     c = table.wcol()
-    guarantee = len(A) >= 4 * (2 * c * m) ** c
+    S, B = _extract(A, m, c, table)
+    cert = UqwCertificate(r, m, A, S, B, c, len(A) >= 4 * (2 * c * m) ** c)
+    raise_if_invalid(validate_uqw(g, cert),
+                     "construction produced an invalid certificate", certificate=cert)
+    return cert
+
+
+def _extract(A: frozenset, m: int, c: int, table: WReachTable):
+    """The quasi-wideness core: the removal loop and the greedy pick of
+    `uqw_extract` on a weak-reach table whose largest set is c, changed in
+    place (every change is a journaled deletion, so the caller may roll it
+    back).  Returns (S, B); the caller builds and checks any certificate."""
     sets = table.sets
     S = []
     current = set(A)
@@ -197,11 +203,7 @@ def _extract(g: Graph, A: frozenset, m: int,
         if not (sets[a] & used):
             B.add(a)
             used |= sets[a]
-
-    cert = UqwCertificate(table.r, m, A, frozenset(S), frozenset(B), c, guarantee)
-    raise_if_invalid(validate_uqw(g, cert),
-                     "construction produced an invalid certificate", certificate=cert)
-    return cert
+    return frozenset(S), frozenset(B)
 
 
 def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
@@ -218,6 +220,8 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
         raise PreconditionError("r must be >= 1")
     if s_max < 0:
         raise PreconditionError(f"s_max must be >= 0, got {s_max}")
+    if bad := foreign_vertices(g, A):
+        raise PreconditionError("; ".join(bad))
     if g.n > UQW_BRUTE_N_CAP:
         raise CapabilityError(f"uqw_brute capped at {UQW_BRUTE_N_CAP} vertices, got {g.n}",
                               "uqw_brute_n", UQW_BRUTE_N_CAP)
@@ -260,11 +264,12 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     happen while |X| exceeds 4*(2cm)^c, so a stall up there is an error.
 
     Every extraction runs on G at radius 4r, so the weak-reach table of G at
-    that radius is built once: its largest set is c, and each extraction
-    deletes from it and is rolled back after (see `uqw_extract` for why a
-    deletion only runs the searches from the sources in WReach_4r[u]), so
-    a step costs what its fewer than c deletions touch, and the rollback
-    what they dropped, not a copy of the table.
+    that radius is built once: its largest set is c.  Each step takes a
+    plain (S, B) from `_extract`, which deletes from the table, and rolls
+    the table back (see `uqw_extract` for why a deletion only runs the
+    searches from the sources in WReach_4r[u]), so a step costs what its
+    fewer than c deletions touch and what they dropped.  No step builds or
+    checks a certificate; only the separator returned is checked.
 
     The invariant is checked on every step, but a vertex's ball count is
     kept across steps: the r-ball of v in G-X can change only when a vertex
@@ -279,6 +284,8 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         raise PreconditionError(f"eps {eps!r} is too small: 1/eps overflows a float")
     if r < 1:
         raise PreconditionError("r must be >= 1")
+    if bad := foreign_vertices(g, A):
+        raise PreconditionError("; ".join(bad))
 
     table = WReachTable(g, pi, 4 * r)
     c = table.wcol()
@@ -307,12 +314,11 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
             worst = max(worst, hit)
         if not X:
             break
-        uqw = _extract(g, X, m, table)
+        Y, B = _extract(X, m, c, table)
         table.rollback()
-        Y = set(uqw.S)
         keep = frozenset(range(g.n)) - Y
         X2 = set()
-        for v in sorted(uqw.B):
+        for v in sorted(B):
             hit = sum(1 for w in bfs_distances(g, (v,), 2 * r, keep) if w in A)
             if hit <= budget:
                 X2.add(v)

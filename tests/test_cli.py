@@ -348,6 +348,24 @@ def test_vertex_cap_exit_3(tmp_path):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("cert", [
+    {"kind": "minor_model", "depth": 0, "h": {"n": 1_000_001, "edges": []},
+     "branch_sets": {}, "edge_witness": {}},
+    {"kind": "density", "h": {"n": 1_000_001, "edges": []}, "depth": 0,
+     "model": {"depth": 0, "branch_sets": {}, "edge_witness": {}},
+     "minor_n": 0, "minor_m": 0, "density": 0.0},
+], ids=["minor_model", "density"])
+def test_certificate_graph_vertex_cap_exit_3(tmp_path, cert):
+    # the graph h inside the certificate was once built past the cap: a
+    # million adjacency sets, then exit 1
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    code, doc, err = run_cli("verify", str(path), "--graph", PATH8)
+    assert code == 3 and doc["error"]["code"] == "capability"
+    assert "1000000 vertices" in doc["error"]["message"]
+    assert "Traceback" not in err
+
+
 def test_independent_k_cap_exit_3():
     # k = 1000 once recursed past the interpreter's limit: exit 4
     path = '{"family":"path","n":2000}'

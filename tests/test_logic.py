@@ -337,6 +337,12 @@ def test_distance_independent_set_pins():
     assert distance_independent_set(path_graph(8), 1.5, 2, range(8)) == frozenset({0, 2})
 
 
+def test_distance_independent_set_refuses_a_candidate_that_is_no_vertex():
+    # once an IndexError from the adjacency lookup
+    with pytest.raises(PreconditionError, match="^vertex 99 not in the graph$"):
+        distance_independent_set(path_graph(5), 1, 1, [99])
+
+
 def test_distance_independent_set_is_lex_least():
     g = cycle_graph(9)
     got = distance_independent_set(g, 2, 3, range(9))

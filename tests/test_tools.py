@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -137,3 +139,76 @@ def test_bench_record_summary_counts_incorrect_runs_per_side():
     assert (out["pairs"], out["errors"]) == (2, 1)
     assert out["incorrect"] == {"parent": 1, "change": 2}
     assert out["failed_jobs"] == {"parent": 2, "change": 6}
+
+
+_RESULT_LINES = (json.dumps({"detail": {"output_digest": "d",
+                                        "meta": {"git_sha": "", "src_sha256": ""}}}) + "\n"
+                 + json.dumps({"metrics": {"jobs_per_s": {"value": 10.0}}, "correct": True,
+                               "failed": 0, "attempted": 9}) + "\n")
+
+
+def _record_with_faked_runs(tmp_path, monkeypatch, outcomes):
+    """main() over seeds 1-2 with `subprocess.run` faked for the harness
+    runs (git still runs): the k-th run raises outcomes[k] if it is an
+    exception and prints it as stdout otherwise, or prints a good result."""
+    module = _bench_record()
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    subprocess.run(["git", "init", "-q", str(parent)], check=True)
+    real = subprocess.run
+    runs = []
+
+    def fake(cmd, **kw):
+        if cmd[0] == "git":
+            return real(cmd, **kw)
+        runs.append(cmd)
+        outcome = outcomes.get(len(runs), _RESULT_LINES)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return subprocess.CompletedProcess(cmd, 0, stdout=outcome, stderr="")
+
+    monkeypatch.setattr(module.subprocess, "run", fake)
+    monkeypatch.setattr(module, "_bytecode_caches", lambda checkout: [])
+    out = tmp_path / "bench.json"
+    code = module.main(["--parent", str(parent), "--workloads", "exact_small",
+                        "--seeds", "1-2", "--out", str(out)])
+    assert len(runs) == 4
+    return code, json.loads(out.read_text())["workloads"]["exact_small"]
+
+
+def test_bench_record_keeps_the_recording_when_a_run_times_out(tmp_path, monkeypatch):
+    # the timeout once ended main with a traceback, and the finished first
+    # pair was lost with the file
+    hang = subprocess.TimeoutExpired(["perfbench/run.py"], 1800)
+    code, workload = _record_with_faked_runs(tmp_path, monkeypatch, {3: hang})
+    assert code == 1
+    assert (workload["summary"]["pairs"], workload["summary"]["errors"]) == (1, 1)
+    first, second = workload["pairs"]
+    assert first["parent"]["output_digest"] == first["change"]["output_digest"] == "d"
+    # seed 2 runs the change first, so the third run is the change's
+    assert second["change"] == {"error": "timed out after 1800 s"}
+    assert second["parent"]["metrics"] == {"jobs_per_s": 10.0}
+
+
+@pytest.mark.parametrize("stdout", [
+    "Traceback (most recent call last):\nSomeError: boom\n",
+    '{"detail": {}}\n{"metrics": {}}\n',
+    "[1]\n[2]\n",
+], ids=["not-json", "missing-keys", "not-objects"])
+def test_bench_record_counts_an_unreadable_result_as_an_error(tmp_path, monkeypatch,
+                                                               stdout):
+    code, workload = _record_with_faked_runs(tmp_path, monkeypatch, {2: stdout})
+    assert code == 1
+    assert (workload["summary"]["pairs"], workload["summary"]["errors"]) == (1, 1)
+    assert workload["pairs"][0]["change"]["error"].startswith("unreadable result")
+
+
+def test_bench_record_refuses_an_empty_seed_list(tmp_path, capsys):
+    # "5-1" once gave no seeds, an empty BENCH file and exit 0
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as e:
+        _bench_record().main(["--parent", str(tmp_path), "--workloads", "exact_small",
+                              "--seeds", "5-1", "--out", str(out)])
+    assert e.value.code == 2
+    assert "'5-1' names no seed" in capsys.readouterr().err
+    assert not out.exists()

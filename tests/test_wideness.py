@@ -61,6 +61,25 @@ def test_uqw_extract_preconditions():
         uqw_extract(g, [0, 1], 0, 2, identity_order(5))
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda g: uqw_extract(g, [0, 99], 1, 1, identity_order(5)),
+     "vertex 99 not in the graph"),
+    (lambda g: uqw_extract(g, [True, 3], 1, 1, identity_order(5)),
+     "vertex True not in the graph"),
+    (lambda g: uqw_brute(g, [0, 99], 1, 1, 1), "vertex 99 not in the graph"),
+    (lambda g: balanced_separator(g, [0, 99], 1, 0.5, identity_order(5)),
+     "vertex 99 not in the graph"),
+    (lambda g: balanced_separator(g, [99, -1, 0], 1, 0.5, identity_order(5)),
+     "vertex -1 not in the graph; vertex 99 not in the graph"),
+], ids=["extract", "extract-bool", "brute", "separator", "separator-two"])
+def test_a_target_that_names_no_vertex_is_a_precondition_error(build, message):
+    # these once raised KeyError, or AlgorithmStallError blaming the
+    # construction's own certificate
+    with pytest.raises(PreconditionError) as e:
+        build(path_graph(5))
+    assert str(e.value) == message
+
+
 def test_uqw_brute_frozen():
     g = path_graph(10)
     cert = uqw_brute(g, range(10), 2, 4, s_max=0)
@@ -373,6 +392,43 @@ def test_certificates_under_other_orders_pinned(name):
         else:
             cert = balanced_separator(g, range(g.n), r, 0.1, pi)
         assert _digest(cert) == want, (graph, order, kind, r)
+
+
+def test_separator_checks_only_the_certificate_it_returns(monkeypatch):
+    # each exchange step takes a plain (S, B) from the extraction core; it
+    # once built a uqw certificate per step and validated it (36 times here)
+    import sparsekit.orders as orders
+    import sparsekit.wideness as wideness
+    calls = {"validate_uqw": 0, "validate_separator": 0, "wcol": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in ("validate_uqw", "validate_separator"):
+        monkeypatch.setattr(wideness, name, counting(name, getattr(wideness, name)))
+    monkeypatch.setattr(orders.WReachTable, "wcol",
+                        counting("wcol", orders.WReachTable.wcol))
+    g = grid_graph(30, 30)
+    balanced_separator(g, range(900), 1, 0.1, degeneracy_order(g))
+    assert calls == {"validate_uqw": 0, "validate_separator": 1, "wcol": 1}
+
+
+@pytest.mark.parametrize("build,validator", [
+    (lambda: uqw_extract(path_graph(10), range(10), 2, 2, identity_order(10)),
+     "validate_uqw"),
+    (lambda: balanced_separator(star_graph(20), range(20), 1, 0.2, identity_order(20)),
+     "validate_separator"),
+], ids=["uqw_extract", "balanced_separator"])
+def test_returned_certificates_are_checked(monkeypatch, build, validator):
+    import sparsekit.wideness as wideness
+    monkeypatch.setattr(wideness, validator, lambda g, cert: ["forged"])
+    with pytest.raises(AlgorithmStallError) as e:
+        build()
+    assert e.value.state["violations"] == ["forged"]
+    assert "certificate" in e.value.state
 
 
 def test_separator_recounts_balls_near_vertices_entering_x():

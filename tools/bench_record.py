@@ -27,6 +27,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 1800
 
 
 def _seeds(text: str) -> list:
@@ -34,6 +35,8 @@ def _seeds(text: str) -> list:
     for part in text.split(","):
         lo, _, hi = part.partition("-")
         out += list(range(int(lo), int(hi or lo) + 1))
+    if not out:
+        raise argparse.ArgumentTypeError(f"{text!r} names no seed")
     return out
 
 
@@ -45,18 +48,28 @@ def _bytecode_caches(checkout: Path) -> list:
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, capture_output=True, text=True, timeout=1800)
+    """One run's record, or {"error": ...} for a run that did not finish or
+    whose last two stdout lines are not the harness's result, so that one
+    bad run costs its pair and not the recording."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"timed out after {RUN_TIMEOUT_S} s"}
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or len(lines) < 2:
         return {"error": f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"}
-    detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
-    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
-            "correct": result["correct"], "failed": result["failed"],
-            "attempted": result["attempted"], "output_digest": detail["output_digest"],
-            "git_sha": detail["meta"]["git_sha"], "src_sha256": detail["meta"]["src_sha256"]}
+    try:
+        detail, result = json.loads(lines[-2])["detail"], json.loads(lines[-1])
+        return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+                "correct": result["correct"], "failed": result["failed"],
+                "attempted": result["attempted"], "output_digest": detail["output_digest"],
+                "git_sha": detail["meta"]["git_sha"],
+                "src_sha256": detail["meta"]["src_sha256"]}
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        return {"error": f"unreadable result: {e!r}"[:500]}
 
 
 def _spread(xs: list) -> dict:
@@ -101,7 +114,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--workloads", required=True, help="comma-separated workload names")
-    ap.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 1,3,6-8")
+    ap.add_argument("--seeds", type=_seeds, default="1-10", help="e.g. 1-10 or 1,3,6-8")
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
@@ -131,7 +144,7 @@ def main(argv=None) -> int:
     }
     for workload in args.workloads.split(","):
         pairs = []
-        for i, seed in enumerate(_seeds(args.seeds)):
+        for i, seed in enumerate(args.seeds):
             sides = [("parent", parent), ("change", HERE)]
             if i % 2:
                 sides.reverse()
