@@ -24,7 +24,7 @@ _EXPORTS = {name: module for module, names in (
                "build_order coloring_number degeneracy_order greedy_wreach_order "
                "identity_order treedepth_exact validate_elimination_forest "
                "validate_forest_certificate validate_order_witness wcol_exact "
-               "wcol_of_order wreach_clusters wreach_sets"),
+               "wcol_of_order wreach_sets"),
     ("minors", "DensityCertificate DensityReport MinorCertificate MinorModel "
                "density_report find_depth_r_minor validate_density_certificate "
                "validate_minor_certificate verify_minor_model"),

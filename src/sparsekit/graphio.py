@@ -336,5 +336,11 @@ def emit_json(obj) -> str:
 
 
 def graph_from_json(d: dict) -> Graph:
-    _check_vertex_count(d["n"])
-    return Graph(d["n"], [tuple(e) for e in d["edges"]], d.get("labels"))
+    """A graph's JSON form, read from outside the program: the vertex count
+    and every edge endpoint must be JSON integers (true and false are not
+    vertices 1 and 0), checked before anything is built."""
+    n, edges = d["n"], [tuple(e) for e in d["edges"]]
+    if type(n) is not int or any(type(x) is not int for e in edges for x in e):
+        raise GraphInputError("a graph's vertex count and edge endpoints must be integers")
+    _check_vertex_count(n)
+    return Graph(n, edges, d.get("labels"))

@@ -249,13 +249,18 @@ def parse_formula(text: str, free=()) -> object:
 # ------------------------------------------------------------- rendering
 
 def to_text(f) -> str:
-    """Concrete syntax; parse_formula(to_text(f), free=None) == f within the token bound."""
+    """Concrete syntax; parse_formula(to_text(f), free=None) == f.  Brackets
+    are only where the parse needs them, so no text that parses to f has
+    fewer tokens.  A quantifier's body reaches as far right as the text
+    does, so a quantifier is bracketed exactly when more text follows it."""
 
-    def paren(child, tight):
-        s = render(child)
-        return f"({s})" if tight(child) else s
+    def paren(child, tight, last):
+        # `tight`: the node types bracketed here; `last`: nothing follows
+        # the child in the whole rendering
+        bracket = isinstance(child, tight) or (isinstance(child, Quant) and not last)
+        return f"({render(child, True)})" if bracket else render(child, last)
 
-    def render(f):
+    def render(f, last):
         if isinstance(f, Lit):
             return "true" if f.value else "false"
         if isinstance(f, Eq):
@@ -270,21 +275,21 @@ def to_text(f) -> str:
             if isinstance(f.body, DistLe):
                 b = f.body
                 return f"dist({b.a},{b.b}) > {b.d}"
-            return "!" + paren(f.body, lambda c: isinstance(c, (And, Or, Quant)))
+            return "!" + paren(f.body, (And, Or), last)
         if isinstance(f, And):
-            left = paren(f.left, lambda c: isinstance(c, (Or, Quant)))
-            right = paren(f.right, lambda c: isinstance(c, (Or, And, Quant)))
+            left = paren(f.left, Or, False)
+            right = paren(f.right, (Or, And), last)
             return f"{left} & {right}"
         if isinstance(f, Or):
-            left = paren(f.left, lambda c: isinstance(c, Quant))
-            right = paren(f.right, lambda c: isinstance(c, (Or, Quant)))
+            left = paren(f.left, (), False)
+            right = paren(f.right, Or, last)
             return f"{left} | {right}"
         if isinstance(f, Quant):
             rel = f" within {f.d} of {f.anchor}" if f.anchor is not None else ""
-            return f"{f.kind} {f.var}{rel} . {render(f.body)}"
+            return f"{f.kind} {f.var}{rel} . {render(f.body, last)}"
         raise TypeError(f"not a formula node: {f!r}")
 
-    return render(f)
+    return render(f, True)
 
 
 def free_vars(f) -> frozenset:
@@ -378,7 +383,6 @@ class BasicLocalSentence:
     @classmethod
     def from_json(cls, d):
         chi = parse_formula(d["chi"], free=None)
-        _tokens(to_text(chi))  # certificates carry chi as canonical text: it must read back
         fv = free_vars(chi)
         if len(fv) > 1:
             raise FormulaScopeError(f"chi has several free variables: {_shown_names(fv)}")

@@ -44,13 +44,6 @@ class VertexOrder:
     def __repr__(self):
         return f"VertexOrder({list(self.perm)})"
 
-    def to_json(self):
-        return {"order": list(self.perm)}
-
-    @classmethod
-    def from_json(cls, d):
-        return cls(d["order"])
-
 
 def identity_order(n: int) -> VertexOrder:
     return VertexOrder(range(n))
@@ -61,16 +54,13 @@ def _check_order(g: Graph, order: VertexOrder) -> None:
         raise GraphInputError(f"order on {len(order)} vertices, graph has {g.n}")
 
 
-def wreach_clusters(g: Graph, order: VertexOrder, r: int) -> dict:
-    """The backward searches, from which every other view of weak
-    reachability is derived: cluster(u) = the vertices u is weakly
-    r-reachable from (u included), each a fresh set.  A cluster is connected
-    with radius <= r around u, since weak-reach paths stay inside it."""
-    return dict(_stream_clusters(g, order, r))
-
-
 def _stream_clusters(g: Graph, order: VertexOrder, r: int, sources=None):
-    """Yield (u, cluster(u)) for each u of `sources` (every vertex, by id,
+    """The backward searches, from which every view of weak reachability is
+    derived: cluster(u) = the vertices u is weakly r-reachable from (u
+    included), each a fresh set.  A cluster is connected with radius <= r
+    around u, since weak-reach paths stay inside it.
+
+    Yield (u, cluster(u)) for each u of `sources` (every vertex, by id,
     when None), one backward search at a time, so a caller that folds each
     cluster in as it arrives never holds more than one.  The order and the
     radius are checked before `sources` is first read, so `sources` may be
@@ -493,13 +483,6 @@ class EliminationForest:
     """Rooted forest on the graph's vertices; parent[v] == -1 at roots."""
 
     parent: tuple
-
-    @property
-    def depth(self) -> int:
-        depth = _forest_tour(self.parent)[2]
-        if 0 in depth:
-            raise GraphInputError(f"parent cycle reached from {depth.index(0)}")
-        return max(depth, default=0)
 
     def to_json(self):
         return {"parent": list(self.parent)}

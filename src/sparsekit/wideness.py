@@ -271,10 +271,13 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     fewer than c deletions touch and what they dropped.  No step builds or
     checks a certificate; only the separator returned is checked.
 
-    The invariant is checked on every step, but a vertex's ball count is
-    kept across steps: the r-ball of v in G-X can change only when a vertex
-    that entered or left X lies within distance r of v, so only those
-    counts are taken again."""
+    No step counts balls either, since the invariant holds by a lemma: let
+    X'' be a subset of X whose 2r-balls in G-Y are sparse, X' = (X-X'')|Y,
+    and v outside X' (G-X' is a subgraph of G-Y).  If v is in X'', its
+    r-ball in G-X' lies in its own 2r-ball in G-Y; if that ball meets some
+    x in X'', it lies within 2r of x in G-Y; else it avoids X and Y, so it
+    lies in v's old r-ball in G-X.  This uses only that X'' is a subset of
+    X, so any start set that meets the invariant keeps it."""
     A = frozenset(A)
     if not A:
         raise PreconditionError("A must be nonempty")
@@ -295,25 +298,7 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
 
     X = frozenset(range(g.n))
     iterations = 0
-    hits = {}  # v -> members of A in v's r-ball in G-X, for v outside X
-    changed = ()  # the vertices that entered or left X in the last step
-    while True:
-        outside = frozenset(range(g.n)) - X
-        # a ball changes only if a changed vertex lies within distance r
-        for v in bfs_distances(g, changed, r):
-            if v in outside:
-                hits[v] = sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
-        worst = 0
-        for v in outside:
-            hit = hits[v]
-            if hit > budget:
-                raise AlgorithmStallError(
-                    f"exchange loop broke its invariant at vertex {v}",
-                    state={"vertex": v, "hit": hit, "budget": budget,
-                           "X": sorted(X), "iterations": iterations})
-            worst = max(worst, hit)
-        if not X:
-            break
+    while X:
         Y, B = _extract(X, m, c, table)
         table.rollback()
         keep = frozenset(range(g.n)) - Y
@@ -330,9 +315,11 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
                            "n_theory": n_theory, "iterations": iterations})
             break
         X = (X - X2) | Y
-        changed = X2 | Y
         iterations += 1
 
+    outside = frozenset(range(g.n)) - X
+    worst = max((sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
+                 for v in outside), default=0)
     cert = SeparatorCertificate(r, eps, A, X, worst, iterations)
     raise_if_invalid(validate_separator(g, cert),
                      "construction produced an invalid certificate", certificate=cert)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from sparsekit.errors import PreconditionError
 from sparsekit.graph import Graph, ball, bfs_distances, induced_subgraph
 from sparsekit.logic import DistLe, Edge, Eq, Or, Quant
-from sparsekit.orders import VertexOrder, wreach_clusters, wreach_sets
+from sparsekit.orders import VertexOrder, wreach_sets
 from sparsekit.wideness import Cover, PartitionCover
 
 
@@ -113,11 +113,21 @@ def sets_wcol_of_order(g: Graph, order, r: int) -> int:
     return max(map(len, wreach_sets(g, order, r).values()), default=0)
 
 
+def inverted_clusters(g: Graph, order, r: int) -> dict:
+    """cluster(u) = the vertices whose weak-r-reach set, from `wreach_sets`,
+    holds u."""
+    clusters = {u: set() for u in range(g.n)}
+    for v, reach in wreach_sets(g, order, r).items():
+        for u in reach:
+            clusters[u].add(v)
+    return clusters
+
+
 def ball_minimum_cover(g: Graph, r: int, order) -> Cover:
     """The neighborhood cover by its rule, without the self-check: each
     r-ball, found by `ball`, names its order-minimum as a center, and a
     center's cluster is its weak-2r-reach cluster."""
-    clusters = wreach_clusters(g, order, 2 * r)
+    clusters = inverted_clusters(g, order, 2 * r)
     centers = {min(ball(g, v, r), key=order.rank.__getitem__) for v in range(g.n)}
     chosen = {u: frozenset(clusters[u]) for u in sorted(centers)}
     degree = [0] * g.n
@@ -137,7 +147,7 @@ def sets_partition_cover(g: Graph, r: int, order) -> PartitionCover:
     for v in order.perm:
         seen = {color[u] for u in sets[v] if u != v}
         color[v] = min(k for k in range(len(seen) + 1) if k not in seen)
-    clusters = wreach_clusters(g, order, 2 * r)
+    clusters = inverted_clusters(g, order, 2 * r)
     parts = [set() for _ in range(max(color.values(), default=-1) + 1)]
     for u in range(g.n):
         parts[color[u]] |= clusters[u]

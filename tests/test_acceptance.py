@@ -147,7 +147,7 @@ def test_balanced_separator_families():
         pi = degeneracy_order(g)
         for r in (1, 2):
             for eps in (0.5, 0.2, 0.1):
-                # the per-iteration invariant asserts inside the construction
+                # the construction checks only the separator it returns
                 cert = balanced_separator(g, range(g.n), r, eps, pi)
                 runs += 1
                 for v in validate_separator(g, cert):

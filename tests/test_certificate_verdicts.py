@@ -88,6 +88,9 @@ DECLARED = (
      "sentence's k and 2r"),
     (r"^eval_\w+/sentence\.chi=\[\]", "the tokenizer read an empty list as empty "
      "text (formula_parse); a chi that is no string is malformed (precondition)"),
+    (r"^(minor|density)/h\.(n=(1\.5|x|\[\])|edges=x)$", "a graph h whose vertex count or "
+     "edge endpoint is no JSON integer is refused as graph input (graph_input), not "
+     "when the graph is built (precondition)"),
 )
 
 

@@ -167,6 +167,24 @@ def test_booleans_are_not_vertex_ids(tmp_path, cert, replay):
     assert outcomes[0][0] in (1, 2) and outcomes[1] == outcomes[0]
 
 
+@pytest.mark.parametrize("kind", ["minor_model", "density"])
+@pytest.mark.parametrize("h", [{"n": True, "edges": []}, {"n": 2, "edges": [[0, True]]}],
+                         ids=["count", "endpoint"])
+def test_booleans_are_not_pattern_graph_vertices(tmp_path, kind, h):
+    # h.n = true once built a one-vertex h, and the endpoint true was vertex
+    # 1: with a model matching that reading, both verified clean
+    n = 1 if h["n"] is True else h["n"]
+    model = {"depth": 0, "branch_sets": {str(v): [v] for v in range(n)},
+             "edge_witness": {"0,1": [0, 1]} if h["edges"] else {}}
+    if kind == "density":
+        m = len(h["edges"])
+        model = {"depth": 0, "density": m / n, "minor_n": n, "minor_m": m, "model": model}
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps({"kind": kind, "h": h, **model}))
+    code, doc, _ = run_cli("verify", str(path), "--graph", PATH8)
+    assert code == 2 and doc["error"]["code"] == "graph_input"
+
+
 def test_independent_search_depth_stays_below_k():
     # the search once recursed once per skipped candidate: on a star of 3000
     # vertices that was a RecursionError and exit 4

@@ -68,7 +68,7 @@ PUBLIC_API = sorted([
     "validate_cover", "validate_elimination_forest", "validate_partition",
     "validate_separator", "validate_transcript", "validate_uqw",
     "verify_minor_model", "wcol_exact", "wcol_of_order", "wcol_splitter_strategy",
-    "wreach_clusters", "wreach_sets", "write_edge_list",
+    "wreach_sets", "write_edge_list",
     "DensityCertificate", "DistanceSet", "ForestCertificate", "MinorCertificate",
     "OrderWitness", "validate_density_certificate", "validate_distance_set",
     "validate_forest_certificate", "validate_minor_certificate", "validate_order_witness",

@@ -18,9 +18,9 @@ from sparsekit.games import ConnectorMove, GameConfig, GameRound, GameTranscript
 from sparsekit.graph import Graph
 from sparsekit.graphio import emit_json, parse_edge_list, read_dimacs, write_edge_list
 from sparsekit.logic import (And, BasicLocalSentence, DistLe, Edge, Eq, Lit, Not,
-                             Or, Pred, Quant, parse_formula, to_text)
+                             Or, Pred, Quant, _tokens, parse_formula, to_text)
 from sparsekit.minors import DensityReport, MinorModel
-from sparsekit.orders import EliminationForest, VertexOrder
+from sparsekit.orders import EliminationForest
 from sparsekit.wideness import Cover, PartitionCover, SeparatorCertificate, UqwCertificate
 
 
@@ -61,6 +61,44 @@ def formulas(draw, scope=(), depth=3):
 @given(formulas(scope=("x", "y")))
 def test_formula_text_round_trip(f):
     assert parse_formula(to_text(f), free=None) == f
+
+
+@st.composite
+def formula_texts(draw):
+    """Text that parses: a drawn formula written with the brackets operator
+    precedence needs, others (around a quantifier too) at random, and a
+    negated distance atom either way.  A quantifier left bare may swallow
+    what follows it, so the text need not parse back to that formula."""
+    def text(f):
+        def sub(child, needed):
+            s = text(child)
+            return f"({s})" if needed or draw(st.booleans()) else s
+
+        if isinstance(f, Not):
+            if isinstance(f.body, DistLe) and draw(st.booleans()):
+                return to_text(f)
+            return "!" + sub(f.body, isinstance(f.body, (And, Or)))
+        if isinstance(f, And):
+            return (f"{sub(f.left, isinstance(f.left, Or))} & "
+                    f"{sub(f.right, isinstance(f.right, (Or, And)))}")
+        if isinstance(f, Or):
+            return f"{sub(f.left, False)} | {sub(f.right, isinstance(f.right, Or))}"
+        if isinstance(f, Quant):
+            rel = f" within {f.d} of {f.anchor}" if f.anchor is not None else ""
+            return f"{f.kind} {f.var}{rel} . {sub(f.body, False)}"
+        return to_text(f)
+
+    return text(draw(formulas(scope=("x", "y"))))
+
+
+@bounded(100)
+@given(formula_texts())
+def test_canonical_formula_text_is_shortest(text):
+    # a quantifier nothing followed was once bracketed, so canonical text
+    # could be longer than its source and pass the token bound
+    canon = to_text(parse_formula(text, free=None))
+    assert len(_tokens(canon)) <= len(_tokens(text))
+    assert to_text(parse_formula(canon, free=None)) == canon
 
 
 # formula text from pieces of the grammar, odd characters, long digit runs
@@ -137,7 +175,6 @@ def test_wideness_certificate_json_round_trip(cert, old_key):
 
 
 VERTEX = st.integers(0, 30)
-ORDERS = st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))).map(VertexOrder)
 FORESTS = st.lists(st.integers(-1, 30), max_size=12).map(lambda ps: EliminationForest(tuple(ps)))
 MODELS = st.builds(MinorModel, st.integers(0, 5),
                    st.dictionaries(st.integers(0, 12), IDS),
@@ -157,7 +194,7 @@ TRANSCRIPTS = st.builds(GameTranscript, CONFIGS, st.lists(ROUNDS, max_size=4),
 
 
 @bounded(100)
-@given(ORDERS | FORESTS | MODELS | REPORTS | TRANSCRIPTS)
+@given(FORESTS | MODELS | REPORTS | TRANSCRIPTS)
 def test_certificate_json_round_trip(cert):
     json_round_trip(cert)
 

@@ -53,9 +53,9 @@ def _side(digest, correct=True, failed=0, **metrics):
 
 def test_bench_record_summary_counts_wins_by_each_metrics_direction():
     summary = _bench_record()._summary
-    metrics = [{"name": "peak_rss_mb", "better": "lower"},
-               {"name": "jobs_per_s", "better": "higher"},
-               {"name": "setup_s", "better": "lower"}]
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.15},
+               {"name": "jobs_per_s", "better": "higher", "bound": 0.25},
+               {"name": "setup_s", "better": "lower", "bound": 0.25}]
     pairs = [
         # the change uses less memory and runs more jobs: a win on both
         {"parent": _side("a", peak_rss_mb=40.0, jobs_per_s=10.0),
@@ -124,7 +124,7 @@ def test_bench_record_fails_a_run_that_reports_wrong_outputs(tmp_path, monkeypat
 
 
 def test_bench_record_summary_counts_incorrect_runs_per_side():
-    metrics = [{"name": "jobs_per_s", "better": "higher"}]
+    metrics = [{"name": "jobs_per_s", "better": "higher", "bound": 0.25}]
     pairs = [
         {"parent": _side("a", correct=False, failed=2, jobs_per_s=10.0),
          "change": _side("a", jobs_per_s=10.0)},
@@ -139,6 +139,55 @@ def test_bench_record_summary_counts_incorrect_runs_per_side():
     assert (out["pairs"], out["errors"]) == (2, 1)
     assert out["incorrect"] == {"parent": 1, "change": 2}
     assert out["failed_jobs"] == {"parent": 2, "change": 6}
+
+
+_PARENT_SETUP_S = [1.2, 1.3, 1.3, 1.4, 1.5, 1.6, 1.9, 2.0, 2.0, 2.1]
+_PARENT_JOBS = [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 10.6, 10.7, 10.8, 10.9]
+
+
+@pytest.mark.parametrize("name,better,parent,change,verdict", [
+    # the parent's quartiles 1.30-2.00 s spread past 0.25 of its median, and
+    # some change run reads worse than some parent run: +30 % tells nothing
+    ("setup_s", "lower", _PARENT_SETUP_S, [1.3 * x for x in _PARENT_SETUP_S], "unresolved"),
+    # as wide, but every change run beats every parent run
+    ("setup_s", "lower", _PARENT_SETUP_S, [x - 1.0 for x in _PARENT_SETUP_S], "better"),
+    # 30 % fewer jobs a second, past the 0.25 bound
+    ("jobs_per_s", "higher", _PARENT_JOBS, [0.7 * x for x in _PARENT_JOBS], "worse"),
+    # 9 of 10 pairs won, and the medians 0.7 apart against quartiles 0.55 apart
+    ("jobs_per_s", "higher", _PARENT_JOBS, [x + 0.8 for x in _PARENT_JOBS[:9]] + [10.0],
+     "better"),
+    # every pair won, but by less than the parent's quartile distance
+    ("jobs_per_s", "higher", _PARENT_JOBS, [x + 0.1 for x in _PARENT_JOBS], "held"),
+    # 10 % worse is within the bound
+    ("jobs_per_s", "higher", _PARENT_JOBS, [0.9 * x for x in _PARENT_JOBS], "held"),
+], ids=["unresolved", "better-past-a-wide-spread", "worse", "better", "held-small-gain",
+        "held-within-bound"])
+def test_bench_record_summary_states_a_verdict_per_metric(name, better, parent, change,
+                                                           verdict):
+    pairs = [{"parent": _side("d", **{name: x}), "change": _side("d", **{name: y})}
+             for x, y in zip(parent, change)]
+    out = _bench_record()._summary(pairs, [{"name": name, "better": better, "bound": 0.25}])
+    assert out[name]["verdict"] == verdict
+
+
+def test_bench_record_prints_every_verdict_but_held(tmp_path, monkeypatch, capsys):
+    module = _bench_record()
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    subprocess.run(["git", "init", "-q", str(parent)], check=True)
+
+    def run(checkout, workload, seed, seconds):
+        slow = 0.5 if checkout == module.HERE else 1.0
+        return {**_side("d", jobs_per_s=10.0 * slow, peak_rss_mb=40.0),
+                "attempted": 9, "git_sha": "", "src_sha256": ""}
+
+    monkeypatch.setattr(module, "_run", run)
+    monkeypatch.setattr(module, "_bytecode_caches", lambda checkout: [])
+    assert module.main(["--parent", str(parent), "--workloads", "exact_small",
+                        "--seeds", "1-3", "--out", str(tmp_path / "bench.json")]) == 0
+    err = capsys.readouterr().err
+    assert "exact_small jobs_per_s: worse (median 10 -> 5" in err
+    assert "peak_rss_mb" not in err
 
 
 _RESULT_LINES = (json.dumps({"detail": {"output_digest": "d",

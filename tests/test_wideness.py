@@ -6,13 +6,12 @@ from oracles import (ball_minimum_cover, brute_uqw, sets_partition_cover,
                      sets_wcol_of_order)
 from sparsekit.errors import (AlgorithmStallError, CapabilityError,
                               GraphInputError, PreconditionError)
-from sparsekit.graph import Graph
+from sparsekit.graph import Graph, bfs_distances
 from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
                                star_graph)
 from sparsekit.orders import (ORDER_NAMES, build_order, degeneracy_order,
-                              identity_order, wcol_of_order, wreach_clusters,
-                              wreach_sets)
+                              identity_order, wcol_of_order, wreach_sets)
 from sparsekit.rng import Rng
 from sparsekit.wideness import (Cover, PartitionCover, SeparatorCertificate,
                                 UqwCertificate, balanced_separator,
@@ -444,6 +443,60 @@ def test_separator_recounts_balls_near_vertices_entering_x():
     assert validate_separator(g, cert) == []
 
 
+def test_exchange_step_keeps_the_invariant():
+    # the lemma in `balanced_separator`'s docstring, on small random cases:
+    # if every r-ball in G-X is within budget, X2 is the part of some
+    # B within X-Y whose 2r-balls in G-Y are, and X' = (X-X2)|Y, then every
+    # r-ball in G-X' is within budget, with X, Y and B otherwise arbitrary
+    import random
+    rnd = random.Random(24)
+
+    def count(g, A, v, radius, keep):
+        return sum(1 for w in bfs_distances(g, (v,), radius, keep) if w in A)
+
+    for _ in range(300):
+        n = rnd.randint(2, 12)
+        p = rnd.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u) if rnd.random() < p])
+        V = frozenset(range(n))
+        r = rnd.randint(1, 2)
+        A = frozenset(rnd.sample(range(n), rnd.randint(1, n)))
+        budget = rnd.random() * len(A)
+        X = {v for v in V if rnd.random() < 0.5}
+        while heavy := [v for v in V - X if count(g, A, v, r, V - X) > budget]:
+            X.add(heavy[0])
+        Y = {v for v in V if rnd.random() < 0.3}
+        B = {v for v in X - Y if rnd.random() < 0.5}
+        X2 = {v for v in B if count(g, A, v, 2 * r, V - Y) <= budget}
+        outside = V - ((X - X2) | Y)
+        assert all(count(g, A, v, r, outside) <= budget for v in outside)
+
+
+def test_separator_counts_each_residual_ball_once(monkeypatch):
+    # the exchange once recounted, at every step, the r-balls near each
+    # vertex that entered or left X; it now counts each r-ball in G-S once,
+    # after the loop (the validator's own searches are not counted here)
+    import sparsekit.wideness as wideness
+    balls, before_check = [], []
+    bfs, validate = wideness.bfs_distances, wideness.validate_separator
+
+    def counting_bfs(g, sources, radius=None, active=None):
+        if radius == 1:
+            balls.append(tuple(sources))
+        return bfs(g, sources, radius, active)
+
+    def checking(g, cert):
+        before_check.append(len(balls))
+        return validate(g, cert)
+
+    monkeypatch.setattr(wideness, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(wideness, "validate_separator", checking)
+    g = grid_graph(30, 30)
+    cert = balanced_separator(g, range(900), 1, 0.1, degeneracy_order(g))
+    assert len(cert.S) == 7
+    assert sorted(balls[:before_check[0]]) == [(v,) for v in range(900) if v not in cert.S]
+
+
 # ------------------------------------------------------------------- covers
 
 def test_cover_path_frozen():
@@ -472,17 +525,6 @@ def test_cover_degree_bounded_by_wcol():
             cover = neighborhood_cover(g, r, pi)
             assert validate_cover(g, cover) == []
             assert cover.max_degree <= wcol_of_order(g, pi, 2 * r)
-
-
-def test_wreach_clusters_degree_identity():
-    # membership count of v across the full cluster family equals the size
-    # of v's weak-reach set
-    g = grid_graph(3, 4)
-    pi = degeneracy_order(g)
-    clusters = wreach_clusters(g, pi, 2)
-    sets = wreach_sets(g, pi, 2)
-    for v in range(g.n):
-        assert sum(v in vs for vs in clusters.values()) == len(sets[v])
 
 
 def test_validate_cover_rejects():

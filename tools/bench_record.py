@@ -9,10 +9,12 @@ parent and this checkout back to back, and alternates which goes first from
 seed to seed, so a slow stretch of the host falls on both sides alike.  The
 file records the commit and source hash of each side, the Python version,
 the CPU count, every run's end-to-end metrics and `output_digest`, and per
-workload and metric each side's median and quartiles and the number of
-pairs the change won.  `--parent` is a second checkout, a `git clone` of the
-parent commit, so that the file can name its commit; this checkout is the
-one the script lives in.  Standard library only.
+workload and metric each side's median and quartiles, the number of pairs
+the change won, and a verdict against the metric's bound (`unresolved`,
+`worse`, `better` or `held`); every verdict but `held` is also printed.
+`--parent` is a second checkout, a `git clone` of the parent commit, so
+that the file can name its commit; this checkout is the one the script
+lives in.  Standard library only.
 """
 
 from __future__ import annotations
@@ -94,15 +96,40 @@ def _summary(pairs: list, metrics: list) -> dict:
     out["failed_jobs"] = {side: sum(run["failed"] for run in runs)
                           for side, runs in finished.items()}
     for m in metrics:
-        name, higher = m["name"], m["better"] == "higher"
+        name = m["name"]
         if not ok or name not in ok[0]["parent"]["metrics"]:
             continue
-        a = [p["parent"]["metrics"][name] for p in ok]
-        b = [p["change"]["metrics"][name] for p in ok]
-        wins = sum((y > x) if higher else (y < x) for x, y in zip(a, b))
-        out[name] = {"better": m["better"], "parent": _spread(a), "change": _spread(b),
-                     "change_better_pairs": wins}
+        out[name] = _compare([p["parent"]["metrics"][name] for p in ok],
+                             [p["change"]["metrics"][name] for p in ok], m)
     return out
+
+
+def _compare(a: list, b: list, metric: dict) -> dict:
+    """One metric's parent runs `a` against the change's runs `b`, pair by
+    pair: each side's spread, the pairs the change won (a tie counts for
+    neither), and a verdict against the metric's relative `bound`:
+    `unresolved` when the parent's quartile distance exceeds bound times
+    its median and not every change run beats every parent run; `worse`
+    when the change's median is worse than the parent's by more than the
+    bound; `better` when the change wins at least 9 in 10 pairs and the
+    medians differ by more than the parent's quartile distance; `held`
+    otherwise."""
+    sign = 1 if metric["better"] == "higher" else -1
+    parent, change = _spread(a), _spread(b)
+    wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+    spread = parent["q3"] - parent["q1"]
+    allowed = metric["bound"] * abs(parent["median"])
+    gain = sign * (change["median"] - parent["median"])
+    if spread > allowed and min(sign * y for y in b) <= max(sign * x for x in a):
+        verdict = "unresolved"
+    elif gain < -allowed:
+        verdict = "worse"
+    elif 10 * wins >= 9 * len(a) and gain > spread:
+        verdict = "better"
+    else:
+        verdict = "held"
+    return {"better": metric["better"], "parent": parent, "change": change,
+            "change_better_pairs": wins, "verdict": verdict}
 
 
 def _git(checkout: Path, *args) -> str:
@@ -160,6 +187,15 @@ def main(argv=None) -> int:
         doc["workloads"][workload] = {"summary": _summary(pairs, bench["end_to_end"]),
                                       "pairs": pairs}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    for name, w in doc["workloads"].items():
+        for metric in (m["name"] for m in bench["end_to_end"]):
+            s = w["summary"].get(metric)
+            if s and s["verdict"] != "held":
+                print(f"{name} {metric}: {s['verdict']} (median {s['parent']['median']:.4g} "
+                      f"-> {s['change']['median']:.4g}, parent quartiles "
+                      f"{s['parent']['q1']:.4g}-{s['parent']['q3']:.4g}, change better in "
+                      f"{s['change_better_pairs']} of {w['summary']['pairs']} pairs)",
+                      file=sys.stderr)
     failed = {}
     for name, w in doc["workloads"].items():
         s = w["summary"]
