@@ -392,24 +392,11 @@ class BasicLocalSentence:
 
 # ------------------------------------------------------------ evaluation
 
-class _DistCache:
-    def __init__(self, g: Graph):
-        self.g = g
-        self._from = {}
-
-    def dist(self, u: int) -> dict:
-        got = self._from.get(u)
-        if got is None:
-            got = self._from[u] = bfs_distances(self.g, (u,))
-        return got
-
-    def within(self, u: int, d: int) -> list:
-        return sorted(w for w, dw in self.dist(u).items() if dw <= d)
-
-
 def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
-    """Plain recursive FO semantics; distance atoms by cached BFS; a
-    relativized quantifier ranges over the ball around its anchor."""
+    """Plain recursive FO semantics.  A distance atom and a relativized
+    quantifier read the ball of the radius they name around a vertex, found
+    by a BFS capped at that radius and kept for the call; no vertex is
+    within a negative radius."""
     want = free_vars(f)
     if set(env) != want:
         raise PreconditionError(
@@ -417,8 +404,14 @@ def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
     bad = foreign_vertices(g, env.values())
     if bad:
         raise PreconditionError("; ".join(bad))
-    cache = _DistCache(g)
+    balls = {}
     marked = frozenset(marked)
+
+    def within(u, d):
+        got = balls.get((u, d))
+        if got is None:
+            got = balls[u, d] = bfs_distances(g, (u,), d) if d >= 0 else {}
+        return got
 
     def ev(f, env):
         if isinstance(f, Lit):
@@ -428,8 +421,7 @@ def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
         if isinstance(f, Edge):
             return g.has_edge(env[f.a], env[f.b])
         if isinstance(f, DistLe):
-            d = cache.dist(env[f.a]).get(env[f.b])
-            return d is not None and d <= f.d
+            return env[f.b] in within(env[f.a], f.d)
         if isinstance(f, Pred):
             return env[f.a] in marked
         if isinstance(f, Not):
@@ -439,7 +431,7 @@ def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
         if isinstance(f, Or):
             return ev(f.left, env) or ev(f.right, env)
         if isinstance(f, Quant):
-            domain = (cache.within(env[f.anchor], f.d)
+            domain = (sorted(within(env[f.anchor], f.d))
                       if f.anchor is not None else range(g.n))
             hits = (ev(f.body, {**env, f.var: v}) for v in domain)
             return any(hits) if f.kind == "exists" else all(hits)

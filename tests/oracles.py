@@ -6,11 +6,12 @@ against code that shares none of its machinery.
 """
 
 import itertools
+from collections import deque
 from functools import lru_cache
 
 from sparsekit.errors import PreconditionError
 from sparsekit.graph import Graph, ball, bfs_distances, induced_subgraph
-from sparsekit.logic import DistLe, Edge, Eq, Or, Quant
+from sparsekit.logic import And, DistLe, Edge, Eq, Lit, Not, Or, Pred, Quant
 from sparsekit.orders import VertexOrder, wreach_sets
 from sparsekit.wideness import Cover, PartitionCover
 
@@ -378,3 +379,48 @@ def dominating_formula(k: int, r: int = 1):
     for x in reversed(xs):
         out = Quant("exists", x, None, None, out)
     return out
+
+
+def naive_eval(g: Graph, f, env: dict, marked=frozenset()) -> bool:
+    """First-order semantics by plain recursion over the formula nodes, with
+    every pairwise distance found up front by a BFS from each vertex; a
+    relativized quantifier ranges over the vertices within d of its anchor."""
+    dist = []
+    for s in range(g.n):
+        seen = {s: 0}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen[w] = seen[u] + 1
+                    queue.append(w)
+        dist.append(seen)
+
+    def near(a, b, d):
+        return b in dist[a] and dist[a][b] <= d
+
+    def ev(f, env):
+        if isinstance(f, Lit):
+            return f.value
+        if isinstance(f, Eq):
+            return env[f.a] == env[f.b]
+        if isinstance(f, Edge):
+            return env[f.b] in g.adj[env[f.a]]
+        if isinstance(f, DistLe):
+            return near(env[f.a], env[f.b], f.d)
+        if isinstance(f, Pred):
+            return env[f.a] in marked
+        if isinstance(f, Not):
+            return not ev(f.body, env)
+        if isinstance(f, And):
+            return ev(f.left, env) and ev(f.right, env)
+        if isinstance(f, Or):
+            return ev(f.left, env) or ev(f.right, env)
+        if isinstance(f, Quant):
+            values = [ev(f.body, {**env, f.var: v}) for v in range(g.n)
+                      if f.anchor is None or near(env[f.anchor], v, f.d)]
+            return any(values) if f.kind == "exists" else all(values)
+        raise TypeError(f"not a formula node: {f!r}")
+
+    return ev(f, env)

@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from oracles import (brute_distance_independent, brute_dominating_number,
-                     dominating_formula)
+                     dominating_formula, naive_eval)
 from sparsekit.errors import (CapabilityError, FormulaParseError,
                               FormulaScopeError, LocalityError,
                               PreconditionError)
@@ -199,6 +201,87 @@ def test_dominating_formula_on_cycle():
     assert eval_naive(g, dominating_formula(2), {})
     assert not eval_naive(g, dominating_formula(1), {})
     assert eval_naive(g, dominating_formula(1, r=2), {})
+
+
+def test_eval_matches_the_reference_evaluator(corpus_small):
+    # the reference shares no code with eval_naive: it finds every pairwise
+    # distance up front and filters all n vertices for a relativized range
+    rnd = random.Random(25)
+    for g in corpus_small[::10]:
+        marked = frozenset(v for v in range(g.n) if rnd.random() < 0.3)
+        for _ in range(20):
+            f = _random_formula(rnd, ["x", "y"], 3)
+            names = sorted(free_vars(f))
+            for values in itertools.product(range(g.n), repeat=len(names)):
+                env = dict(zip(names, values))
+                assert eval_naive(g, f, env, marked) == naive_eval(g, f, env, marked), \
+                    (to_text(f), env)
+
+
+def _radii(f) -> set:
+    """The radii a formula names: its distance atoms' and its relativized
+    quantifiers'."""
+    if isinstance(f, DistLe):
+        return {f.d}
+    if isinstance(f, Not):
+        return _radii(f.body)
+    if isinstance(f, (And, Or)):
+        return _radii(f.left) | _radii(f.right)
+    if isinstance(f, Quant):
+        return _radii(f.body) | ({f.d} if f.anchor is not None else set())
+    return set()
+
+
+def test_eval_searches_only_the_radii_the_formula_names(monkeypatch):
+    # the evaluator once ran an uncapped BFS from every vertex it was asked
+    # about
+    import sparsekit.logic as logic
+    real, radii = logic.bfs_distances, []
+
+    def recording(g, sources, radius=None, active=None):
+        radii.append(radius)
+        return real(g, sources, radius, active)
+
+    monkeypatch.setattr(logic, "bfs_distances", recording)
+    rnd = random.Random(3)
+    searched = 0
+    for g in (grid_graph(4, 5), Graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])):
+        for _ in range(60):
+            f = _random_formula(rnd, ["x"], 3)
+            env = {"x": rnd.randrange(g.n)} if free_vars(f) else {}
+            radii.clear()
+            eval_naive(g, f, env)
+            assert set(radii) <= _radii(f), (to_text(f), radii)
+            searched += len(radii)
+    assert searched > 100
+
+
+def test_eval_memory_follows_the_balls_it_reads():
+    # with a whole-graph BFS kept per vertex, the peak here was 141 MiB
+    g = random_tree(2000, seed=1)
+    f = parse_formula("forall x . exists y within 1 of x . (E(x,y) | x = y)")
+    tracemalloc.start()
+    try:
+        assert eval_naive(g, f, {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
+def test_eval_reads_odd_radii_as_before():
+    # only a hand-built formula holds a negative or fractional radius: no
+    # vertex is within -1 of another, and 1.5 reaches what 1 does
+    g = path_graph(4)
+    assert not eval_naive(g, DistLe("a", "b", -1), {"a": 0, "b": 0})
+    assert not eval_naive(g, Quant("exists", "y", "x", -1, Lit(True)), {"x": 0})
+    assert eval_naive(g, Quant("forall", "y", "x", -1, Lit(False)), {"x": 0})
+    for a, b in itertools.product(range(g.n), repeat=2):
+        env = {"a": a, "b": b}
+        assert eval_naive(g, DistLe("a", "b", 1.5), env) == (abs(a - b) <= 1)
+    far = Not(DistLe("x", "y", 1))
+    assert not eval_naive(g, Quant("exists", "y", "x", 1.5, far), {"x": 1})
+    assert eval_naive(g, Quant("exists", "y", "x", 2, far), {"x": 1})
 
 
 # --------------------------------------------------------------- locality

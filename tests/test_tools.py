@@ -261,3 +261,76 @@ def test_bench_record_refuses_an_empty_seed_list(tmp_path, capsys):
     assert e.value.code == 2
     assert "'5-1' names no seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _counting_runs(module, monkeypatch):
+    """Fake `_run` with a good result, and return the list it appends each
+    (workload, seed) to."""
+    runs = []
+
+    def run(checkout, workload, seed, seconds):
+        runs.append((workload, seed))
+        return {**_side("d", jobs_per_s=10.0), "attempted": 9, "git_sha": "", "src_sha256": ""}
+
+    monkeypatch.setattr(module, "_run", run)
+    monkeypatch.setattr(module, "_bytecode_caches", lambda checkout: [])
+    return runs
+
+
+def test_bench_record_refuses_an_unknown_workload_before_running(tmp_path, monkeypatch,
+                                                                 capsys):
+    # "bogus" once ran 2 x seeds harness runs that all failed, wrote a BENCH
+    # file and exited 1
+    module = _bench_record()
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    subprocess.run(["git", "init", "-q", str(parent)], check=True)
+    runs = _counting_runs(module, monkeypatch)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as e:
+        module.main(["--parent", str(parent), "--workloads", "exact_small,bogus",
+                     "--seeds", "1-2", "--out", str(out)])
+    assert e.value.code == 2
+    assert "unknown workload(s) bogus" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+
+
+def test_bench_record_calls_digests_equal_only_when_both_runs_finished(tmp_path,
+                                                                       monkeypatch, capsys):
+    # both runs of seed 1 fail; their missing digests once compared equal
+    hang = subprocess.TimeoutExpired(["perfbench/run.py"], 1800)
+    code, workload = _record_with_faked_runs(tmp_path, monkeypatch, {1: hang, 2: hang})
+    assert code == 1
+    err = capsys.readouterr().err
+    lines = {line.split(":")[0]: line for line in err.splitlines() if " seed " in line}
+    assert lines["exact_small seed 1"].endswith("digests equal: False")
+    assert lines["exact_small seed 2"].endswith("digests equal: True")
+
+
+def test_bench_record_refuses_a_checkout_another_recording_holds(tmp_path, monkeypatch,
+                                                                 capsys):
+    # the harness works in one fixed directory per checkout, so a second
+    # recording from it would delete the first one's files
+    import fcntl
+    import os
+    module = _bench_record()
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    subprocess.run(["git", "init", "-q", str(parent)], check=True)
+    runs = _counting_runs(module, monkeypatch)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(parent), "--workloads", "exact_small", "--seeds", "1",
+            "--out", str(out)]
+    held = os.open(parent, os.O_RDONLY)
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert module.main(argv) == 2
+    finally:
+        os.close(held)
+    assert f"another recording holds {parent}" in capsys.readouterr().err
+    assert runs == [] and not out.exists()
+    # once the lock is released, the recording runs, and it releases both
+    # checkouts when it ends
+    assert module.main(argv) == 0
+    assert len(runs) == 2
+    assert module.main(argv) == 0

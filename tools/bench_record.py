@@ -14,12 +14,16 @@ the change won, and a verdict against the metric's bound (`unresolved`,
 `worse`, `better` or `held`); every verdict but `held` is also printed.
 `--parent` is a second checkout, a `git clone` of the parent commit, so
 that the file can name its commit; this checkout is the one the script
-lives in.  Standard library only.
+lives in.  Each checkout is locked (`flock`) for the whole recording,
+because the harness works in one fixed directory per checkout and two
+recordings from it would delete each other's files.  Standard library only
+(POSIX, for `fcntl`).
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import platform
@@ -132,6 +136,18 @@ def _compare(a: list, b: list, metric: dict) -> dict:
             "change_better_pairs": wins, "verdict": verdict}
 
 
+def _lock(checkout: Path):
+    """A descriptor holding an exclusive lock on the checkout directory until
+    it is closed, or None when another process holds the lock."""
+    fd = os.open(checkout, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        os.close(fd)
+        return None
+    return fd
+
+
 def _git(checkout: Path, *args) -> str:
     proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else ""
@@ -145,6 +161,12 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--out", required=True)
     args = ap.parse_args(argv)
+    bench = json.loads((HERE / "BENCHMARK.json").read_text())
+    known = [w["name"] for w in bench["workloads"]]
+    unknown = [w for w in args.workloads.split(",") if w not in known]
+    if unknown:
+        ap.error(f"unknown workload(s) {', '.join(unknown)}; BENCHMARK.json declares "
+                 f"{', '.join(known)}")
 
     parent = Path(args.parent).resolve()
     caches = _bytecode_caches(parent) + _bytecode_caches(HERE)
@@ -157,7 +179,23 @@ def main(argv=None) -> int:
               "commit cannot be recorded; make the parent side with `git clone`",
               file=sys.stderr)
         return 2
-    bench = json.loads((HERE / "BENCHMARK.json").read_text())
+    locks = []
+    try:
+        for checkout in (parent, HERE):
+            fd = _lock(checkout)
+            if fd is None:
+                print(f"bench_record: another recording holds {checkout}; its harness "
+                      "runs would delete each other's files", file=sys.stderr)
+                return 2
+            locks.append(fd)
+        return _record(args, argv, parent, bench)
+    finally:
+        for fd in locks:
+            os.close(fd)
+
+
+def _record(args, argv, parent: Path, bench: dict) -> int:
+    """Run the pairs, write the BENCH file and return main's exit code."""
     doc = {
         "command": ["tools/bench_record.py", *(argv if argv is not None else sys.argv[1:])],
         "python": platform.python_version(),
@@ -181,7 +219,8 @@ def main(argv=None) -> int:
             pairs.append(pair)
             shown = {s: pair[s].get("metrics", {}).get("jobs_per_s", pair[s].get("error"))
                      for s in ("parent", "change")}
-            same = pair["parent"].get("output_digest") == pair["change"].get("output_digest")
+            same = ("error" not in pair["parent"] and "error" not in pair["change"]
+                    and pair["parent"]["output_digest"] == pair["change"]["output_digest"])
             print(f"{workload} seed {seed}: jobs_per_s {shown} digests equal: {same}",
                   file=sys.stderr, flush=True)
         doc["workloads"][workload] = {"summary": _summary(pairs, bench["end_to_end"]),
