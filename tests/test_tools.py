@@ -334,3 +334,19 @@ def test_bench_record_refuses_a_checkout_another_recording_holds(tmp_path, monke
     assert module.main(argv) == 0
     assert len(runs) == 2
     assert module.main(argv) == 0
+
+
+def test_bench_record_runs_a_checkout_against_itself(tmp_path, monkeypatch):
+    # a recording of one checkout on both sides measures the host's noise;
+    # it takes the checkout's lock once
+    import shutil
+    module = _bench_record()
+    here = tmp_path / "here"
+    here.mkdir()
+    subprocess.run(["git", "init", "-q", str(here)], check=True)
+    shutil.copy(ROOT / "BENCHMARK.json", here)
+    monkeypatch.setattr(module, "HERE", here)
+    runs = _counting_runs(module, monkeypatch)
+    assert module.main(["--parent", str(here), "--workloads", "exact_small", "--seeds", "1-2",
+                        "--out", str(tmp_path / "bench.json")]) == 0
+    assert len(runs) == 4

@@ -181,7 +181,7 @@ def main(argv=None) -> int:
         return 2
     locks = []
     try:
-        for checkout in (parent, HERE):
+        for checkout in dict.fromkeys((parent, HERE)):  # a side run against itself: one lock
             fd = _lock(checkout)
             if fd is None:
                 print(f"bench_record: another recording holds {checkout}; its harness "
