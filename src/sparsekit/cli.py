@@ -231,7 +231,8 @@ def cmd_separator(args, g, meta):
     result = {"r": args.r, "eps": args.eps,
               "separator_size": len(cert_obj.S),
               "worst_ball_fraction": cert_obj.worst_ball_fraction,
-              "iterations": cert_obj.iterations}
+              "heavy": cert_obj.heavy, "iterations": cert_obj.iterations,
+              "put_back": cert_obj.put_back}
     s = (f"|S| = {len(cert_obj.S)}, worst ball fraction "
          f"{cert_obj.worst_ball_fraction:.3f} <= {args.eps}")
     return result, cert_obj, s, True

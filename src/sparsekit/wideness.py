@@ -17,7 +17,7 @@ from .errors import (AlgorithmStallError, CapabilityError, PreconditionError,
                      raise_if_invalid)
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     least_independent, mask_ball, set_radius)
-from .orders import VertexOrder, WReachTable, _stream_clusters
+from .orders import VertexOrder, WReachTable, _check_order, _stream_clusters
 
 # Caps of the exhaustive uqw_brute: graph size, and size of the deletion sets.
 UQW_BRUTE_N_CAP = 18
@@ -62,6 +62,10 @@ class SeparatorCertificate:
     S: frozenset
     worst_ball_count: int
     iterations: int
+    # what the construction did, kept out of the JSON: |H|, and the number
+    # of vertices the put-back pass returned
+    heavy: int = 0
+    put_back: int = 0
 
     @property
     def worst_ball_fraction(self) -> float:
@@ -256,12 +260,21 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
 
 def balanced_separator(g: Graph, A, r: int, eps: float,
                        pi: VertexOrder) -> SeparatorCertificate:
-    """Exchange algorithm: maintain X such that every vertex outside X has a
-    sparse r-ball (at most eps*|A| members of A in G-X).  Each step extracts
-    a far-apart subset X' of X at radius 4r, keeps the part X'' whose
-    2r-balls are already sparse in G-Y, and trades X'' for the deletion set
-    Y.  Stops when a step no longer shrinks X; theory says that cannot
-    happen while |X| exceeds 4*(2cm)^c, so a stall up there is an error.
+    """Delete a set S so that every r-ball of G-S holds at most eps*|A|
+    members of A.
+
+    Heavy start: S starts as the heavy set H, the vertices whose r-ball in
+    G holds more than eps*|A| members of A.  Every other r-ball is sparse in
+    G, and deleting vertices only shrinks balls, so every vertex outside H
+    has a sparse r-ball in G-H.  When H is empty, S is empty: nothing is
+    exchanged and no weak-reach table is built.
+
+    Exchange: maintain X (from X = H) such that every vertex outside X has
+    a sparse r-ball in G-X.  Each step extracts a far-apart subset X' of X
+    at radius 4r, keeps the part X'' whose 2r-balls are already sparse in
+    G-Y, and trades X'' for the deletion set Y.  Stops when a step no
+    longer shrinks X; theory says that cannot happen while |X| exceeds
+    4*(2cm)^c, so a stall up there is an error.
 
     Every extraction runs on G at radius 4r, so the weak-reach table of G at
     that radius is built once: its largest set is c.  Each step takes a
@@ -277,7 +290,14 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
     r-ball in G-X' lies in its own 2r-ball in G-Y; if that ball meets some
     x in X'', it lies within 2r of x in G-Y; else it avoids X and Y, so it
     lies in v's old r-ball in G-X.  This uses only that X'' is a subset of
-    X, so any start set that meets the invariant keeps it."""
+    X, so the heavy start, which meets the invariant, keeps it.
+
+    Put-back: then each member s of X, in sorted order, returns to the
+    graph when every r-ball stays sparse with it; only the balls within r
+    of s can grow, so only those are recounted.  Returning a vertex only
+    grows balls, so a vertex refused once would be refused again at the
+    end: no single member of the S returned can be put back (S is
+    1-minimal)."""
     A = frozenset(A)
     if not A:
         raise PreconditionError("A must be nonempty")
@@ -289,24 +309,44 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         raise PreconditionError("r must be >= 1")
     if bad := foreign_vertices(g, A):
         raise PreconditionError("; ".join(bad))
+    _check_order(g, pi)
 
+    budget = eps * len(A)
+    counts = [_hits(g, A, v, r) for v in range(g.n)]
+    S = frozenset(v for v, hit in enumerate(counts) if hit > budget)
+    heavy = len(S)
+    iterations = put_back = 0
+    if S:
+        X, iterations = _exchange(g, A, S, r, eps, pi)
+        S = _put_back(g, A, r, budget, X)
+        put_back = len(X) - len(S)
+        outside = frozenset(range(g.n)) - S
+        counts = [_hits(g, A, v, r, outside) for v in outside]
+    cert = SeparatorCertificate(r, eps, A, S, max(counts, default=0), iterations,
+                                heavy, put_back)
+    raise_if_invalid(validate_separator(g, cert),
+                     "construction produced an invalid certificate", certificate=cert)
+    return cert
+
+
+def _hits(g: Graph, A: frozenset, v: int, radius: int, active=None) -> int:
+    """The members of A in the radius-ball of v inside `active`."""
+    return sum(1 for w in bfs_distances(g, (v,), radius, active) if w in A)
+
+
+def _exchange(g: Graph, A: frozenset, X: frozenset, r: int, eps: float, pi: VertexOrder):
+    """The exchange loop of `balanced_separator` from X; returns (X, steps)."""
     table = WReachTable(g, pi, 4 * r)
     c = table.wcol()
     m = int(1 / eps) + c + 1
     n_theory = 4 * (2 * c * m) ** c
     budget = eps * len(A)
-
-    X = frozenset(range(g.n))
     iterations = 0
     while X:
         Y, B = _extract(X, m, c, table)
         table.rollback()
         keep = frozenset(range(g.n)) - Y
-        X2 = set()
-        for v in sorted(B):
-            hit = sum(1 for w in bfs_distances(g, (v,), 2 * r, keep) if w in A)
-            if hit <= budget:
-                X2.add(v)
+        X2 = {v for v in sorted(B) if _hits(g, A, v, 2 * r, keep) <= budget}
         if len(X2) <= len(Y):
             if len(X) > n_theory:
                 raise AlgorithmStallError(
@@ -316,14 +356,18 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
             break
         X = (X - X2) | Y
         iterations += 1
+    return X, iterations
 
-    outside = frozenset(range(g.n)) - X
-    worst = max((sum(1 for w in bfs_distances(g, (v,), r, outside) if w in A)
-                 for v in outside), default=0)
-    cert = SeparatorCertificate(r, eps, A, X, worst, iterations)
-    raise_if_invalid(validate_separator(g, cert),
-                     "construction produced an invalid certificate", certificate=cert)
-    return cert
+
+def _put_back(g: Graph, A: frozenset, r: int, budget: float, S: frozenset) -> frozenset:
+    """The put-back pass of `balanced_separator`: S minus the members, in
+    sorted order, whose return keeps every r-ball within budget."""
+    keep = set(range(g.n)) - S
+    for s in sorted(S):
+        keep.add(s)
+        if any(_hits(g, A, v, r, keep) > budget for v in bfs_distances(g, (s,), r, keep)):
+            keep.discard(s)
+    return frozenset(range(g.n)) - keep
 
 
 # ------------------------------------------------------------------- covers
@@ -399,11 +443,13 @@ def validate_uqw(g: Graph, cert: UqwCertificate) -> list:
         out.append("B is not contained in A minus S")
     active = frozenset(range(g.n)) - cert.S
     listed = sorted(cert.B)
+    position = {b: i for i, b in enumerate(listed)}
     for i, b in enumerate(listed):
         dist = bfs_distances(g, (b,), cert.r, active)
-        for other in listed[i + 1:]:
-            if other in dist:
-                out.append(f"{b} and {other} are only {dist[other]} apart in G-S")
+        # the members of B above b in its r-ball, in sorted order
+        for j in sorted(position[w] for w in dist if position.get(w, -1) > i):
+            other = listed[j]
+            out.append(f"{b} and {other} are only {dist[other]} apart in G-S")
     if cert.guarantee_applies:
         if len(cert.S) > cert.wcol_bound:
             out.append(f"|S| = {len(cert.S)} exceeds the bound {cert.wcol_bound}")

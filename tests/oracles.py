@@ -10,7 +10,8 @@ from collections import deque
 from functools import lru_cache
 
 from sparsekit.errors import PreconditionError
-from sparsekit.graph import Graph, ball, bfs_distances, induced_subgraph
+from sparsekit.graph import (Graph, ball, bfs_distances, foreign_vertices,
+                            induced_subgraph)
 from sparsekit.logic import And, DistLe, Edge, Eq, Lit, Not, Or, Pred, Quant
 from sparsekit.orders import VertexOrder, wreach_sets
 from sparsekit.wideness import Cover, PartitionCover
@@ -348,6 +349,30 @@ def brute_uqw(g: Graph, A, r: int, s_max: int):
                 best = (frozenset(S), frozenset(old_ids[i] for i in B))
                 k += 1
     return best
+
+
+def pairwise_uqw_violations(g: Graph, cert) -> list:
+    """`validate_uqw` as it was written first: each member of B is compared
+    with every later member, |B|^2/2 checks, so the one-search-per-member
+    validator can be held to the same violation list in the same order."""
+    out = foreign_vertices(g, cert.A | cert.S | cert.B)
+    if cert.S & cert.B:
+        out.append(f"S and B overlap: {sorted(cert.S & cert.B)}")
+    if not cert.B <= cert.A - cert.S:
+        out.append("B is not contained in A minus S")
+    active = frozenset(range(g.n)) - cert.S
+    listed = sorted(cert.B)
+    for i, b in enumerate(listed):
+        dist = bfs_distances(g, (b,), cert.r, active)
+        for other in listed[i + 1:]:
+            if other in dist:
+                out.append(f"{b} and {other} are only {dist[other]} apart in G-S")
+    if cert.guarantee_applies:
+        if len(cert.S) > cert.wcol_bound:
+            out.append(f"|S| = {len(cert.S)} exceeds the bound {cert.wcol_bound}")
+        if len(cert.B) < cert.m:
+            out.append(f"|B| = {len(cert.B)} below the target {cert.m}")
+    return out
 
 
 def brute_dominating_number(g: Graph, r: int) -> int:

@@ -21,7 +21,8 @@ verdict now is pinned under `changed`.
 From the repository root, `PYTHONPATH=src python tests/test_certificate_verdicts.py`
 re-takes the whole pin, and with `--declare` it records under `changed` the
 current verdict of every case that differs and matches `DECLARED`, and
-refuses (exit 1) when some other case differs.
+refuses (exit 1) when some other case differs; it also re-takes the `--out`
+document shas, and names on stderr each one that moved.
 """
 
 import contextlib
@@ -91,6 +92,10 @@ DECLARED = (
     (r"^(minor|density)/h\.(n=(1\.5|x|\[\])|edges=x)$", "a graph h whose vertex count or "
      "edge endpoint is no JSON integer is refused as graph input (graph_input), not "
      "when the graph is built (precondition)"),
+    (r"^separator/Sshortened$", "the separator starts from the heavy set and puts back "
+     "what it does not need, so S = {0} on the star is 1-minimal: dropping its one "
+     "member leaves the heavy center ball (exit 1), where the old S = {0, 9} lost 9 "
+     "and stayed valid"),
 )
 
 
@@ -226,6 +231,10 @@ def main(argv):
             print("undeclared verdict changes:\n  " + "\n  ".join(stray), file=sys.stderr)
             return 1
         pin["changed"] = {c: verdicts[c] for c in sorted(differ)}
+        moved = sorted(k for k in outs if pin["out"].get(k) != outs[k])
+        if moved:
+            print("--out documents re-taken: " + ", ".join(moved), file=sys.stderr)
+        pin["out"] = outs
     else:
         pin = {"out": outs, "verdicts": verdicts, "changed": {}}
     PIN.write_text(json.dumps(pin, indent=0, sort_keys=True) + "\n")

@@ -347,6 +347,18 @@ def test_an_eps_whose_reciprocal_overflows_is_a_precondition_error():
     assert code == 0 and doc["result"]["eps"] == 1e-300
 
 
+def test_separator_of_a_grid_with_no_heavy_ball_is_empty():
+    # every radius-1 ball of the 6x6 grid holds at most 5 of 36 vertices,
+    # within the budget of 7.2; the exchange from S = V once reported all 36
+    code, doc, _ = run_cli("separator", '{"family":"grid","rows":6,"cols":6}',
+                           "--r", "1", "--eps", "0.2")
+    assert code == 0
+    assert doc["result"] == {"r": 1, "eps": 0.2, "separator_size": 0,
+                             "worst_ball_fraction": 5 / 36, "heavy": 0,
+                             "iterations": 0, "put_back": 0}
+    assert doc["certificate"]["S"] == []
+
+
 def test_cap_exit_3():
     code, doc, _ = run_cli("treedepth", '{"family":"grid","rows":5,"cols":5}')
     assert code == 3

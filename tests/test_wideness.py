@@ -2,14 +2,14 @@ import hashlib
 
 import pytest
 
-from oracles import (ball_minimum_cover, brute_uqw, sets_partition_cover,
-                     sets_wcol_of_order)
+from oracles import (ball_minimum_cover, brute_uqw, pairwise_uqw_violations,
+                     sets_partition_cover, sets_wcol_of_order)
 from sparsekit.errors import (AlgorithmStallError, CapabilityError,
                               GraphInputError, PreconditionError)
 from sparsekit.graph import Graph, bfs_distances
 from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
-                               star_graph)
+                               star_graph, subdivide)
 from sparsekit.orders import (ORDER_NAMES, build_order, degeneracy_order,
                               identity_order, wcol_of_order, wreach_sets)
 from sparsekit.rng import Rng
@@ -111,9 +111,7 @@ def test_uqw_brute_never_worse_than_extraction():
 
 # sha256 of emit_json(cert.to_json()) for uqw_brute(g, A, r, 1, s_max=3),
 # taken when uqw_brute searched each S with a memoized maximum independent
-# set; A is every vertex ("all") or the vertices not 1 mod 3.  These pins,
-# PINNED_CERTIFICATES and the 40-grid pin were re-taken when certificates
-# lost their `verified` key; `repin_wideness.py` shows nothing else moved.
+# set; A is every vertex ("all") or the vertices not 1 mod 3.
 PINNED_UQW_BRUTE = {
     ("path18", 1, "all"): "2c0ad37d262c4fdc7e279d89cf8c275e10e5362deead263d561be50f7cf5e778",
     ("path18", 1, "not1mod3"): "162c180a4cf29f64a3b6e511d099d36720e672224e46fc6d5637b98eb1466c73",
@@ -189,6 +187,29 @@ def test_validate_uqw_rejects():
     assert any("exceeds" in v for v in bad) and any("below" in v for v in bad)
 
 
+def test_validate_uqw_matches_the_pairwise_check(corpus_small):
+    # one search per member of B gives the violations of comparing every
+    # pair, in the same order: on valid certificates and on forged ones
+    rng = Rng(11)
+    cases = []
+    for g in corpus_small[::30] + [grid_graph(12, 12), random_tree(300, seed=1),
+                                   gnd_graph(300, 3.0, seed=1)]:
+        pi = degeneracy_order(g)
+        for r in (1, 2):
+            cases.append((g, uqw_extract(g, range(g.n), r, 2, pi)))
+            for p_s, p_b in ((0.0, 0.5), (0.1, 0.3), (0.05, 0.9)):
+                S = frozenset(v for v in range(g.n) if rng.next_float() < p_s)
+                B = frozenset(v for v in range(g.n) if rng.next_float() < p_b)
+                A = frozenset(v for v in range(g.n) if rng.next_float() < 0.8) | B
+                cases.append((g, UqwCertificate(r, 3, A, S, B, 1, rng.next_float() < 0.5)))
+    many = 0
+    for g, cert in cases:
+        want = pairwise_uqw_violations(g, cert)
+        assert validate_uqw(g, cert) == want, (g.n, cert)
+        many = max(many, len(want))
+    assert many > 1000
+
+
 def test_uqw_json_round_trip():
     g = path_graph(10)
     cert = uqw_extract(g, range(10), 2, 2, identity_order(10))
@@ -205,7 +226,8 @@ def test_separator_star_frozen():
     assert sorted(cert.S) == [0]
     assert cert.worst_ball_count == 1
     assert cert.worst_ball_fraction == pytest.approx(0.01)
-    assert cert.iterations == 1
+    # the center alone is heavy, and no step of the exchange shrinks {0}
+    assert (cert.heavy, cert.iterations, cert.put_back) == (1, 0, 0)
     assert validate_separator(g, cert) == []
 
 
@@ -216,14 +238,14 @@ def test_separator_star_trivial_eps():
     assert validate_separator(g, cert) == []
 
 
-def test_separator_may_stop_with_everything_deleted():
-    # below the theory threshold the exchange loop may stall immediately;
-    # S = V is then still a valid (if useless) certificate
+def test_separator_of_a_balanced_graph_is_empty():
+    # at eps = 1 no ball is heavy, so nothing is exchanged or deleted (the
+    # exchange from S = V once stalled at once and returned all of P10)
     g = path_graph(10)
     cert = balanced_separator(g, range(10), 1, 1.0, identity_order(10))
-    assert cert.S == frozenset(range(10))
-    assert cert.iterations == 0
-    assert cert.worst_ball_count == 0
+    assert cert.S == frozenset()
+    assert (cert.heavy, cert.iterations, cert.put_back) == (0, 0, 0)
+    assert cert.worst_ball_count == 3
     assert validate_separator(g, cert) == []
 
 
@@ -279,12 +301,15 @@ PIN_GRAPHS = {
     "gnd300": lambda: gnd_graph(300, 3.0, seed=1),
     "tree2000": lambda: random_tree(2000, seed=1),
     "grid30": lambda: grid_graph(30, 30),
+    "k10sub": lambda: subdivide(complete_graph(10), 1),
+    "k14sub": lambda: subdivide(complete_graph(14), 1),
 }
 
 # sha256 of emit_json(cert.to_json()), degeneracy order, A = all vertices.
 # A "uqw" case is the first extraction of the separator with the same r and
 # eps (radius 4r, m = int(1/eps) + wcol_4r + 1); unlike a plain small-m
-# extraction on these graphs, it deletes vertices.
+# extraction on these graphs, it deletes vertices.  On the subdivided
+# cliques every ball is heavy, so the exchange and the put-back both run.
 PINNED_CERTIFICATES = {
     ("grid12", "uqw", 1, 0.1): "57da6b951b444684fb0ca9d11a6c720f90836a1152af2a30bea375374eb98500",
     ("grid12", "uqw", 1, 0.2): "f9b91389cbbb6542db3ed47673afc3eb8814a25bb3968c4b688ad375da56c209",
@@ -298,24 +323,28 @@ PINNED_CERTIFICATES = {
     ("gnd300", "uqw", 1, 0.2): "64c0f9fe33511b136aebf15d3f4fd36419e211b2d7c6681ea52e33cee9c3488f",
     ("gnd300", "uqw", 2, 0.1): "b658ec57eee9286ece5345cd90452ddf60700f03b34f092698cb087b578c6bdc",
     ("gnd300", "uqw", 2, 0.2): "ae628e68346159bbf6568737ecdc4551ffdcb84defa60653925b34463e32b75b",
-    ("grid12", "separator", 1, 0.1): "1997d25be3c39687e6dcd48164465768606bccef0c349f17fcaf3d93ac120664",
-    ("grid12", "separator", 1, 0.2): "5a2364547beb18393d80528066092520f66ec890ecd9791bc007eb30d99f4ced",
-    ("grid12", "separator", 2, 0.1): "5ec362643db41de764375a3a61be1765e26cec31dca605082924dd72d1b691f9",
-    ("grid12", "separator", 2, 0.2): "9e25771d0d03bf9d18692ef45bc756db94703967ec53908735e68aa191e0603e",
-    ("tree300", "separator", 1, 0.1): "621809e53bc7a59f43636fb8d64cd035b916e41653e1ff079c70f23086e3ec71",
-    ("tree300", "separator", 1, 0.2): "f8c8d402f3390e7f32a8bd7914a0ff2ef9f80b74077069ed6f0f1681f5d8bdb7",
-    ("tree300", "separator", 2, 0.1): "f45dba77f1ab69f2616dc8ab25d6803c76873317766bf43e7858337301cccf9b",
-    ("tree300", "separator", 2, 0.2): "4a46a510e7e2f51654adf907348b55036882b5896173042854c6f22bcd6cdca6",
-    ("gnd300", "separator", 1, 0.1): "a4948566dec7fd01ddcf1e0138391d4b0f10b531e952cfb1d507d855ed9c4adb",
-    ("gnd300", "separator", 1, 0.2): "ea378adae046d8dadc76c212481d6c497ed1bff272b4c904c871c1840e3ec281",
-    ("gnd300", "separator", 2, 0.1): "4495177ffbf3c931e1dc91aa09ab8655d9a5883ada9599053e4c6187e3a6b8cb",
-    ("gnd300", "separator", 2, 0.2): "50462cdf9b5351cd3d15133b0a29c01c8e682c44c92ebb5cab55bcce5fe66e80",
-    ("tree2000", "separator", 1, 0.1): "018deb654813db380c10eec0706a76afdaa3c82211ff7fe23e11e9824f38761a",
-    ("tree2000", "separator", 1, 0.2): "210c1a49c11928cb5408bce69e9b80201f5e6f3ece883ee4d99af208e7bc5081",
-    ("tree2000", "separator", 2, 0.1): "168803d5bf305e2d812230aeb446fbe3814e78184234ccf06c135ab7d90603f7",
-    ("grid30", "separator", 1, 0.1): "aa14289a10d12c817ad8e46a91e989b3191c2d895145cfe228b1263b4a4cfb89",
-    ("grid30", "separator", 1, 0.2): "e34d7a8b3606bec0c6cd528f71052aeba833a02c488fa15c990a2161fbacd7d1",
-    ("grid30", "separator", 2, 0.1): "baebb349b89abfad6028b87d7220426eb6d9f6b32fd17acb0f0ab2e37b7fb243",
+    ("grid12", "separator", 1, 0.1): "8ffc89497b027f2ba7cc2ee12df9ab993a2292442ac4dc5084b47b5dbbe4c4d4",
+    ("grid12", "separator", 1, 0.2): "0ac26cdd571f4c3b0122c2007990c0ca21a77caeee5aa44e370a451c43e24a56",
+    ("grid12", "separator", 2, 0.1): "daa1cd8eafae3cb09dfa19b9dd5cdd196533d7b135aa7c69df4b19de5a735caa",
+    ("grid12", "separator", 2, 0.2): "8f9e84da749f7bccaee3c4b33badfef3f667082a1670c514bd927d65a8459fd8",
+    ("tree300", "separator", 1, 0.1): "214d7e1f312025426c9735487f0490903b76bd4497581e92d9c76ed410e0b507",
+    ("tree300", "separator", 1, 0.2): "33f15786440ec471bc0e2ecce5ae4f856e294c6d1cc1333f712d663df814378d",
+    ("tree300", "separator", 2, 0.1): "ab59a859beab6dac3d4c6230522f34d6ab41c25af95578b4f632e587662cdf16",
+    ("tree300", "separator", 2, 0.2): "5efc3c4414a254232ed0bb6361e4907dc6e9b3be13f947bec9e6a64dae5f270c",
+    ("gnd300", "separator", 1, 0.1): "1c2db08fa3d2bdf384a0f8ebc1d28e62e2f1b345825f88e89c52b15f6f147dd0",
+    ("gnd300", "separator", 1, 0.2): "ba0019802f46fa235c5e6fbe59584fee0ce121a0b8ba0f55a70e0a1e19bf8b31",
+    ("gnd300", "separator", 2, 0.1): "ea3e8d171b8275acf90a10b61454b3e6de3765b5376728ad84c3d98725cd9afa",
+    ("gnd300", "separator", 2, 0.2): "da1fd36322e5ba04cec09d67691419e57f72a3af54990c950268c324502d6bfc",
+    ("tree2000", "separator", 1, 0.1): "6d3c402d87dfbd43e5b8a716af141883d5be4c3afda405a983d9b55c739f2f0c",
+    ("tree2000", "separator", 1, 0.2): "8d36f5af62555e648c472346c49653bb983ef21e35437075c29824ddb45abf57",
+    ("tree2000", "separator", 2, 0.1): "9fdda01a01dc398a2582569605f941f9a9130707b50c82465d16b7e235163965",
+    ("grid30", "separator", 1, 0.1): "2cf94559a4918c6f76df757dc369d475f19eecf385a90c8485b3e51775e5fb39",
+    ("grid30", "separator", 1, 0.2): "d5590aafdb5d20277b8977b341a85adaf41459ea4cf44889631ba8a34474b1f8",
+    ("grid30", "separator", 2, 0.1): "aad2cd77e8739b629a5dc699093cb2356f74dfbf687587367fde0694b54c7e39",
+    ("k10sub", "separator", 2, 0.1): "ecfd231ceffd686ced4569f9404e7e97a362af7fabd1a93af478edf148b46e00",
+    ("k10sub", "separator", 1, 0.02): "8c6e3b8d21eccff77c1b2ad541143f4d478dc2126c2fe273fa5ce02d34e03e4b",
+    ("k14sub", "separator", 2, 0.1): "5c1b75df0374f10e53f18bd1966951c103da1a37c2bb9e967f17bad382ce81df",
+    ("k14sub", "separator", 1, 0.02): "f02ceb2eb07fae6d7c2969d46c0cc76873e8fd6c677624f57a5af8a123862482",
 }
 
 
@@ -341,7 +370,7 @@ def test_certificates_pinned(name):
 def test_separator_on_the_40_grid_pinned():
     g = grid_graph(40, 40)
     cert = balanced_separator(g, range(g.n), 1, 0.1, degeneracy_order(g))
-    assert _digest(cert) == "9b2dc2b0fce2a2bc63ec31b9ace719518dc1056230fc7a65c9b36f51ae0464d1"
+    assert _digest(cert) == "764ae72b21f2fce6c6e77eba280152d4705b39c3ea7e7511222009392b7b618f"
 
 
 # sha256 of emit_json(cert.to_json()) under the greedy and identity orders,
@@ -352,29 +381,29 @@ def test_separator_on_the_40_grid_pinned():
 # give the same certificates with the sets alone.
 PINNED_ORDER_CERTIFICATES = {
     ("grid12", "greedy", "uqw", 1): "3d3097c8781319e88452cff8498ef168c8cb0253ddabc0cc2c0d242953794ace",
-    ("grid12", "greedy", "separator", 1): "b676acf56a9c4b14ad9a1bfa6c2531d5f9e267152499b7f8c2b63c27c3aba419",
+    ("grid12", "greedy", "separator", 1): "8ffc89497b027f2ba7cc2ee12df9ab993a2292442ac4dc5084b47b5dbbe4c4d4",
     ("grid12", "greedy", "uqw", 2): "459b649a72a3a0a610d10c1e87d6347a5b64516c5eb09cdeae5c9c72b08cf418",
-    ("grid12", "greedy", "separator", 2): "5ec362643db41de764375a3a61be1765e26cec31dca605082924dd72d1b691f9",
+    ("grid12", "greedy", "separator", 2): "daa1cd8eafae3cb09dfa19b9dd5cdd196533d7b135aa7c69df4b19de5a735caa",
     ("grid12", "identity", "uqw", 1): "c1635c0e57f7b1730510978b3eb823c9a6ef5f4b7dae22303848374474a71a09",
-    ("grid12", "identity", "separator", 1): "1997d25be3c39687e6dcd48164465768606bccef0c349f17fcaf3d93ac120664",
+    ("grid12", "identity", "separator", 1): "8ffc89497b027f2ba7cc2ee12df9ab993a2292442ac4dc5084b47b5dbbe4c4d4",
     ("grid12", "identity", "uqw", 2): "a7cacdf0ed20ca4c4e910fd92ca054ffacc32c113c98db775553b8259900e3d1",
-    ("grid12", "identity", "separator", 2): "5ec362643db41de764375a3a61be1765e26cec31dca605082924dd72d1b691f9",
+    ("grid12", "identity", "separator", 2): "daa1cd8eafae3cb09dfa19b9dd5cdd196533d7b135aa7c69df4b19de5a735caa",
     ("tree300", "greedy", "uqw", 1): "5a061edb7f374dcd77c3473c19b40a52fcd9281b6edfcd7a060983c50ce1f0f6",
-    ("tree300", "greedy", "separator", 1): "638df6d3a1a06550ee2ec58c5fc071c7c73ddecca8f444cb0ff3900c98cc5d75",
+    ("tree300", "greedy", "separator", 1): "214d7e1f312025426c9735487f0490903b76bd4497581e92d9c76ed410e0b507",
     ("tree300", "greedy", "uqw", 2): "f13c9eaa9fabc45f351248b4752c1ca8540000be8422cf3a1f0501a49b9e9d33",
-    ("tree300", "greedy", "separator", 2): "0b142e84c0af8fd4c6861d6617e7b805887f838a6acde86981b6a0881f659b1f",
+    ("tree300", "greedy", "separator", 2): "ab59a859beab6dac3d4c6230522f34d6ab41c25af95578b4f632e587662cdf16",
     ("tree300", "identity", "uqw", 1): "a2719f48353a71f5e44c9672858372f73c5907f14d70bb72a9964f0718580fc6",
-    ("tree300", "identity", "separator", 1): "a07669897e27324b0759ff3ec061446031745c3aa198a2f445ea95354a60799a",
+    ("tree300", "identity", "separator", 1): "214d7e1f312025426c9735487f0490903b76bd4497581e92d9c76ed410e0b507",
     ("tree300", "identity", "uqw", 2): "336333e55093f71f136bbd993ac112634477d14509c175f478f078321e0c966e",
-    ("tree300", "identity", "separator", 2): "2d2df454da25b9c6245df527b1a6a95223f39f1defdefe2379598ac342c89890",
+    ("tree300", "identity", "separator", 2): "ab59a859beab6dac3d4c6230522f34d6ab41c25af95578b4f632e587662cdf16",
     ("gnd300", "greedy", "uqw", 1): "53637e6cc1cace3ec7e82e8fa62642e7951410f846b68eccfd8f4ac7ebf76f5e",
-    ("gnd300", "greedy", "separator", 1): "b7e728fe7fff5d9c8921b8b1f44a775a17e90edc9ad0343e92d8f7743a6a2ec5",
+    ("gnd300", "greedy", "separator", 1): "1c2db08fa3d2bdf384a0f8ebc1d28e62e2f1b345825f88e89c52b15f6f147dd0",
     ("gnd300", "greedy", "uqw", 2): "58c8463f8994e3122d48c86cef5e5cf1b01bf98e5d05c0b897f65d5dfe090dfc",
-    ("gnd300", "greedy", "separator", 2): "4495177ffbf3c931e1dc91aa09ab8655d9a5883ada9599053e4c6187e3a6b8cb",
+    ("gnd300", "greedy", "separator", 2): "ea3e8d171b8275acf90a10b61454b3e6de3765b5376728ad84c3d98725cd9afa",
     ("gnd300", "identity", "uqw", 1): "3652ecbf6a2f64cf69f0c9e3d82029e6a84e2a8d390ea42e2e088af1ce7b0bcb",
-    ("gnd300", "identity", "separator", 1): "66de7a09b95c8f927fe0d5c3ebef2a5ad2397be37993a4b219dabcf239b16765",
+    ("gnd300", "identity", "separator", 1): "1c2db08fa3d2bdf384a0f8ebc1d28e62e2f1b345825f88e89c52b15f6f147dd0",
     ("gnd300", "identity", "uqw", 2): "aa253156828756799570b7df93e3bfe5bf24eaf3a580e88d0676da3ada23defc",
-    ("gnd300", "identity", "separator", 2): "4495177ffbf3c931e1dc91aa09ab8655d9a5883ada9599053e4c6187e3a6b8cb",
+    ("gnd300", "identity", "separator", 2): "ea3e8d171b8275acf90a10b61454b3e6de3765b5376728ad84c3d98725cd9afa",
 }
 
 
@@ -395,7 +424,7 @@ def test_certificates_under_other_orders_pinned(name):
 
 def test_separator_checks_only_the_certificate_it_returns(monkeypatch):
     # each exchange step takes a plain (S, B) from the extraction core; it
-    # once built a uqw certificate per step and validated it (36 times here)
+    # once built a uqw certificate per step and validated it
     import sparsekit.orders as orders
     import sparsekit.wideness as wideness
     calls = {"validate_uqw": 0, "validate_separator": 0, "wcol": 0}
@@ -410,8 +439,9 @@ def test_separator_checks_only_the_certificate_it_returns(monkeypatch):
         monkeypatch.setattr(wideness, name, counting(name, getattr(wideness, name)))
     monkeypatch.setattr(orders.WReachTable, "wcol",
                         counting("wcol", orders.WReachTable.wcol))
-    g = grid_graph(30, 30)
-    balanced_separator(g, range(900), 1, 0.1, degeneracy_order(g))
+    g = subdivide(complete_graph(10), 1)
+    cert = balanced_separator(g, range(g.n), 2, 0.1, degeneracy_order(g))
+    assert cert.iterations >= 1
     assert calls == {"validate_uqw": 0, "validate_separator": 1, "wcol": 1}
 
 
@@ -430,17 +460,81 @@ def test_returned_certificates_are_checked(monkeypatch, build, validator):
     assert "certificate" in e.value.state
 
 
-def test_separator_recounts_balls_near_vertices_entering_x():
-    # the deletion set Y holds vertices outside X here; a ball count kept
-    # from before Y entered X reads high, and the recorded worst with it
-    g = random_tree(59, seed=713)
-    A = [1, 2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 14, 15, 17, 18, 22, 24, 25, 28, 29, 30,
-         31, 33, 34, 36, 37, 38, 39, 40, 42, 43, 44, 45, 47, 48, 49, 50, 51, 52, 55, 56, 57]
-    cert = balanced_separator(g, A, 1, 0.3, identity_order(g.n))
-    assert sorted(cert.S) == [0, 1, 3, 8, 11, 12, 16, 20, 22, 26, 27, 28, 30, 31, 32, 34,
-                              36, 39, 48, 57, 58]
-    assert (cert.worst_ball_count, cert.iterations) == (2, 4)
+def test_separator_recounts_balls_near_vertices_entering_x(monkeypatch):
+    # the deletion set Y of the one exchange step holds vertices outside X
+    # here; a ball count kept from before Y entered X reads high, and the
+    # recorded worst with it
+    import sparsekit.wideness as wideness
+    extract, entering = wideness._extract, []
+
+    def spying(X, m, c, table):
+        Y, B = extract(X, m, c, table)
+        entering.append(sorted(Y - X))
+        return Y, B
+
+    monkeypatch.setattr(wideness, "_extract", spying)
+    g = random_tree(34, seed=1281)
+    A = [8, 9, 11, 14, 20, 23, 24, 26, 30, 31, 33]
+    cert = balanced_separator(g, A, 2, 0.1, identity_order(g.n))
+    assert entering[0] == [6, 10, 13]
+    assert sorted(cert.S) == [0, 8, 17, 26, 30, 31]
+    assert (cert.worst_ball_count, cert.iterations) == (1, 1)
+    assert (cert.heavy, cert.put_back) == (21, 10)
     assert validate_separator(g, cert) == []
+
+
+def _balanced(g, A, r, eps, S) -> bool:
+    """Whether deleting S leaves every r-ball within the budget."""
+    probe = SeparatorCertificate(r, eps, frozenset(A), frozenset(S), 0, 0)
+    return not any("above eps" in v for v in validate_separator(g, probe))
+
+
+def test_separator_is_empty_exactly_when_nothing_is_needed_and_is_1_minimal(corpus_small):
+    # S is empty exactly when the empty set is balanced, and no single
+    # member of S can be put back: deleting S minus s leaves a heavy ball
+    rng = Rng(26)
+    graphs = corpus_small[::25] + [f() for f in PIN_GRAPHS.values()]
+    runs = nonempty = 0
+    for g in graphs:
+        pi = degeneracy_order(g)
+        subset = [v for v in range(g.n) if rng.next_float() < 0.5] or [0]
+        for A in (range(g.n), subset):
+            for r, eps in ((1, 0.1), (1, 0.5), (2, 0.2)) if g.n < 200 else ((1, 0.1),):
+                cert = balanced_separator(g, A, r, eps, pi)
+                runs += 1
+                assert (cert.S == frozenset()) == _balanced(g, A, r, eps, ()), (g.n, r, eps)
+                nonempty += bool(cert.S)
+                for s in sorted(cert.S):
+                    assert not _balanced(g, A, r, eps, cert.S - {s}), (g.n, r, eps, s)
+    assert nonempty > 200 and runs - nonempty > 10, (nonempty, runs)
+
+
+def test_separator_builds_no_weak_reach_table_without_a_heavy_ball(monkeypatch):
+    import sparsekit.wideness as wideness
+    built = []
+
+    class Counting(wideness.WReachTable):
+        def __init__(self, g, order, r):
+            built.append(r)
+            super().__init__(g, order, r)
+
+    monkeypatch.setattr(wideness, "WReachTable", Counting)
+    g = grid_graph(30, 30)
+    cert = balanced_separator(g, range(g.n), 1, 0.1, degeneracy_order(g))
+    assert (cert.S, cert.heavy, cert.iterations) == (frozenset(), 0, 0)
+    assert cert.worst_ball_count == 5
+    assert built == []
+    g = subdivide(complete_graph(10), 1)
+    cert = balanced_separator(g, range(g.n), 2, 0.1, degeneracy_order(g))
+    assert cert.heavy == g.n
+    assert built == [8]
+
+
+def test_separator_checks_the_order_when_nothing_is_heavy():
+    # no weak-reach table is built for a balanced graph, but a wrong order
+    # is still refused, as it is when the exchange runs
+    with pytest.raises(GraphInputError):
+        balanced_separator(path_graph(5), range(5), 1, 1.0, identity_order(4))
 
 
 def test_exchange_step_keeps_the_invariant():
@@ -474,27 +568,47 @@ def test_exchange_step_keeps_the_invariant():
 
 def test_separator_counts_each_residual_ball_once(monkeypatch):
     # the exchange once recounted, at every step, the r-balls near each
-    # vertex that entered or left X; it now counts each r-ball in G-S once,
-    # after the loop (the validator's own searches are not counted here)
+    # vertex that entered or left X.  Now the r-balls of G are counted once,
+    # for the heavy set; the exchange counts none; the put-back counts only
+    # balls near the vertices it tries; and each r-ball of G-S is counted
+    # once, at the end (the validator's own searches are not counted here)
     import sparsekit.wideness as wideness
-    balls, before_check = [], []
+    balls, marks, exchanged = [], {}, []
     bfs, validate = wideness.bfs_distances, wideness.validate_separator
+    exchange, put_back = wideness._exchange, wideness._put_back
 
     def counting_bfs(g, sources, radius=None, active=None):
-        if radius == 1:
-            balls.append(tuple(sources))
+        if radius == 2:
+            balls.append((tuple(sources), active and frozenset(active)))
         return bfs(g, sources, radius, active)
 
+    def marking(name, fn):
+        def wrapped(*args):
+            marks[name] = len(balls)
+            out = fn(*args)
+            marks[name + " end"] = len(balls)
+            return out
+        return wrapped
+
     def checking(g, cert):
-        before_check.append(len(balls))
+        marks["check"] = len(balls)
         return validate(g, cert)
 
     monkeypatch.setattr(wideness, "bfs_distances", counting_bfs)
+    monkeypatch.setattr(wideness, "_exchange", marking("exchange", exchange))
+    monkeypatch.setattr(wideness, "_put_back", marking(
+        "put_back", lambda g, A, r, budget, X: exchanged.append(X) or put_back(g, A, r, budget, X)))
     monkeypatch.setattr(wideness, "validate_separator", checking)
-    g = grid_graph(30, 30)
-    cert = balanced_separator(g, range(900), 1, 0.1, degeneracy_order(g))
-    assert len(cert.S) == 7
-    assert sorted(balls[:before_check[0]]) == [(v,) for v in range(900) if v not in cert.S]
+    g = subdivide(complete_graph(10), 1)
+    V = frozenset(range(g.n))
+    cert = balanced_separator(g, V, 2, 0.1, degeneracy_order(g))
+    assert cert.iterations >= 1 and cert.put_back >= 1
+    assert balls[:marks["exchange"]] == [((v,), None) for v in range(g.n)]
+    assert marks["exchange end"] == marks["exchange"]
+    near = set().union(*(bfs(g, (x,), 2) for x in exchanged[0]))
+    assert all(v in near for (v,), _ in balls[marks["put_back"]:marks["put_back end"]])
+    residual = balls[marks["put_back end"]:marks["check"]]
+    assert sorted(residual) == [((v,), V - cert.S) for v in sorted(V - cert.S)]
 
 
 # ------------------------------------------------------------------- covers
