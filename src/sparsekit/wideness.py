@@ -442,13 +442,10 @@ def validate_uqw(g: Graph, cert: UqwCertificate) -> list:
     if not cert.B <= cert.A - cert.S:
         out.append("B is not contained in A minus S")
     active = frozenset(range(g.n)) - cert.S
-    listed = sorted(cert.B)
-    position = {b: i for i, b in enumerate(listed)}
-    for i, b in enumerate(listed):
+    for b in sorted(cert.B):
         dist = bfs_distances(g, (b,), cert.r, active)
         # the members of B above b in its r-ball, in sorted order
-        for j in sorted(position[w] for w in dist if position.get(w, -1) > i):
-            other = listed[j]
+        for other in sorted(w for w in dist if w > b and w in cert.B):
             out.append(f"{b} and {other} are only {dist[other]} apart in G-S")
     if cert.guarantee_applies:
         if len(cert.S) > cert.wcol_bound:
