@@ -246,8 +246,7 @@ class RandomConnector(ConnectorStrategy):
         self._rng = Rng(self.seed)
 
     def pick(self, residual):
-        pool = sorted(residual)
-        c = pool[self._rng.randint(len(pool))]
+        c = self._rng.choice(sorted(residual))
         return ConnectorMove(c, _arena(self.g, self.cfg, residual, c))
 
 

@@ -256,7 +256,7 @@ def set_radius(g: Graph, vs) -> int:
 def foreign_vertices(g: Graph, vs) -> list:
     """One violation per member of `vs` that is not a vertex id of g."""
     bad = [v for v in vs if not (type(v) is int and 0 <= v < g.n)]
-    return [f"vertex {v} not in the graph" for v in sorted(bad, key=str)]
+    return [f"vertex {v!r} not in the graph" for v in sorted(bad, key=str)]
 
 
 def _check_vertex(g: Graph, v: int) -> None:

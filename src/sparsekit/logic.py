@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
                      FormulaScopeError, LocalityError, PreconditionError)
-from .graph import (Graph, ball, bfs_distances, foreign_vertices,
-                    induced_subgraph, iter_bits, least_independent, mask_ball)
+from .graph import (Graph, bfs_distances, foreign_vertices, iter_bits,
+                    least_independent, mask_ball)
 
 
 # ----------------------------------------------------------------- AST
@@ -431,8 +431,7 @@ def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
         if isinstance(f, Or):
             return ev(f.left, env) or ev(f.right, env)
         if isinstance(f, Quant):
-            domain = (sorted(within(env[f.anchor], f.d))
-                      if f.anchor is not None else range(g.n))
+            domain = within(env[f.anchor], f.d) if f.anchor is not None else range(g.n)
             hits = (ev(f.body, {**env, f.var: v}) for v in domain)
             return any(hits) if f.kind == "exists" else all(hits)
         raise TypeError(f"not a formula node: {f!r}")
@@ -441,22 +440,18 @@ def eval_naive(g: Graph, f, env: dict, marked=frozenset()) -> bool:
 
 
 def satisfying_set(g: Graph, s: BasicLocalSentence, marked=frozenset()) -> frozenset:
-    """T = the vertices whose induced r-ball satisfies chi.  By locality this
-    equals evaluating chi directly on g."""
-    out = set()
+    """T = the vertices at which chi holds on g, evaluated as its validator
+    does.  Local: chi was checked r-local when the sentence was built, and
+    the evaluator reads only the balls chi names."""
+    marked = frozenset(marked)
     needs_var = s.var in free_vars(s.chi)
-    for v in range(g.n):
-        sub, old_ids = induced_subgraph(g, ball(g, v, s.r))
-        sub_marked = {i for i, o in enumerate(old_ids) if o in marked}
-        env = {s.var: old_ids.index(v)} if needs_var else {}
-        if eval_naive(sub, s.chi, env, sub_marked):
-            out.add(v)
-    return frozenset(out)
+    return frozenset(v for v in range(g.n)
+                     if eval_naive(g, s.chi, {s.var: v} if needs_var else {}, marked))
 
 
 def eval_basic_local(g: Graph, s: BasicLocalSentence, marked=frozenset()):
-    """(holds, witnesses): locality pipeline: compute the satisfying set by
-    local evaluation, then look for k members pairwise at distance > 2r."""
+    """(holds, witnesses) in Gaifman's two steps: the satisfying set of the
+    r-local chi, then k of its members pairwise at distance > 2r."""
     T = satisfying_set(g, s, marked)
     sol = distance_independent_set(g, 2 * s.r, s.k, T)
     return (True, tuple(sorted(sol))) if sol is not None else (False, None)

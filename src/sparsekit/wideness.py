@@ -377,6 +377,8 @@ def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
     each r-ball; the ball around v then sits inside the cluster of m(v), and
     a vertex belongs to at most wcol_of_order(g, pi, 2r) clusters.  Only the
     centers are searched from."""
+    if r < 0:
+        raise PreconditionError(f"r must be >= 0, got {r}")
     clusters = {u: frozenset(c)
                 for u, c in _stream_clusters(g, pi, 2 * r, _ball_minima(g, pi, r))}
     degree = [0] * g.n
@@ -416,6 +418,8 @@ def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
     so the coloring walks the order and, once u has its color, marks it in
     `taken[w]` for every w in u's cluster: each v finds the colors it must
     avoid already marked, and no weak-reach set is built."""
+    if r < 0:
+        raise PreconditionError(f"r must be >= 0, got {r}")
     taken = [0] * g.n  # taken[v], bit k: a vertex of WReach[v] before v has color k
     color = [0] * g.n
     for u, cluster in _stream_clusters(g, pi, 4 * r + 1, pi.perm):

@@ -449,3 +449,16 @@ def naive_eval(g: Graph, f, env: dict, marked=frozenset()) -> bool:
         raise TypeError(f"not a formula node: {f!r}")
 
     return ev(f, env)
+
+
+def local_satisfying_set(g: Graph, chi, var: str, r: int, marked=frozenset()) -> frozenset:
+    """The vertices v at which chi holds on the subgraph induced by v's
+    r-ball, with v and the marks carried to its ids: what r-locality means,
+    evaluated by `naive_eval` on copies that hold nothing beyond the ball."""
+    out = set()
+    for v in range(g.n):
+        sub, old_ids = induced_subgraph(g, ball(g, v, r))
+        sub_marked = {i for i, o in enumerate(old_ids) if o in marked}
+        if naive_eval(sub, chi, {var: old_ids.index(v)}, sub_marked):
+            out.add(v)
+    return frozenset(out)

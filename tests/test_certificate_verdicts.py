@@ -96,6 +96,8 @@ DECLARED = (
      "what it does not need, so S = {0} on the star is 1-minimal: dropping its one "
      "member leaves the heavy center ball (exit 1), where the old S = {0, 9} lost 9 "
      "and stayed valid"),
+    (r"=x$", "a violation quotes the id it rejects by its repr, so a forged id \"x\" "
+     "reads 'x' and a digit string can no longer pass for the vertex it spells"),
 )
 
 

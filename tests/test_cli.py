@@ -110,6 +110,9 @@ def test_certificates_survive_verify(tmp_path, argv, graph):
      "vertex 9 not in the graph"),
     ({"kind": "elimination_forest", "value": 2, "parent": [5, -1, 0]},
      "vertex 5 not in the graph"),
+    # a digit string is quoted: the message once read "vertex 1 not in the graph"
+    ({"kind": "elimination_forest", "value": 2, "parent": [1, -1, "1"]},
+     "vertex '1' not in the graph"),
 ])
 def test_verify_reports_vertices_outside_the_graph(tmp_path, cert, violation):
     path = tmp_path / "cert.json"
@@ -328,7 +331,9 @@ def test_solve_rejects_a_negative_k():
      "r must be >= 0, got -1"),
     (("uqw", PATH3, "--mode", "brute", "--r=-1", "--m", "1"), "r must be >= 1"),
     (("uqw", PATH3, "--mode", "brute", "--r=0", "--m", "1"), "r must be >= 1"),
-], ids=["density", "solve-independent", "uqw-brute-r-1", "uqw-brute-r0"])
+    (("cover", PATH3, "--r=-1"), "r must be >= 0, got -1"),
+    (("partition", PATH3, "--r=-1"), "r must be >= 0, got -1"),
+], ids=["density", "solve-independent", "uqw-brute-r-1", "uqw-brute-r0", "cover", "partition"])
 def test_radius_below_the_minimum_is_a_precondition_error(argv, message):
     code, doc, _ = run_cli(*argv)
     assert code == 2 and doc["error"]["code"] == "precondition"

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from oracles import (brute_distance_independent, brute_dominating_number,
-                     dominating_formula, naive_eval)
+                     dominating_formula, local_satisfying_set, naive_eval)
 from sparsekit.errors import (CapabilityError, FormulaParseError,
                               FormulaScopeError, LocalityError,
                               PreconditionError)
@@ -345,6 +345,23 @@ def test_eval_basic_local_pins():
     assert eval_basic_local(complete_graph(4), anything) == (False, None)
 
 
+def test_evaluating_a_sentence_builds_no_graph(monkeypatch):
+    # satisfying_set once copied each vertex's r-ball into a new Graph,
+    # 900 of them on the 30x30 grid
+    g = grid_graph(30, 30)
+    built = []
+    init = Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    has_nbr = parse_formula("exists y within 1 of x . E(x,y)", free=("x",))
+    assert eval_basic_local(g, BasicLocalSentence(2, 1, has_nbr, "x")) == (True, (0, 3))
+    assert built == []
+
+
 def test_expand_basic_local_pin():
     chi = parse_formula("exists z within 1 of x . E(x,z)", free=("x",))
     s = BasicLocalSentence(2, 1, chi, "x")
@@ -364,23 +381,37 @@ def _random_local_property(rnd, r):
             return chi
 
 
-def test_local_evaluation_matches_global():
-    # the point of the syntactic locality check: evaluating chi on the
-    # induced r-ball agrees with evaluating it on the whole graph
+def _two_point_properties(r):
+    """Q y within a of x . Q z within b of x . dist(y,z) <= d, or its
+    negated atom, for a, b <= r and d <= 2r, each that is r-local: a
+    distance between two bound variables, where a ball's own distances can
+    differ from G's."""
+    for q, a, b, d, negate in itertools.product(
+            ("exists", "forall"), range(1, r + 1), range(1, r + 1), range(2 * r + 1),
+            (False, True)):
+        atom = DistLe("y", "z", d)
+        chi = Quant(q, "y", "x", a, Quant(q, "z", "x", b, Not(atom) if negate else atom))
+        if not locality_violations(chi, "x", r):
+            yield chi
+
+
+def test_local_evaluation_matches_global(corpus_small):
+    # the point of the syntactic locality check: chi evaluated on G, as
+    # satisfying_set does, agrees with chi evaluated on each induced r-ball
+    # by the reference, which calls no logic function.  C6 and C7 are the
+    # least cycles whose 2-balls have a pair nearer in G than in the ball
     rnd = random.Random(1)
     graphs = [path_graph(8), cycle_graph(9), grid_graph(3, 4), star_graph(7),
-              Graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])]
+              Graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)]),
+              cycle_graph(6), cycle_graph(7), *corpus_small[::40]]
     for g in graphs:
-        for _ in range(8):
-            r = rnd.randint(1, 3)
-            chi = _random_local_property(rnd, r)
-            marked = frozenset(v for v in range(g.n) if rnd.random() < 0.3)
-            s = BasicLocalSentence(1, r, chi, "x")
-            T = satisfying_set(g, s, marked)
-            env_needed = "x" in free_vars(chi)
-            for v in range(g.n):
-                direct = eval_naive(g, chi, {"x": v} if env_needed else {}, marked)
-                assert direct == (v in T), (to_text(chi), r, v)
+        for r in (1, 2):
+            chis = [_random_local_property(rnd, r) for _ in range(4)]
+            for chi in chis + list(_two_point_properties(r)):
+                marked = frozenset(v for v in range(g.n) if rnd.random() < 0.3)
+                s = BasicLocalSentence(1, r, chi, "x")
+                assert satisfying_set(g, s, marked) == \
+                    local_satisfying_set(g, chi, "x", r, marked), (to_text(chi), r)
 
 
 def test_expansion_matches_pipeline():

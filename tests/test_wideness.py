@@ -839,12 +839,11 @@ def test_partition_cover_builds_no_weak_reach_sets():
     assert peaks[0] < peaks[1] / 2, peaks
 
 
-@pytest.mark.parametrize("build, searched", [(neighborhood_cover, -2), (partition_cover, -3)])
-def test_covers_check_the_order_and_radius_before_searching(build, searched):
-    # the radius named is the one searched at: 2r for the cover, 4r+1 for
-    # the coloring
+@pytest.mark.parametrize("build", [neighborhood_cover, partition_cover])
+def test_covers_check_the_order_and_radius_before_searching(build):
+    # the radius named is the caller's r, not the 2r or 4r+1 searched at
     g = path_graph(5)
     with pytest.raises(GraphInputError, match="order on 4 vertices, graph has 5"):
         build(g, 1, identity_order(4))
-    with pytest.raises(GraphInputError, match=f"radius must be >= 0, got {searched}$"):
+    with pytest.raises(PreconditionError, match="^r must be >= 0, got -1$"):
         build(g, -1, identity_order(5))
