@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the library's three ways of saying no: an
+argument below its floor (`require_at_least`), an input past a cap
+(`require_at_most`), and an output its own validator refuses
+(`raise_if_invalid`)."""
 
 
 class SparsekitError(Exception):
@@ -57,6 +60,21 @@ class AlgorithmStallError(SparsekitError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state or {}
+
+
+def require_at_least(name: str, value, least) -> None:
+    """The one floor rule: an argument below the least value its operation
+    accepts is the caller's mistake, a PreconditionError."""
+    if value < least:
+        raise PreconditionError(f"{name} must be >= {least}, got {value}")
+
+
+def require_at_most(cap_name: str, value, cap, unit: str) -> None:
+    """The one cap rule: an input past a configured cap is refused, before
+    any work, with a CapabilityError that names the cap and its value."""
+    if value > cap:
+        raise CapabilityError(f"{cap_name}: capped at {cap} {unit}, got {value}",
+                              cap_name, cap)
 
 
 def raise_if_invalid(violations: list, message: str, **state) -> None:

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import (CapabilityError, GraphInputError, PreconditionError,
-                     StrategyBugError, raise_if_invalid)
+from .errors import (GraphInputError, PreconditionError, StrategyBugError,
+                     raise_if_invalid, require_at_most)
 from .graph import (Graph, bfs_distances, components, foreign_vertices,
                     iter_bits, mask_ball, mask_components)
 from .orders import VertexOrder
@@ -366,10 +366,7 @@ class _Engine:
     moves and batches stay those of the full search."""
 
     def __init__(self, g: Graph, cfg: GameConfig):
-        if g.n > GAME_CAP:
-            raise CapabilityError(
-                f"game search capped at {GAME_CAP} vertices, graph has {g.n}",
-                "game_cap", GAME_CAP)
+        require_at_most("game_cap", g.n, GAME_CAP, "vertices")
         self.g, self.cfg = g, cfg
         self._masks = g.adjacency_masks()
         self._memo = {0: 0}  # an empty residual: the game is over

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import CapabilityError, EdgeListParseError, GraphInputError
+from .errors import EdgeListParseError, GraphInputError, require_at_most
 from .graph import Graph
 from .rng import Rng
 
@@ -25,12 +25,6 @@ MAX_VERTICES = 1_000_000
 # Most vertex pairs a generator that scans every pair (complete, gnd) may
 # scan, checked before it builds anything.
 MAX_PAIRS = 10_000_000
-
-
-def _check_vertex_count(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise CapabilityError(f"graphs are capped at {MAX_VERTICES} vertices, input has {n}",
-                              "max_vertices", MAX_VERTICES)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -74,7 +68,7 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListParseError(f"duplicate edge {a!r} {b!r}", line_no)
         seen.add(key)
         edges.append(key)
-    _check_vertex_count(top + 1 if numeric else len(ids))
+    require_at_most("max_vertices", top + 1 if numeric else len(ids), MAX_VERTICES, "vertices")
     if numeric:
         return Graph(top + 1, edges)
     labels = [None] * len(ids)
@@ -102,7 +96,7 @@ def read_dimacs(text: str) -> Graph:
                 n, declared_m = int(tokens[2]), int(tokens[3])
             except ValueError:
                 raise EdgeListParseError(f"non-integer field in {line!r}", line_no) from None
-            _check_vertex_count(n)
+            require_at_most("max_vertices", n, MAX_VERTICES, "vertices")
         elif tokens[0] == "e":
             if n is None:
                 raise EdgeListParseError("edge before 'p' header", line_no)
@@ -295,11 +289,9 @@ def generate(spec: dict) -> Graph:
                                       f"must be {what}, got {value!r}")
         args.append(value)
     n = size(*args) if size else args[0]
-    _check_vertex_count(n)
-    if all_pairs and (pairs := max(n, 0) * (n - 1) // 2) > MAX_PAIRS:
-        raise CapabilityError(f"generators are capped at {MAX_PAIRS} vertex pairs, "
-                              f"{family!r} on {n} vertices scans {pairs}",
-                              "max_pairs", MAX_PAIRS)
+    require_at_most("max_vertices", n, MAX_VERTICES, "vertices")
+    if all_pairs:
+        require_at_most("max_pairs", max(n, 0) * (n - 1) // 2, MAX_PAIRS, "vertex pairs")
     return build(*args)
 
 
@@ -342,5 +334,5 @@ def graph_from_json(d: dict) -> Graph:
     n, edges = d["n"], [tuple(e) for e in d["edges"]]
     if type(n) is not int or any(type(x) is not int for e in edges for x in e):
         raise GraphInputError("a graph's vertex count and edge endpoints must be integers")
-    _check_vertex_count(n)
+    require_at_most("max_vertices", n, MAX_VERTICES, "vertices")
     return Graph(n, edges, d.get("labels"))

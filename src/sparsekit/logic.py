@@ -23,8 +23,8 @@ import heapq
 import re
 from dataclasses import dataclass
 
-from .errors import (AlgorithmStallError, CapabilityError, FormulaParseError,
-                     FormulaScopeError, LocalityError, PreconditionError)
+from .errors import (AlgorithmStallError, FormulaParseError, FormulaScopeError,
+                     LocalityError, PreconditionError, require_at_least, require_at_most)
 from .graph import (Graph, bfs_distances, foreign_vertices, iter_bits,
                     least_independent, mask_ball)
 
@@ -367,8 +367,8 @@ class BasicLocalSentence:
         if type(self.k) is not int or type(self.r) is not int:
             raise PreconditionError(
                 f"k and r must be integers, got k={self.k!r}, r={self.r!r}")
-        if self.k < 1 or self.r < 1:
-            raise PreconditionError("need k >= 1 and r >= 1")
+        require_at_least("k", self.k, 1)
+        require_at_least("r", self.r, 1)
         if free_vars(self.chi) - {self.var}:
             raise FormulaScopeError(
                 f"chi must have only {_shown(self.var)} free, has "
@@ -539,14 +539,9 @@ def distance_independent_set(g: Graph, r: int, k: int, candidates):
     """The lexicographically least k candidates pairwise at distance > r, or
     None: `least_independent` over the candidates' r-balls, a memoized
     search that branches on the least candidate."""
-    if k < 0:
-        raise PreconditionError(f"k must be >= 0, got {k}")
-    if r < 0:
-        raise PreconditionError(f"r must be >= 0, got {r}")
-    if k > INDEPENDENT_K_CAP:
-        raise CapabilityError(
-            f"distance independent set capped at k = {INDEPENDENT_K_CAP}, got {k}",
-            "independent_k", INDEPENDENT_K_CAP)
+    require_at_least("k", k, 0)
+    require_at_least("r", r, 0)
+    require_at_most("independent_k", k, INDEPENDENT_K_CAP, "chosen vertices")
     candidates = tuple(candidates)
     if bad := foreign_vertices(g, candidates):
         raise PreconditionError("; ".join(bad))
@@ -596,14 +591,11 @@ def distance_dominating_set(g: Graph, r: int, mode: str = "exact",
     """Minimum (exact) or greedy set D with every vertex within r of D."""
     if mode not in ("exact", "greedy"):
         raise PreconditionError(f"unknown mode {mode!r}")
+    require_at_least("r", r, 0)
     if g.n == 0:
         return frozenset()
-    if r < 0:
-        raise PreconditionError(f"r must be >= 0, got {r}")
-    if mode == "exact" and g.n > cap:
-        raise CapabilityError(
-            f"exact dominating set capped at {cap} vertices, got {g.n}",
-            "dominating_cap", cap)
+    if mode == "exact":
+        require_at_most("dominating_cap", g.n, cap, "vertices")
     balls = [tuple(bfs_distances(g, (v,), r)) for v in range(g.n)]
     if mode == "greedy":
         return frozenset(_greedy_domination(balls, r))

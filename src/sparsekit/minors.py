@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
-                     PreconditionError, raise_if_invalid)
+from .errors import GraphInputError, raise_if_invalid, require_at_least, require_at_most
 from .graph import Graph, bfs_distances, foreign_vertices, set_radius
 from .graphio import graph_from_json, to_jsonable
 from .rng import Rng
@@ -108,12 +107,9 @@ def find_depth_r_minor(
     length <= r from their roots.  Any model shrinks to a union of such root
     paths, so the search is complete within the caps.
     """
-    if h.n > max_h:
-        raise CapabilityError(f"pattern capped at {max_h} vertices", "max_h", max_h)
-    if g.n > max_g:
-        raise CapabilityError(f"host capped at {max_g} vertices", "max_g", max_g)
-    if r < 0:
-        raise GraphInputError(f"depth must be >= 0, got {r}")
+    require_at_most("max_h", h.n, max_h, "pattern vertices")
+    require_at_most("max_g", g.n, max_g, "host vertices")
+    require_at_least("r", r, 0)
     if h.n == 0:
         return MinorModel(r, {}, {})
     if h.n > g.n:
@@ -395,7 +391,7 @@ def _prefix_quotient_edge_counts(g: Graph, seq, r: int) -> list:
     return out
 
 
-def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> DensityReport:
+def density_report(g: Graph, r: int, budget: int = 200, *, seed: int) -> DensityReport:
     """Randomized greedy search over center sets: contract the radius-r
     Voronoi cells of a candidate center set and keep whatever maximizes edge
     density.  Deterministic for a fixed seed.
@@ -403,13 +399,11 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
     Each candidate is scored by counting its quotient edges; the nested
     degree-order prefixes are scored in one incremental pass
     (`_prefix_quotient_edge_counts`).  Only the winner's cells and witnesses
-    are built, once, at the end, and its score is checked against them."""
+    are built, once, at the end, and the report is checked by its validator."""
     if g.n == 0:
         raise GraphInputError("density undefined for the empty graph")
-    if r < 0:
-        raise PreconditionError(f"r must be >= 0, got {r}")
-    if budget < 0:
-        raise PreconditionError(f"budget must be >= 0, got {budget}")
+    require_at_least("r", r, 0)
+    require_at_least("budget", budget, 0)
     rng = Rng(seed)
     by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     attempts = 0
@@ -442,18 +436,13 @@ def density_report(g: Graph, r: int, budget: int = 200, seed: int = 0) -> Densit
 
     dens, centers = best
     cells, qedges = _voronoi_quotient(g, centers, r)
-    if len(qedges) / len(cells) != dens:
-        raise AlgorithmStallError(
-            f"quotient density {len(qedges)}/{len(cells)} disagrees with its score {dens}",
-            state={"centers": centers, "scored": dens,
-                   "cells": len(cells), "edges": len(qedges)})
     idx = {cell_id: i for i, cell_id in enumerate(sorted(cells))}
     branch = {idx[cid]: frozenset(vs) for cid, vs in cells.items()}
     witness = {
         (idx[a], idx[b]): w for (a, b), w in qedges.items()
     }
-    model = MinorModel(r, branch, witness)
     minor = Graph(len(branch), list(witness))
-    raise_if_invalid(verify_minor_model(g, minor, model),
-                     "density search produced an invalid model", model=model)
-    return DensityReport(r, dens, minor.n, minor.m, model, attempts)
+    report = DensityReport(r, dens, minor.n, minor.m, MinorModel(r, branch, witness), attempts)
+    raise_if_invalid(validate_density_certificate(g, DensityCertificate(minor, report)),
+                     "density search produced an invalid report", centers=centers)
+    return report

@@ -12,8 +12,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .errors import (AlgorithmStallError, CapabilityError, GraphInputError,
-                     PreconditionError, raise_if_invalid)
+from .errors import (GraphInputError, PreconditionError, raise_if_invalid,
+                     require_at_least, require_at_most)
 from .graph import (Graph, bfs_distances, foreign_vertices, iter_bits, mask_ball,
                     mask_components)
 
@@ -66,8 +66,7 @@ def _stream_clusters(g: Graph, order: VertexOrder, r: int, sources=None):
     radius are checked before `sources` is first read, so `sources` may be
     a generator that looks up ranks."""
     _check_order(g, order)
-    if r < 0:
-        raise GraphInputError(f"radius must be >= 0, got {r}")
+    require_at_least("r", r, 0)
     rank = order.rank
     for u in (range(g.n) if sources is None else sources):
         yield u, _reach_above(g, rank, u, r)
@@ -406,12 +405,7 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
     only while the best order found is above col.  At r = 0 every order has
     value 1 <= col, so the search, whose floor needs r >= 1, never runs.
     """
-    if g.n > cap:
-        raise CapabilityError(
-            f"wcol_exact capped at {cap} vertices, graph has {g.n}", "wcol_exact", cap
-        )
-    if g.n == 0:
-        return 0, VertexOrder(())
+    require_at_most("wcol_exact", g.n, cap, "vertices")
     best_order = degeneracy_order(g)
     best_val = wcol_of_order(g, best_order, r)
     col = wcol_of_order(g, best_order, 1)
@@ -467,12 +461,8 @@ def wcol_exact(g: Graph, r: int, cap: int = 10) -> tuple[int, VertexOrder]:
 
     if best_val > col:
         dfs((1 << n) - 1, 0, 0)
-    check = wcol_of_order(g, best_order, r)
-    if check != best_val:
-        raise AlgorithmStallError(
-            f"witness order disagrees: {check} != {best_val}",
-            state={"r": r, "claimed": best_val, "rechecked": check},
-        )
+    raise_if_invalid(validate_order_witness(g, OrderWitness(r, best_val, best_order.perm)),
+                     "witness order invalid", r=r, claimed=best_val)
     return best_val, best_order
 
 
@@ -653,12 +643,7 @@ class _TreedepthSearch:
 def treedepth_exact(g: Graph, cap: int = 15) -> tuple[int, EliminationForest]:
     """Exact treedepth and an elimination forest of that depth, by
     `_TreedepthSearch`; each node's root is the one the uncut search keeps."""
-    if g.n > cap:
-        raise CapabilityError(
-            f"treedepth_exact capped at {cap} vertices, graph has {g.n}",
-            "treedepth_exact",
-            cap,
-        )
+    require_at_most("treedepth_exact", g.n, cap, "vertices")
     search = _TreedepthSearch(g)
     full = (1 << g.n) - 1
     value = search.td(full, g.n + 1)

@@ -13,8 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .errors import (AlgorithmStallError, CapabilityError, PreconditionError,
-                     raise_if_invalid)
+from .errors import (AlgorithmStallError, PreconditionError, raise_if_invalid,
+                     require_at_least, require_at_most)
 from .graph import (Graph, ball, bfs_distances, components, foreign_vertices,
                     least_independent, mask_ball, set_radius)
 from .orders import VertexOrder, WReachTable, _check_order, _stream_clusters
@@ -163,10 +163,8 @@ def uqw_extract(g: Graph, A, r: int, m: int, pi: VertexOrder) -> UqwCertificate:
     A = frozenset(A)
     if not A:
         raise PreconditionError("A must be nonempty")
-    if r < 1:
-        raise PreconditionError("r must be >= 1")
-    if m < 1:
-        raise PreconditionError("m must be >= 1")
+    require_at_least("r", r, 1)
+    require_at_least("m", m, 1)
     if bad := foreign_vertices(g, A):
         raise PreconditionError("; ".join(bad))
     table = WReachTable(g, pi, r)
@@ -220,18 +218,12 @@ def uqw_brute(g: Graph, A, r: int, m: int, s_max: int):
     from itertools import combinations
 
     A = frozenset(A)
-    if r < 1:
-        raise PreconditionError("r must be >= 1")
-    if s_max < 0:
-        raise PreconditionError(f"s_max must be >= 0, got {s_max}")
+    require_at_least("r", r, 1)
+    require_at_least("s_max", s_max, 0)
     if bad := foreign_vertices(g, A):
         raise PreconditionError("; ".join(bad))
-    if g.n > UQW_BRUTE_N_CAP:
-        raise CapabilityError(f"uqw_brute capped at {UQW_BRUTE_N_CAP} vertices, got {g.n}",
-                              "uqw_brute_n", UQW_BRUTE_N_CAP)
-    if s_max > UQW_BRUTE_S_CAP:
-        raise CapabilityError(f"uqw_brute capped at deletion sets of {UQW_BRUTE_S_CAP}",
-                              "uqw_brute_s", UQW_BRUTE_S_CAP)
+    require_at_most("uqw_brute_n", g.n, UQW_BRUTE_N_CAP, "vertices")
+    require_at_most("uqw_brute_s", s_max, UQW_BRUTE_S_CAP, "deleted vertices")
     adj = g.adjacency_masks()
     best = (frozenset(), [])  # S = {} with the empty B, which any larger B replaces
     for size in range(s_max + 1):
@@ -305,8 +297,7 @@ def balanced_separator(g: Graph, A, r: int, eps: float,
         raise PreconditionError("eps must be in (0, 1]")
     if 1 / eps == math.inf:
         raise PreconditionError(f"eps {eps!r} is too small: 1/eps overflows a float")
-    if r < 1:
-        raise PreconditionError("r must be >= 1")
+    require_at_least("r", r, 1)
     if bad := foreign_vertices(g, A):
         raise PreconditionError("; ".join(bad))
     _check_order(g, pi)
@@ -377,8 +368,7 @@ def neighborhood_cover(g: Graph, r: int, pi: VertexOrder) -> Cover:
     each r-ball; the ball around v then sits inside the cluster of m(v), and
     a vertex belongs to at most wcol_of_order(g, pi, 2r) clusters.  Only the
     centers are searched from."""
-    if r < 0:
-        raise PreconditionError(f"r must be >= 0, got {r}")
+    require_at_least("r", r, 0)
     clusters = {u: frozenset(c)
                 for u, c in _stream_clusters(g, pi, 2 * r, _ball_minima(g, pi, r))}
     degree = [0] * g.n
@@ -418,8 +408,7 @@ def partition_cover(g: Graph, r: int, pi: VertexOrder) -> PartitionCover:
     so the coloring walks the order and, once u has its color, marks it in
     `taken[w]` for every w in u's cluster: each v finds the colors it must
     avoid already marked, and no weak-reach set is built."""
-    if r < 0:
-        raise PreconditionError(f"r must be >= 0, got {r}")
+    require_at_least("r", r, 0)
     taken = [0] * g.n  # taken[v], bit k: a vertex of WReach[v] before v has color k
     color = [0] * g.n
     for u, cluster in _stream_clusters(g, pi, 4 * r + 1, pi.perm):

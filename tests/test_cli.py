@@ -307,7 +307,7 @@ def test_usage_errors_exit_2():
 def test_uqw_rejects_a_target_below_one(m):
     code, doc, _ = run_cli("uqw", PATH3, "--r", "1", "--m", m)
     assert code == 2 and doc["error"]["code"] == "precondition"
-    assert doc["error"]["message"] == "m must be >= 1"
+    assert doc["error"]["message"] == f"m must be >= 1, got {m}"
 
 
 def test_a_failed_command_reports_no_input():
@@ -329,11 +329,15 @@ def test_solve_rejects_a_negative_k():
     (("density", PATH3, "--r=-1", "--seed", "1"), "r must be >= 0, got -1"),
     (("solve", PATH3, "--problem", "independent", "--r=-1", "--k", "1"),
      "r must be >= 0, got -1"),
-    (("uqw", PATH3, "--mode", "brute", "--r=-1", "--m", "1"), "r must be >= 1"),
-    (("uqw", PATH3, "--mode", "brute", "--r=0", "--m", "1"), "r must be >= 1"),
+    (("uqw", PATH3, "--mode", "brute", "--r=-1", "--m", "1"), "r must be >= 1, got -1"),
+    (("uqw", PATH3, "--mode", "brute", "--r=0", "--m", "1"), "r must be >= 1, got 0"),
     (("cover", PATH3, "--r=-1"), "r must be >= 0, got -1"),
     (("partition", PATH3, "--r=-1"), "r must be >= 0, got -1"),
-], ids=["density", "solve-independent", "uqw-brute-r-1", "uqw-brute-r0", "cover", "partition"])
+    (("wcol", PATH3, "--r=-1"), "r must be >= 0, got -1"),
+    (("wcol", PATH3, "--r=-1", "--mode", "exact"), "r must be >= 0, got -1"),
+    (("minor", PATH3, "--pattern", PATH3, "--r=-1"), "r must be >= 0, got -1"),
+], ids=["density", "solve-independent", "uqw-brute-r-1", "uqw-brute-r0", "cover", "partition",
+        "wcol", "wcol-exact", "minor"])
 def test_radius_below_the_minimum_is_a_precondition_error(argv, message):
     code, doc, _ = run_cli(*argv)
     assert code == 2 and doc["error"]["code"] == "precondition"
@@ -407,7 +411,7 @@ def test_independent_k_cap_exit_3():
     code, doc, err = run_cli("solve", path, "--problem", "independent",
                              "--r", "1", "--k", "1000")
     assert code == 3 and doc["error"]["code"] == "capability"
-    assert doc["error"]["message"] == "distance independent set capped at k = 500, got 1000"
+    assert doc["error"]["message"] == "independent_k: capped at 500 chosen vertices, got 1000"
     assert "Traceback" not in err
     code, doc, _ = run_cli("solve", path, "--problem", "independent",
                            "--r", "1", "--k", "500")
@@ -422,7 +426,7 @@ def test_generator_pair_cap_exit_3(spec, pairs):
     # both once passed the vertex cap and went on to scan every pair
     code, doc, err = run_cli("col", spec)
     assert code == 3 and doc["error"]["code"] == "capability"
-    assert doc["error"]["message"].endswith(f"on 1000000 vertices scans {pairs}")
+    assert doc["error"]["message"] == f"max_pairs: capped at 10000000 vertex pairs, got {pairs}"
     assert "Traceback" not in err
 
 
@@ -888,3 +892,64 @@ def test_sweep_digest_is_of_the_file_bytes(tmp_path):
     code, doc, _ = run_cli("sweep", str(path))
     assert code == 0 and len(doc["result"]["rows"]) == 1
     assert doc["input"]["digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_game_uqw_splitter_sizes_its_own_batches():
+    # with no --batch, the uqw splitter gets room for round_cap*(r+1)
+    code, doc, _ = run_cli("game", PATH8, "--kind", "splitter", "--r", "1",
+                           "--splitter", "uqw")
+    assert code == 0 and doc["result"]["winner"] == "splitter"
+    assert doc["certificate"]["config"]["batch_limit"] == 64 * 2
+    assert doc["certificate"]["splitter_tag"] == "uqw_paths"
+
+
+def test_game_random_connector_needs_a_seed():
+    argv = ("game", PATH8, "--kind", "splitter", "--r", "1", "--connector", "random")
+    first, second = run_cli(*argv, "--seed", "3"), run_cli(*argv, "--seed", "3")
+    assert first[0] == 0 and first[1]["certificate"]["connector_tag"] == "random(seed=3)"
+    assert first[1]["certificate"] == second[1]["certificate"]
+    code, doc, _ = run_cli(*argv)
+    assert code == 2 and doc["error"] == {"code": "precondition",
+                                          "message": "--connector random requires --seed"}
+
+
+def test_uqw_brute_that_finds_no_set():
+    # no deletion set leaves three vertices of K5 pairwise at distance > 1
+    argv = ("uqw", K5, "--r", "1", "--m", "3", "--mode", "brute", "--smax", "1")
+    code, doc, _ = run_cli(*argv)
+    assert code == 0 and doc["certificate"] is None
+    assert doc["result"] == {"found": False, "r": 1, "m": 3, "s_max": 1}
+    assert run_cli(*argv, "--expect")[0] == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("solve", PATH8, "--problem", "independent", "--r", "1"),
+     "--problem independent requires --k"),
+    (("eval", PATH8, "--formula", "E(x,y)", "--env", "x0,y=1"),
+     "expected var=vertex, got 'x0'"),
+    (("eval", PATH8, "--formula", "E(x,y)", "--env", "x=0,y=a"),
+     "vertex id in 'y=a' is not an integer"),
+    (("solve", PATH8, "--problem", "independent", "--r", "1", "--k", "1",
+      "--candidates", "1,a"), "expected comma-separated vertex ids, got '1,a'"),
+], ids=["solve-no-k", "env-no-equals", "env-not-an-id", "candidates-not-ids"])
+def test_missing_or_malformed_option_is_a_precondition_error(argv, message):
+    code, doc, _ = run_cli(*argv)
+    assert code == 2 and doc["error"] == {"code": "precondition", "message": message}
+
+
+def test_game_replay_of_another_certificate_kind(tmp_path):
+    out = tmp_path / "col.json"
+    assert run_cli("col", K5, "--out", str(out))[0] == 0
+    code, doc, _ = run_cli("game", K5, "--replay", str(out))
+    assert code == 2 and doc["error"] == {
+        "code": "precondition", "message": "not a game transcript: a order_witness certificate"}
+
+
+def test_sweep_unknown_operation_is_a_row_error(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"families": [_SWEEP_FAMILY], "operations": ["nope", "wcol"]}))
+    code, doc, _ = run_cli("sweep", str(path))
+    assert code == 0
+    nope, wcol = doc["result"]["rows"]
+    assert nope["error"] == "unknown sweep operation 'nope'" and "value" not in nope
+    assert wcol["value"] == 2

@@ -121,6 +121,17 @@ def test_uqw_splitter_requires_batch_room():
         play(g, cfg, UqwBatchSplitter(1), GreedyBallConnector())
 
 
+def test_strategies_refuse_a_game_they_were_not_built_for():
+    g = path_graph(5)
+    cfg = GameConfig(kind="splitter", radius=1, round_cap=5, batch_limit=10)
+    with pytest.raises(PreconditionError, match="^order does not cover the game graph$"):
+        play(g, cfg, wcol_splitter_strategy(identity_order(4), 1), GreedyBallConnector())
+    with pytest.raises(GraphInputError, match="^uqw_paths plays the radius-r game only$"):
+        play(g, td_cfg(g), UqwBatchSplitter(1), GreedyBallConnector())
+    with pytest.raises(PreconditionError, match="^strategy built for radius 2, game uses 1$"):
+        play(g, cfg, UqwBatchSplitter(2), GreedyBallConnector())
+
+
 def test_random_connector_is_seeded():
     g = grid_graph(4, 4)
     pi = degeneracy_order(g)
@@ -168,6 +179,13 @@ def test_validate_transcript_catches_tampering():
     bad = dict(doc)
     bad["winner"] = "connector"
     assert validate_transcript(g, GameTranscript.from_json(bad)) != []
+    # a batch past the limit, of vertices inside the move
+    bad = dict(doc)
+    bad["rounds"] = [dict(rd) for rd in doc["rounds"]]
+    bad["rounds"][0]["splitter"] = [0, 1]
+    bad["rounds"][0]["residual"] = [2, 3]
+    assert "round 1 splitter: batch of 2 exceeds limit 1" in \
+        validate_transcript(g, GameTranscript.from_json(bad))
     # wrong residual bookkeeping
     bad = dict(doc)
     bad["rounds"] = [dict(rd) for rd in doc["rounds"]]
@@ -190,11 +208,22 @@ class _CheatingSplitter(SplitterStrategy):
         return frozenset({min(move.vertices), max(move.vertices)})
 
 
+class _CheatingConnector(GreedyBallConnector):
+    tag = "cheat"
+
+    def pick(self, residual):
+        return ConnectorMove(min(residual), frozenset({min(residual)}))
+
+
 def test_play_rejects_illegal_strategy_moves():
     g = complete_graph(4)
     with pytest.raises(StrategyBugError) as e:
         play(g, td_cfg(g), _CheatingSplitter(), GreedyBallConnector())
     assert "cheat" in str(e.value)
+    # a treedepth move must be a whole component, so a lone vertex of K4 is not
+    with pytest.raises(StrategyBugError) as e:
+        play(g, td_cfg(g), ExhaustiveSplitter(), _CheatingConnector())
+    assert (e.value.round_no, e.value.side) == (1, "connector cheat")
 
 
 # sha256 of emit_json(transcript.to_json()), taken before the engine was

@@ -53,6 +53,38 @@ def test_dimacs():
         read_dimacs("p edge 2 5\ne 1 2\n")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("p edge 2 0\np edge 2 0\n", "line 2: second 'p' header"),
+    ("p col 2 0\n", "line 1: bad header 'p col 2 0'"),
+    ("p edge 2 1\ne 1\n", "line 2: bad edge line 'e 1'"),
+    ("p edge 2 1\ne 1 3\n", "line 2: vertex out of range in 'e 1 3'"),
+    ("p edge 2 1\ne 2 2\n", "line 2: self-loop in 'e 2 2'"),
+    ("p edge 2 2\ne 1 2\ne 2 1\n", "line 3: duplicate edge in 'e 2 1'"),
+    ("p edge 2 0\nx 1 2\n", "line 2: unknown line type 'x 1 2'"),
+    ("c only a comment\n", "line 1: missing 'p edge n m' header"),
+], ids=["second-header", "bad-header", "bad-edge", "out-of-range", "self-loop",
+        "duplicate", "unknown-line", "no-header"])
+def test_dimacs_refusals(text, message):
+    with pytest.raises(EdgeListParseError) as e:
+        read_dimacs(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: cycle_graph(2), "cycle needs n >= 3, got 2"),
+    (lambda: grid_graph(0, 3), "grid needs rows, cols >= 1"),
+    (lambda: star_graph(0), "star needs n >= 1, got 0"),
+    (lambda: random_tree(0, seed=1), "random_tree needs n >= 1, got 0"),
+    (lambda: gnd_graph(-1, 1.0, seed=1), "gnd needs n >= 0, got -1"),
+    (lambda: subdivide(path_graph(3), -1), "subdivision depth must be >= 0, got -1"),
+], ids=["cycle", "grid", "star", "random_tree", "gnd", "subdivide"])
+def test_generator_parameter_refusals(build, message):
+    # generator parameters are graph data, so they stay graph input errors
+    with pytest.raises(GraphInputError) as e:
+        build()
+    assert str(e.value) == message
+
+
 def test_basic_generators():
     assert path_graph(1).m == 0
     assert (path_graph(6).n, path_graph(6).m) == (6, 5)
@@ -73,6 +105,11 @@ def test_subdivide_and_apex():
     assert zero.n == base.n and sorted(zero.edges()) == sorted(base.edges())
     a = apex_graph(path_graph(4))
     assert a.n == 5 and a.degree(4) == 4
+    # a labelled graph keeps its labels, and the new vertices get their own
+    named = parse_edge_list("a b\nb c\n")
+    assert subdivide(named, 1).labels == ("a", "b", "c", "s0-1.0", "s1-2.0")
+    assert subdivide(named, 0).labels == ("a", "b", "c")
+    assert apex_graph(named).labels == ("a", "b", "c", "apex")
 
 
 def test_random_generators_are_seeded():
@@ -80,6 +117,8 @@ def test_random_generators_are_seeded():
     assert sorted(t1.edges()) == sorted(t2.edges())
     assert sorted(t1.edges()) != sorted(random_tree(20, seed=6).edges())
     assert t1.m == 19
+    assert (random_tree(1, seed=5).n, random_tree(1, seed=5).m) == (1, 0)
+    assert list(random_tree(2, seed=5).edges()) == [(0, 1)]
     g1, g2 = gnd_graph(30, 2.0, seed=1), gnd_graph(30, 2.0, seed=1)
     assert sorted(g1.edges()) == sorted(g2.edges())
 

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from oracles import naive_has_minor
-from sparsekit.errors import AlgorithmStallError, CapabilityError
+from sparsekit.errors import AlgorithmStallError, CapabilityError, GraphInputError
 from sparsekit.graph import Graph
 from sparsekit.graphio import (complete_graph, cycle_graph, emit_json,
                                gnd_graph, grid_graph, path_graph, random_tree,
@@ -112,6 +112,21 @@ def test_caps():
         find_depth_r_minor(path_graph(5), complete_graph(6), 1)
 
 
+def test_empty_pattern_and_empty_host():
+    # the empty pattern is a minor of every host, at every depth
+    assert find_depth_r_minor(path_graph(3), Graph(0, []), 2) == MinorModel(2, {}, {})
+    with pytest.raises(GraphInputError, match="density undefined for the empty graph"):
+        density_report(Graph(0, []), 1, seed=0)
+
+
+def test_density_report_insists_on_a_seed():
+    # a randomized operation takes no default seed, and seed is keyword-only
+    with pytest.raises(TypeError):
+        density_report(path_graph(3), 1)
+    with pytest.raises(TypeError):
+        density_report(path_graph(3), 1, 20, 0)
+
+
 def test_has_shallow_clique():
     k4 = complete_graph(4)
     assert find_depth_r_minor(subdivide(k4, 1), k4, 1) is not None
@@ -181,13 +196,15 @@ def test_density_report_builds_one_quotient(monkeypatch):
 
 def test_density_report_rechecks_the_winning_score(monkeypatch):
     # the built quotient must have the density its candidate was scored at;
-    # a mismatch is a raise, not an assert, so it survives python -O
+    # the report's validator refuses a mismatch with a raise, not an assert,
+    # so it survives python -O
     import sparsekit.minors as minors
     count = minors._quotient_edge_count
     monkeypatch.setattr(minors, "_quotient_edge_count", lambda *a: count(*a) + 1)
     with pytest.raises(AlgorithmStallError) as e:
         density_report(grid_graph(4, 4), 1, budget=2, seed=0)
-    assert e.value.state["scored"] == (e.value.state["edges"] + 1) / e.value.state["cells"]
+    assert e.value.state["violations"] == [f"density {18 / 10} != 17/10"]
+    assert len(e.value.state["centers"]) == 10
     # a degree-order prefix scored one edge too high wins and is caught the
     # same way, although its score never came from `_quotient_edge_count`
     monkeypatch.setattr(minors, "_quotient_edge_count", count)
@@ -196,7 +213,8 @@ def test_density_report_rechecks_the_winning_score(monkeypatch):
                         lambda *a: [k + 1 for k in prefixes(*a)])
     with pytest.raises(AlgorithmStallError) as e:
         density_report(grid_graph(4, 4), 1, budget=2, seed=0)
-    assert e.value.state["scored"] == (e.value.state["edges"] + 1) / e.value.state["cells"]
+    assert e.value.state["violations"] == [f"density {14 / 8} != 13/8"]
+    assert len(e.value.state["centers"]) == 8
 
 
 def test_prefix_scores_match_one_shot_scores(corpus_small):

@@ -199,6 +199,15 @@ def test_wcol_exact_cap():
     assert e.value.cap_name == "wcol_exact"
 
 
+def test_wcol_exact_of_the_empty_graph():
+    for r in (0, 1, 3):
+        assert wcol_exact(Graph(0, []), r) == (0, VertexOrder(()))
+    # the radius floor does not depend on the graph: an empty one once
+    # answered r = -1 with an order witness that verify refuses
+    with pytest.raises(PreconditionError, match="^r must be >= 0, got -1$"):
+        wcol_exact(Graph(0, []), -1)
+
+
 def test_degeneracy_order_and_coloring_number():
     # grid is 2-degenerate, so col = 3 with the degeneracy order
     g = grid_graph(3, 3)
@@ -436,14 +445,22 @@ def test_witness_checks_raise_without_assert(monkeypatch):
     import sparsekit.orders as orders
     from sparsekit.errors import AlgorithmStallError
     real = orders.wcol_of_order
-    # off by one everywhere: the heuristic orders claim 7 and 6 against a claimed
-    # col of 4, so the search runs and finds the true optimum 4, which the
-    # recheck then reports as 5
+    # off by one everywhere: at r = 1 the degeneracy order claims 4, its
+    # (forged) col, so no search runs and the validator refuses the claim
     monkeypatch.setattr(orders, "wcol_of_order",
                         lambda g, order, r: real(g, order, r) + 1)
     with pytest.raises(AlgorithmStallError) as e:
+        wcol_exact(grid_graph(3, 3), 1)
+    assert e.value.state == {"r": 1, "claimed": 4,
+                             "violations": ["order achieves wcol_1 = 3, claimed 4"]}
+    # at r = 2 the heuristic orders claim 7 and 6 against a claimed col of 4,
+    # so the search runs and finds the true optimum 4, which the validator,
+    # sharing no code with wcol_of_order, accepts
+    assert wcol_exact(grid_graph(3, 3), 2)[0] == 4
+    monkeypatch.setattr(orders, "validate_order_witness", lambda g, cert: ["forged violation"])
+    with pytest.raises(AlgorithmStallError) as e:
         wcol_exact(grid_graph(3, 3), 2)
-    assert e.value.state == {"r": 2, "claimed": 4, "rechecked": 5}
+    assert e.value.state == {"r": 2, "claimed": 4, "violations": ["forged violation"]}
     monkeypatch.setattr(orders, "validate_elimination_forest",
                         lambda g, forest, claimed=None: ["forged violation"])
     with pytest.raises(AlgorithmStallError) as e:
@@ -463,6 +480,43 @@ def test_library_has_no_assert_statements():
     # python -O strips assert statements, so invariant checks must raise
     found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def _raised_by(exc: str) -> list:
+    """(file name, innermost enclosing function) of every call `exc(...)` in
+    the library, errors.py aside."""
+    where = {}
+    for name, node in _library_nodes():
+        if name != "errors.py" and isinstance(node, (ast.FunctionDef, ast.Module)):
+            # ast.walk goes outer functions first, so an inner one overwrites
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == exc):
+                    where[id(call)] = (name, getattr(node, "name", None))
+    return sorted(where.values())
+
+
+def test_caps_and_self_checks_raise_only_through_errors_py():
+    # every cap goes through errors.require_at_most, every self-check through
+    # errors.raise_if_invalid; only the four progress stalls raise their own
+    assert _raised_by("CapabilityError") == []
+    assert _raised_by("AlgorithmStallError") == [
+        ("graph.py", "least_independent"), ("logic.py", "_greedy_domination"),
+        ("wideness.py", "_exchange"), ("wideness.py", "_extract")]
+
+
+def test_no_floor_is_refused_by_hand():
+    # a PreconditionError whose message states a floor belongs to
+    # errors.require_at_least
+    found = []
+    for name, node in _library_nodes():
+        if (name != "errors.py" and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "PreconditionError"):
+            text = "".join(c.value for arg in node.args for c in ast.walk(arg)
+                           if isinstance(c, ast.Constant) and isinstance(c.value, str))
+            if ">=" in text:
+                found.append(f"{name}:{node.lineno}")
     assert found == []
 
 
